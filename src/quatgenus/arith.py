@@ -19,12 +19,16 @@ Rational = Fraction
 
 _TRIAL_BOUND = 1_000_000
 
-# Deterministic Miller-Rabin witness set, valid for all n < 3.3e24.
+# Miller-Rabin witness set, deterministic for all n < psi_12 (Sorenson-Webster,
+# "Strong pseudoprimes to twelve prime bases", Math. Comp. 2017); psi_12 itself
+# = 399165290221 * 798330580441 is the least composite passing all twelve bases.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_PSI_12 = 318665857834031151167461
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality test (Miller-Rabin with a fixed witness set)."""
+    """Primality test: Miller-Rabin with a fixed witness set, deterministic below
+    psi_12, and strong Baillie-PSW (base 2 is among the witnesses) from psi_12 on."""
     if n < 2:
         return False
     for p in (2, 3, 5, 7, 11, 13):
@@ -47,7 +51,60 @@ def is_prime(n: int) -> bool:
                 break
         else:
             return False
-    return True
+    return n < _PSI_12 or _is_strong_lucas_probable_prime(n)
+
+
+def _jacobi(a: int, n: int) -> int:
+    """Jacobi symbol (a/n) for odd positive n."""
+    a %= n
+    result = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                result = -result
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            result = -result
+        a %= n
+    return result if n == 1 else 0
+
+
+def _is_strong_lucas_probable_prime(n: int) -> bool:
+    """Strong Lucas test with Selfridge's parameters, for odd n > 13 with no factor <= 13."""
+    if isqrt(n) ** 2 == n:
+        return False  # no D with (D/n) = -1 exists for a square
+    d_param = 5  # Selfridge: first of 5, -7, 9, -11, ... with (D/n) = -1
+    while True:
+        j = _jacobi(d_param, n)
+        if j == -1:
+            break
+        if j == 0:
+            return False  # gcd(D, n) > 1 and |D| < n
+        d_param = -d_param - 2 if d_param > 0 else -d_param + 2
+    q = (1 - d_param) // 4  # P = 1
+
+    def half(x: int) -> int:
+        x %= n
+        return (x + n if x % 2 else x) // 2
+
+    d = n + 1
+    s = 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    u, v, qk = 1, 1, q % n  # U_1, V_1, Q^1
+    for bit in bin(d)[3:]:
+        u, v, qk = u * v % n, (v * v - 2 * qk) % n, qk * qk % n
+        if bit == "1":
+            u, v, qk = half(u + v), half(d_param * u + v), qk * q % n
+    if u == 0 or v == 0:
+        return True
+    for _ in range(s - 1):
+        v, qk = (v * v - 2 * qk) % n, qk * qk % n
+        if v == 0:
+            return True
+    return False
 
 
 def _brent_rho(n: int) -> int:

@@ -58,24 +58,12 @@ class Status(Enum):
     UNKNOWN = "unknown"
 
 
-def form_to_json(form: FormLike) -> object:
-    return form.to_json()
-
-
 def form_from_json(data: object) -> FormLike:
     if isinstance(data, list):
         return DiagonalForm.from_json(data)
     if isinstance(data, dict) and "symbolic" in data:
         return SymbolicForm.from_json(data)
     raise InputError(f"not a form: {data!r}")
-
-
-def form_dim(form: FormLike) -> int:
-    return form.dim
-
-
-def form_disc(form: FormLike) -> DiscClass:
-    return form.signed_disc()
 
 
 def disc_to_json(d: DiscClass) -> object:
@@ -143,7 +131,7 @@ class Certificate:
         return {
             "rule": self.rule,
             "status": self.status.value,
-            "subject": form_to_json(self.subject),
+            "subject": self.subject.to_json(),
             "level": self.level,
             "parameters": {k: v for k, v in self.parameters},
             "premises": [p.to_json() for p in self.premises],
@@ -158,7 +146,12 @@ class Certificate:
             status = Status(data["status"])
             subject = form_from_json(data["subject"])
             level = data["level"]
-            params = tuple(sorted(data.get("parameters", {}).items()))
+            raw_params = data.get("parameters", {})
+            if not isinstance(level, int) or isinstance(level, bool):
+                raise InputError(f"certificate level must be an integer: {level!r}")
+            if not isinstance(raw_params, dict):
+                raise InputError(f"certificate parameters must be an object: {raw_params!r}")
+            params = tuple(sorted(raw_params.items()))
             premises = tuple(cls.from_json(p) for p in data.get("premises", []))
         except (KeyError, ValueError, TypeError) as exc:
             raise InputError(f"malformed certificate: {exc}") from exc
@@ -203,7 +196,7 @@ def generic_certificate(subject: FormLike, adjoined: FormLike, level: int) -> Ce
         Status.ISOTROPIC,
         subject,
         level,
-        _params(adjoined=form_to_json(adjoined)),
+        _params(adjoined=adjoined.to_json()),
         (),
     )
 
@@ -234,9 +227,9 @@ def pfister_certificate(
         level,
         _params(
             exponent=exponent,
-            adjoined=form_to_json(adjoined),
-            subject_disc=disc_to_json(form_disc(premise.subject)),
-            adjoined_disc=disc_to_json(form_disc(adjoined)),
+            adjoined=adjoined.to_json(),
+            subject_disc=disc_to_json(premise.subject.signed_disc()),
+            adjoined_disc=disc_to_json(adjoined.signed_disc()),
             disc_context=sorted(trivialized),
         ),
         (premise,),
@@ -251,7 +244,7 @@ def hoffmann_certificate(
         Status.ANISOTROPIC,
         premise.subject,
         level,
-        _params(exponent=exponent, adjoined=form_to_json(adjoined)),
+        _params(exponent=exponent, adjoined=adjoined.to_json()),
         (premise,),
     )
 
@@ -365,15 +358,15 @@ def _replay(cert: Certificate, context: ReplayContext | None) -> bool:
             return False
         n = cert.param("exponent")
         adjoined = form_from_json(cert.param("adjoined"))
-        if not isinstance(n, int) or form_dim(cert.subject) != 2**n:
+        if not isinstance(n, int) or cert.subject.dim != 2**n:
             return False
         if form_pfister_exponent(cert.subject) != n:
             return False
-        if form_dim(adjoined) != 2**n:
+        if adjoined.dim != 2**n:
             return False
         stored_sd = disc_from_json(cert.param("subject_disc"))
         stored_ad = disc_from_json(cert.param("adjoined_disc"))
-        if form_disc(cert.subject) != stored_sd or form_disc(adjoined) != stored_ad:
+        if cert.subject.signed_disc() != stored_sd or adjoined.signed_disc() != stored_ad:
             return False
         raw_ctx = cert.param("disc_context")
         if not isinstance(raw_ctx, list):
@@ -406,7 +399,7 @@ def _replay(cert: Certificate, context: ReplayContext | None) -> bool:
                 context.adjunctions[cert.level - 1], adjoined
             ):
                 return False
-        return form_dim(cert.subject) <= 2**n < form_dim(adjoined)
+        return cert.subject.dim <= 2**n < adjoined.dim
     if cert.rule == "R-CHAIN":
         if len(cert.premises) != 1 or cert.status is not Status.ANISOTROPIC:
             return False

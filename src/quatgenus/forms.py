@@ -10,13 +10,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .arith import Rational, squarefree_part
 from .errors import InputError
 from .search import isotropic_vector_search
 from .symbols import (
-    INFINITE_PLACE,
     Place,
     hasse_invariant as _hasse_of_coeffs,
     hilbert_symbol,
@@ -51,16 +51,31 @@ class DiagonalForm:
     def dim(self) -> int:
         return len(self.coefficients)
 
-    def det(self) -> int:
+    @cached_property
+    def _invariants(self) -> "FormInvariants":
+        # cached_property writes the instance __dict__, so a frozen form keeps its invariants
+        n = self.dim
         prod = 1
         for c in self.coefficients:
             prod *= c
-        return squarefree_part(prod)
+        det = squarefree_part(prod)
+        pos = sum(1 for c in self.coefficients if c > 0)
+        return FormInvariants(
+            dimension=n,
+            determinant=det,
+            signed_discriminant=_disc_sign(n) * det,
+            hasse=tuple(
+                (v, _hasse_of_coeffs(self.coefficients, v))
+                for v in relevant_places_of(self.coefficients)
+            ),
+            signature=(pos, n - pos),
+        )
+
+    def det(self) -> int:
+        return self._invariants.determinant
 
     def signed_disc(self) -> int:
-        n = self.dim
-        sign = -1 if (n * (n - 1) // 2) % 2 else 1
-        return squarefree_part(sign * self.det())
+        return self._invariants.signed_discriminant
 
     def perp(self, other: "DiagonalForm") -> "DiagonalForm":
         return DiagonalForm(self.coefficients + other.coefficients)
@@ -90,6 +105,11 @@ class DiagonalForm:
 
 
 HYPERBOLIC_PLANE = DiagonalForm((1, -1))
+
+
+def _disc_sign(n: int) -> int:
+    """(-1)^(n(n-1)/2), the sign that turns the determinant into the discriminant."""
+    return -1 if (n * (n - 1) // 2) % 2 else 1
 
 
 @dataclass(frozen=True)
@@ -126,71 +146,41 @@ def relevant_places(q: DiagonalForm) -> list[Place]:
     return relevant_places_of(q.coefficients)
 
 
-def hasse_invariant(q: DiagonalForm, place: Place) -> int:
-    """Product of (a_i, a_j) over i < j at the place."""
-    return _hasse_of_coeffs(q.coefficients, place)
-
-
 def invariants(q: DiagonalForm) -> FormInvariants:
-    places = relevant_places(q)
-    pos = sum(1 for c in q.coefficients if c > 0)
-    return FormInvariants(
-        dimension=q.dim,
-        determinant=q.det(),
-        signed_discriminant=q.signed_disc(),
-        hasse=tuple((v, hasse_invariant(q, v)) for v in places),
-        signature=(pos, q.dim - pos),
-    )
+    """The form's classifying data, computed once per form."""
+    return q._invariants
 
 
-def _local_isotropic_from_data(
-    dimension: int,
-    determinant: int,
-    hasse: int,
-    signature: tuple[int, int],
-    place: Place,
-) -> bool:
+def _local_isotropic_from_data(inv: FormInvariants, place: Place) -> bool:
     """Local isotropy from classifying data; exact casework by dimension."""
-    if dimension <= 1:
+    if inv.dimension <= 1:
         return False
     if place.is_infinite():
-        return signature[0] >= 1 and signature[1] >= 1
-    if dimension == 2:
-        return local_is_square(-determinant, place)
-    if dimension == 3:
-        return hasse == hilbert_symbol(-1, -determinant, place)
-    if dimension == 4:
-        if not local_is_square(determinant, place):
+        return inv.signature[0] >= 1 and inv.signature[1] >= 1
+    if inv.dimension == 2:
+        return local_is_square(-inv.determinant, place)
+    if inv.dimension == 3:
+        return inv.hasse_at(place) == hilbert_symbol(-1, -inv.determinant, place)
+    if inv.dimension == 4:
+        if not local_is_square(inv.determinant, place):
             return True
-        return hasse != -hilbert_symbol(-1, -1, place)
+        return inv.hasse_at(place) != -hilbert_symbol(-1, -1, place)
     return True
+
+
+def _failing_place(inv: FormInvariants) -> Place | None:
+    """First listed place (the real place first) where the casework says anisotropic."""
+    return next((v for v in inv.places() if not _local_isotropic_from_data(inv, v)), None)
 
 
 def is_isotropic_local(q: DiagonalForm, place: Place) -> bool:
-    return _local_isotropic_from_data(
-        q.dim, q.det(), hasse_invariant(q, place), invariants(q).signature, place
-    )
-
-
-def _isotropic_from_invariants(inv: FormInvariants) -> bool:
-    if inv.dimension <= 1:
-        return False
-    for place, eps in inv.hasse:
-        if not _local_isotropic_from_data(
-            inv.dimension, inv.determinant, eps, inv.signature, place
-        ):
-            return False
-    return True
+    """Isotropy at one place; off the relevant places the Hasse symbol is 1."""
+    return _local_isotropic_from_data(invariants(q), place)
 
 
 def isotropy_failure(q: DiagonalForm) -> Place | None:
     """First place (real place first, then primes ascending) where q is anisotropic."""
-    if q.dim == 1:
-        return INFINITE_PLACE
-    for place in relevant_places(q):
-        if not is_isotropic_local(q, place):
-            return place
-    return None
+    return _failing_place(invariants(q))
 
 
 def is_isotropic(q: DiagonalForm) -> bool:
@@ -223,15 +213,7 @@ def isotropic_vector(q: DiagonalForm, bound: int) -> tuple[int, ...] | None:
 
 def isometric(q1: DiagonalForm, q2: DiagonalForm) -> bool:
     """Isometry over Q: equal dimension, determinant class, signature, all Hasse symbols."""
-    if q1.dim != q2.dim:
-        return False
-    i1, i2 = invariants(q1), invariants(q2)
-    if i1.determinant != i2.determinant or i1.signature != i2.signature:
-        return False
-    for place in sorted(set(i1.places()) | set(i2.places())):
-        if i1.hasse_at(place) != i2.hasse_at(place):
-            return False
-    return True
+    return _same_invariants(invariants(q1), invariants(q2))
 
 
 @dataclass(frozen=True)
@@ -252,16 +234,15 @@ class WittDecomposition:
 
 def _peel_invariants(inv: FormInvariants) -> FormInvariants:
     """Invariants of q' where q = H perp q', via the orthogonal-sum rule."""
-    det2 = squarefree_part(-inv.determinant)
+    det2 = -inv.determinant
     hasse2 = tuple(
         (v, e * hilbert_symbol(-1, det2, v)) for v, e in inv.hasse
     )
     n2 = inv.dimension - 2
-    sign = -1 if (n2 * (n2 - 1) // 2) % 2 else 1
     return FormInvariants(
         dimension=n2,
         determinant=det2,
-        signed_discriminant=squarefree_part(sign * det2),
+        signed_discriminant=_disc_sign(n2) * det2,
         hasse=hasse2,
         signature=(inv.signature[0] - 1, inv.signature[1] - 1),
     )
@@ -379,7 +360,7 @@ def witt_decompose(q: DiagonalForm, height_bound: int = 200) -> WittDecompositio
     """Witt index, anisotropic kernel, and the splitting witnesses used."""
     target = invariants(q)
     index = 0
-    while _isotropic_from_invariants(target):
+    while _failing_place(target) is None:
         target = _peel_invariants(target)
         index += 1
     # explicit splitting builds a concrete anisotropic part alongside the count
@@ -412,16 +393,6 @@ def witt_decompose(q: DiagonalForm, height_bound: int = 200) -> WittDecompositio
     if part is not None:
         assert not is_isotropic(part)
     return WittDecomposition(index, part, tuple(witnesses))
-
-
-def is_witt_equivalent(q1: DiagonalForm, q2: DiagonalForm) -> bool:
-    """Equal anisotropic kernels up to isometry."""
-    w1, w2 = witt_decompose(q1), witt_decompose(q2)
-    if w1.anisotropic_part is None and w2.anisotropic_part is None:
-        return True
-    if w1.anisotropic_part is None or w2.anisotropic_part is None:
-        return False
-    return isometric(w1.anisotropic_part, w2.anisotropic_part)
 
 
 def pfister(generators: Sequence[int | Rational]) -> DiagonalForm:

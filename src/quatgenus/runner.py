@@ -131,9 +131,12 @@ def parse_script(data: object) -> Script:
             if a not in symbols or b not in symbols:
                 raise InputError(f"algebra symbols {a!r}, {b!r} must be declared in the base")
             abstract.append(SymbolicAlgebra(SymbolicClass.named(a), SymbolicClass.named(b)))
+        raw_assumptions = block.get("assumptions", [])
+        if not isinstance(raw_assumptions, list):
+            raise InputError("assumptions must be a list")
         assumptions = []
         seen: set[str] = set()
-        for raw in block.get("assumptions", []):
+        for raw in raw_assumptions:
             if not isinstance(raw, dict) or "id" not in raw or "anisotropic" not in raw:
                 raise InputError(f"an assumption needs 'id' and 'anisotropic': {raw!r}")
             ident = raw["id"]

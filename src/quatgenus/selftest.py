@@ -12,6 +12,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations_with_replacement
 
 from .arith import squarefree_part, witness_sequence
@@ -215,12 +216,15 @@ def run_genus(trials: int = 200, seed: int = 0) -> SuiteResult:
     )
 
 
-_DIVISION_POOL = tuple(
-    QuaternionAlgebra.of(a, b)
-    for a in (-1, 2, -2, 3, -3, 5, -5, 6, -6, 7, -7, 10, -10)
-    for b in (-1, 2, -2, 3, -3, 5, -5, 6, -6, 7, -7, 10, -10)
-    if is_division(QuaternionAlgebra.of(a, b))
-)
+@cache
+def _division_pool() -> tuple[QuaternionAlgebra, ...]:
+    """Division algebras (a, b) over small square classes; built on first use, not at import."""
+    return tuple(
+        QuaternionAlgebra.of(a, b)
+        for a in (-1, 2, -2, 3, -3, 5, -5, 6, -6, 7, -7, 10, -10)
+        for b in (-1, 2, -2, 3, -3, 5, -5, 6, -6, 7, -7, 10, -10)
+        if is_division(QuaternionAlgebra.of(a, b))
+    )
 
 
 def _fixed_scripts() -> list[dict]:
@@ -267,10 +271,10 @@ def _fixed_scripts() -> list[dict]:
 
 
 def _distinct_pair(rng: random.Random) -> list[list[int]]:
-    d1 = rng.choice(_DIVISION_POOL)
-    d2 = rng.choice(_DIVISION_POOL)
+    d1 = rng.choice(_division_pool())
+    d2 = rng.choice(_division_pool())
     while is_isomorphic(d1, d2):
-        d2 = rng.choice(_DIVISION_POOL)
+        d2 = rng.choice(_division_pool())
     return [[d1.a, d1.b], [d2.a, d2.b]]
 
 
@@ -296,7 +300,7 @@ def _random_script(rng: random.Random) -> dict:
             "steps": [{"kind": "linking"}],
         }
     if kind == "hoffmann":
-        d = rng.choice(_DIVISION_POOL)
+        d = rng.choice(_division_pool())
         definite = sorted(rng.sample((1, 2, 3, 5, 6, 7), k=5))
         return {
             "base": "rationals",

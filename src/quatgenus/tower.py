@@ -27,10 +27,7 @@ from .certificates import (
     base_certificate,
     chain_certificate,
     disc_mismatch,
-    form_dim,
-    form_disc,
     form_pfister_exponent,
-    form_to_json,
     forms_equal,
     forms_match,
     generic_certificate,
@@ -62,7 +59,7 @@ class Assumption:
     subject: FormLike
 
     def to_json(self) -> dict:
-        return {"id": self.ident, "anisotropic": form_to_json(self.subject)}
+        return {"id": self.ident, "anisotropic": self.subject.to_json()}
 
 
 @dataclass(frozen=True)
@@ -116,7 +113,7 @@ class TowerState:
         return {
             "base": self.base.to_json(),
             "levels": [
-                {"index": i + 1, "form": form_to_json(phi)}
+                {"index": i + 1, "form": phi.to_json()}
                 for i, phi in enumerate(self.adjunctions)
             ],
         }
@@ -136,10 +133,10 @@ class TrackedStatement:
             lvl, phi = self.blocked
             blocked = {
                 "level": lvl,
-                "adjoined": None if phi is None else form_to_json(phi),
+                "adjoined": None if phi is None else phi.to_json(),
             }
         return {
-            "subject": form_to_json(self.subject),
+            "subject": self.subject.to_json(),
             "level": self.level,
             "status": self.status.value,
             "certificate": None if self.certificate is None else self.certificate.to_json(),
@@ -194,12 +191,12 @@ def derive_status(state: TowerState, subject: FormLike) -> TrackedStatement:
         trivialized = state.trivialized_below(level)
         if (
             n is not None
-            and form_dim(phi) == 2**n
-            and disc_mismatch(form_disc(subject), form_disc(phi), trivialized)
+            and phi.dim == 2**n
+            and disc_mismatch(subject.signed_disc(), phi.signed_disc(), trivialized)
         ):
             cert = pfister_certificate(cert, phi, level, n, trivialized)
             continue
-        nh = _hoffmann_exponent(form_dim(subject), form_dim(phi))
+        nh = _hoffmann_exponent(subject.dim, phi.dim)
         if nh is not None:
             cert = hoffmann_certificate(cert, phi, level, nh)
             continue
@@ -212,7 +209,7 @@ def derive_status(state: TowerState, subject: FormLike) -> TrackedStatement:
 
 
 def _check_form_dimension(phi: FormLike) -> None:
-    if form_dim(phi) < 2:
+    if phi.dim < 2:
         raise InputError("adjoined forms must have dimension at least 2")
 
 
@@ -239,9 +236,9 @@ def _adjoin_gated(state: TowerState, phi: FormLike, step_base: TowerState) -> To
     base and this position.
     """
     _check_form_dimension(phi)
-    defined = form_dim(phi) % 2 == 1 or state.top_level == step_base.top_level
+    defined = phi.dim % 2 == 1 or state.top_level == step_base.top_level
     if not defined:
-        disc = form_disc(phi)
+        disc = phi.signed_disc()
         if isinstance(disc, int):
             defined = disc_mismatch(disc, 1, state.trivialized_below(state.top_level + 1))
         else:
@@ -313,7 +310,7 @@ class AdjoinedRecord:
     gate: TrackedStatement
 
     def to_json(self) -> dict:
-        out: dict = {"level": self.level, "form": form_to_json(self.form)}
+        out: dict = {"level": self.level, "form": self.form.to_json()}
         if self.klass is not None:
             out["class"] = self.klass
         if self.algebra is not None:

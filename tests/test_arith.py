@@ -30,6 +30,15 @@ def test_is_prime_large_values():
     assert not is_prime(2**67 - 1)
     assert is_prime(10**18 + 9)
     assert not is_prime(3215031751)  # strong pseudoprime to bases 2, 3, 5, 7
+    # psi_12 and psi_13 pass Miller-Rabin for every base 2..37 (Sorenson-Webster 2017)
+    assert 399165290221 * 798330580441 == 318665857834031151167461
+    assert not is_prime(318665857834031151167461)
+    assert 1287836182261 * 2575672364521 == 3317044064679887385961981
+    assert not is_prime(3317044064679887385961981)
+    assert is_prime(2**89 - 1)
+    assert is_prime(2**127 - 1)
+    assert not is_prime((2**89 - 1) * (2**107 - 1))
+    assert not is_prime((2**61 - 1) ** 2)
 
 
 def test_factor_known_product():

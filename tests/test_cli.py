@@ -23,6 +23,10 @@ def test_symbol_malformed_place(capsys):
     code, _out, err = run_cli(capsys, "symbol", "1", "7", "4")
     assert code == 2
     assert "error:" in err
+    # 399165290221 * 798330580441: a strong pseudoprime to every base 2..37
+    code, out, err = run_cli(capsys, "symbol", "3", "5", "318665857834031151167461")
+    assert (code, out) == (2, "")
+    assert "not a prime" in err
 
 
 def test_form_isotropic_text(capsys):

@@ -37,7 +37,9 @@ def test_construction_reduces_to_squarefree():
 
 
 def test_invariants_worked_values():
-    inv = invariants(DiagonalForm((-2, 1, 3, 3)))
+    q = DiagonalForm((-2, 1, 3, 3))
+    inv = invariants(q)
+    assert invariants(q) is inv
     assert inv.dimension == 4
     assert inv.determinant == -2
     assert inv.signed_discriminant == -2
@@ -99,7 +101,9 @@ def test_isotropic_vector_agrees_with_verdict(coefficients):
 @settings(max_examples=150)
 def test_local_verdicts_match_residue_search(coefficients):
     q = DiagonalForm(tuple(coefficients))
-    for place in relevant_places(q):
+    places = relevant_places(q)
+    others = [finite_place(p) for p in (3, 5, 7, 11, 13) if finite_place(p) not in places]
+    for place in places + others:
         assert is_isotropic_local(q, place) == local_isotropic_search(q.coefficients, place)
 
 

@@ -241,6 +241,8 @@ def test_runner_rejects_malformed_scripts():
         {"base": "rationals", "algebras": [], "steps": [{"kind": "pushing", "classes": "x"}]},
         {"base": {"abstract": {"symbols": ["a"], "assumptions": []}},
          "algebras": [{"symbols": ["a", "zz"]}], "steps": []},
+        {"base": {"abstract": {"symbols": ["a", "b"], "assumptions": 5}},
+         "algebras": [{"symbols": ["a", "b"]}], "steps": []},
     ):
         with pytest.raises(InputError):
             report, _ = run_script_data(bad, config)
@@ -315,6 +317,15 @@ def test_tampered_certificates_fail_replay():
     assert {"R-BASE", "R-GENERIC", "R-MONOTONE", "R-PFISTER", "R-CHAIN"} <= set(seen)
     for rule, cert_json in seen.items():
         assert not replay(Certificate.from_json(tamper(cert_json)), context), rule
+
+
+def test_certificate_from_json_rejects_malformed_fields():
+    good = {"rule": "R-BASE", "status": "isotropic", "subject": [1, -1], "level": 0,
+            "parameters": {"verdict": "isotropic"}}
+    assert replay(Certificate.from_json(good))
+    for field, value in (("parameters", [1]), ("level", "x"), ("level", True)):
+        with pytest.raises(InputError):
+            Certificate.from_json({**good, field: value})
 
 
 def test_unknown_membership_gate_raises_truncation():
