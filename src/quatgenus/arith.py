@@ -191,15 +191,15 @@ def factor(n: int) -> Factorization:
 
 
 def squarefree_part(x: int | Rational) -> int:
-    """The unique square-free integer in the square class of a nonzero rational."""
-    if isinstance(x, Fraction):
-        if x == 0:
-            raise InputError("zero has no square class")
+    """The square-free integer in the square class of a nonzero int or Fraction; nothing else."""
+    if isinstance(x, int):  # first: a Fraction test goes through ABCMeta
+        n = x
+    elif isinstance(x, Fraction):
         n = x.numerator * x.denominator
     else:
-        if x == 0:
-            raise InputError("zero has no square class")
-        n = x
+        raise InputError(f"not an integer or a fraction: {x!r}")
+    if n == 0:
+        raise InputError("zero has no square class")
     f = factor(n)
     out = f.sign
     for p, e in f.prime_powers:

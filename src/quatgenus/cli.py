@@ -199,7 +199,6 @@ def cmd_tower(args: argparse.Namespace) -> int:
         height_bound=args.height_bound,
         witness_window=args.witness_window,
         max_levels=args.max_levels,
-        output=args.output,
         seed=args.seed,
     )
     report, code = run_script_data(data, config)

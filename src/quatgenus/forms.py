@@ -16,13 +16,7 @@ from typing import Iterable, Sequence
 from .arith import Rational, squarefree_part
 from .errors import InputError
 from .search import isotropic_vector_search
-from .symbols import (
-    Place,
-    hasse_invariant as _hasse_of_coeffs,
-    hilbert_symbol,
-    local_is_square,
-    relevant_places_of,
-)
+from .symbols import Place, hasse_invariants, hilbert_symbol, local_is_square
 
 
 @dataclass(frozen=True)
@@ -44,7 +38,7 @@ class DiagonalForm:
         for v in values:
             if v == 0:
                 raise InputError("zero coefficient makes the form degenerate")
-            reduced.append(squarefree_part(v if isinstance(v, Fraction) else int(v)))
+            reduced.append(squarefree_part(v))
         return cls(tuple(reduced))
 
     @property
@@ -64,10 +58,7 @@ class DiagonalForm:
             dimension=n,
             determinant=det,
             signed_discriminant=_disc_sign(n) * det,
-            hasse=tuple(
-                (v, _hasse_of_coeffs(self.coefficients, v))
-                for v in relevant_places_of(self.coefficients)
-            ),
+            hasse=hasse_invariants(self.coefficients),
             signature=(pos, n - pos),
         )
 
@@ -96,7 +87,8 @@ class DiagonalForm:
 
     @classmethod
     def from_json(cls, data: object) -> "DiagonalForm":
-        if not isinstance(data, list) or not all(isinstance(c, int) for c in data):
+        # type(c) is int: JSON true is a bool, which Python counts as an int
+        if not isinstance(data, list) or not all(type(c) is int for c in data):
             raise InputError(f"not a diagonal form: {data!r}")
         return cls.of(data)
 
@@ -143,7 +135,7 @@ class FormInvariants:
 
 def relevant_places(q: DiagonalForm) -> list[Place]:
     """The real place, 2, and odd primes dividing some coefficient."""
-    return relevant_places_of(q.coefficients)
+    return list(invariants(q).places())
 
 
 def invariants(q: DiagonalForm) -> FormInvariants:
@@ -192,7 +184,7 @@ def represents(q: DiagonalForm, c: int | Rational) -> bool:
     """Does q represent the nonzero rational c over Q?"""
     if c == 0:
         raise InputError("representation of zero is the isotropy question")
-    s = squarefree_part(c if isinstance(c, Fraction) else int(c))
+    s = squarefree_part(c)
     return is_isotropic(DiagonalForm(q.coefficients + (-s,)))
 
 
@@ -397,7 +389,7 @@ def witt_decompose(q: DiagonalForm, height_bound: int = 200) -> WittDecompositio
 
 def pfister(generators: Sequence[int | Rational]) -> DiagonalForm:
     """<<a_1, ..., a_n>> expanded over subsets in binary counter order."""
-    gens = [squarefree_part(g if isinstance(g, Fraction) else int(g)) for g in generators]
+    gens = [squarefree_part(g) for g in generators]
     if not gens:
         raise InputError("a Pfister form needs at least one generator")
     coeffs = []

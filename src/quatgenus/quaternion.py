@@ -9,12 +9,11 @@ canonical square-class order so results are reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .arith import Rational, squarefree_part, witness_sequence
 from .errors import PreconditionError, SearchExhausted
 from .forms import DiagonalForm, is_isotropic, isometric, represents, witt_decompose
-from .symbols import Place, hilbert_symbol, relevant_places_of
+from .symbols import Place, hasse_invariants
 
 
 @dataclass(frozen=True)
@@ -28,10 +27,7 @@ class QuaternionAlgebra:
     def of(cls, a: int | Rational, b: int | Rational) -> "QuaternionAlgebra":
         if a == 0 or b == 0:
             raise PreconditionError("quaternion symbols must be nonzero")
-        return cls(
-            squarefree_part(a if isinstance(a, Fraction) else int(a)),
-            squarefree_part(b if isinstance(b, Fraction) else int(b)),
-        )
+        return cls(squarefree_part(a), squarefree_part(b))
 
     def norm_form(self) -> DiagonalForm:
         return DiagonalForm.of([1, -self.a, -self.b, self.a * self.b])
@@ -48,9 +44,8 @@ class QuaternionAlgebra:
 
 
 def ramification(alg: QuaternionAlgebra) -> tuple[Place, ...]:
-    """Places where the algebra is division; always of even cardinality."""
-    places = relevant_places_of([alg.a, alg.b])
-    ram = tuple(v for v in places if hilbert_symbol(alg.a, alg.b, v) == -1)
+    """Places v where (a, b)_v, the Hasse symbol of <a, b>, is -1; always an even number."""
+    ram = tuple(v for v, e in hasse_invariants([alg.a, alg.b]) if e == -1)
     assert len(ram) % 2 == 0  # Hilbert reciprocity
     return ram
 
@@ -92,7 +87,7 @@ def is_linked(a1: QuaternionAlgebra, a2: QuaternionAlgebra) -> bool:
 
 def contains_subfield(alg: QuaternionAlgebra, c: int | Rational) -> bool:
     """Is Q(sqrt(c)) a subfield of the algebra (c not a square)?"""
-    s = squarefree_part(c if isinstance(c, Fraction) else int(c))
+    s = squarefree_part(c)
     if s == 1:
         raise PreconditionError("c must generate a quadratic extension; got a square")
     return represents(alg.pure_form(), s)

@@ -18,9 +18,9 @@ from .certificates import (
     FormLike,
     ReplayContext,
     Status,
+    check_node,
     form_from_json,
     iter_certificates,
-    replay,
 )
 from .errors import InputError
 from .quaternion import QuaternionAlgebra
@@ -49,7 +49,6 @@ class RunConfig:
     height_bound: int = 200
     witness_window: int = 10
     max_levels: int = 3
-    output: str = "text"
     seed: int = 0
 
     def to_json(self) -> dict:
@@ -59,6 +58,11 @@ class RunConfig:
             "max_levels": self.max_levels,
             "seed": self.seed,
         }
+
+
+def _is_int(value: object) -> bool:
+    """A JSON integer: true and false are bools, which Python counts as ints."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -76,7 +80,7 @@ class Script:
 def _parse_abstract_form(data: object, algebras: list[SymbolicAlgebra]) -> FormLike:
     if isinstance(data, dict) and "norm_of" in data:
         idx = data["norm_of"]
-        if not isinstance(idx, int) or not 0 <= idx < len(algebras):
+        if not _is_int(idx) or not 0 <= idx < len(algebras):
             raise InputError(f"norm_of index out of range: {idx!r}")
         return algebras[idx].norm_form()
     if isinstance(data, dict) and "albert_of" in data:
@@ -84,7 +88,7 @@ def _parse_abstract_form(data: object, algebras: list[SymbolicAlgebra]) -> FormL
         if (
             not isinstance(pair, list)
             or len(pair) != 2
-            or not all(isinstance(i, int) and 0 <= i < len(algebras) for i in pair)
+            or not all(_is_int(i) and 0 <= i < len(algebras) for i in pair)
         ):
             raise InputError(f"albert_of needs two algebra indices: {pair!r}")
         return symbolic_albert_form(algebras[pair[0]], algebras[pair[1]])
@@ -107,7 +111,7 @@ def parse_script(data: object) -> Script:
             if (
                 not isinstance(entry, list)
                 or len(entry) != 2
-                or not all(isinstance(x, int) for x in entry)
+                or not all(_is_int(x) for x in entry)
             ):
                 raise InputError(f"a concrete algebra is a [a, b] pair: {entry!r}")
             concrete.append(QuaternionAlgebra.of(entry[0], entry[1]))
@@ -153,11 +157,11 @@ def parse_script(data: object) -> Script:
 def _window_classes(raw: object, config: RunConfig) -> list[int]:
     if raw is None:
         return witness_sequence(config.witness_window)
-    if isinstance(raw, int):
+    if _is_int(raw):
         if raw < 1:
             raise InputError("window limit must be positive")
         return witness_sequence(raw)
-    if isinstance(raw, list) and all(isinstance(c, int) for c in raw):
+    if isinstance(raw, list) and all(_is_int(c) for c in raw):
         return list(raw)
     raise InputError(f"window must be a limit or a list of classes: {raw!r}")
 
@@ -172,7 +176,7 @@ def execute_script(script: Script, config: RunConfig) -> dict:
         kind = _KIND_ALIASES.get(kind, kind)
         if kind == "pushing":
             classes = raw.get("classes")
-            if not isinstance(classes, list) or not all(isinstance(c, int) for c in classes):
+            if not isinstance(classes, list) or not all(_is_int(c) for c in classes):
                 raise InputError("the pushing step needs a list of integer classes")
             state, step = step_pushing_extension(state, list(script.concrete), classes)
             step_reports.append(step.to_json())
@@ -185,7 +189,7 @@ def execute_script(script: Script, config: RunConfig) -> dict:
         elif kind == "iterate":
             window = _window_classes(raw.get("window"), config)
             max_rounds = raw.get("max_rounds", config.max_levels)
-            if not isinstance(max_rounds, int):
+            if not _is_int(max_rounds):
                 raise InputError("max_rounds must be an integer")
             state, report = iterate_pushing(state, list(script.concrete), window, max_rounds)
             step_reports.append(report.to_json())
@@ -194,7 +198,7 @@ def execute_script(script: Script, config: RunConfig) -> dict:
             window = _window_classes(raw.get("window"), config)
             rounds = raw.get("rounds", 1)
             max_rounds = raw.get("max_rounds", config.max_levels)
-            if not isinstance(rounds, int) or not isinstance(max_rounds, int):
+            if not _is_int(rounds) or not _is_int(max_rounds):
                 raise InputError("rounds and max_rounds must be integers")
             state, report = run_alternating_truncation(
                 state, list(script.concrete), window, rounds, max_rounds
@@ -218,7 +222,7 @@ def execute_script(script: Script, config: RunConfig) -> dict:
             continue
         for cert in iter_certificates(stmt.certificate):
             checked += 1
-            if replay(cert, context):
+            if check_node(cert, context):
                 passed += 1
     unknowns = [stmt for stmt in required if stmt.status is Status.UNKNOWN]
     report = {

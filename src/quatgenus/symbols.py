@@ -9,8 +9,9 @@ formulas at odd primes, and the epsilon/omega unit characters at 2.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
+from math import prod
 from typing import Iterable
 
 from .arith import Rational, factor, is_prime, legendre, squarefree_part
@@ -102,14 +103,12 @@ def _hilbert_squarefree(a: int, b: int, prime: int | None) -> int:
 
 def hilbert_symbol(a: int | Rational, b: int | Rational, place: Place) -> int:
     """Hilbert symbol (a,b) at a place of Q; arguments must be nonzero."""
-    sa = squarefree_part(a if isinstance(a, Fraction) else int(a))
-    sb = squarefree_part(b if isinstance(b, Fraction) else int(b))
-    return _hilbert_squarefree(sa, sb, place.prime)
+    return _hilbert_squarefree(squarefree_part(a), squarefree_part(b), place.prime)
 
 
 def local_is_square(a: int | Rational, place: Place) -> bool:
     """Is a nonzero rational a square in the completion at the given place?"""
-    s = squarefree_part(a if isinstance(a, Fraction) else int(a))
+    s = squarefree_part(a)
     if place.is_infinite():
         return s > 0
     p = place.prime
@@ -121,21 +120,29 @@ def local_is_square(a: int | Rational, place: Place) -> bool:
     return legendre(s, p) == 1
 
 
+def _places_of_classes(classes: list[int]) -> list[Place]:
+    """The relevant places of square classes; primes from factor need no second test."""
+    primes = {2}
+    for s in classes:
+        primes.update(p for p, _ in factor(s).prime_powers)
+    return [INFINITE_PLACE] + [Place(p, p) for p in sorted(primes)]
+
+
 def relevant_places_of(values: Iterable[int | Rational]) -> list[Place]:
     """The real place, 2, and every odd prime dividing some value's square class."""
-    primes: set[int] = {2}
-    for v in values:
-        s = squarefree_part(v if isinstance(v, Fraction) else int(v))
-        for p, _ in factor(s).prime_powers:
-            primes.add(p)
-    return [INFINITE_PLACE] + [finite_place(p) for p in sorted(primes)]
+    return _places_of_classes([squarefree_part(v) for v in values])
+
+
+def hasse_invariants(coefficients: Iterable[int | Rational]) -> tuple[tuple[Place, int], ...]:
+    """(place, product of hilbert_symbol(a_i, a_j) over i < j) at each relevant place of a
+    diagonal form, real place first; the Hasse symbol is 1 at every place not listed."""
+    coeffs = [squarefree_part(c) for c in coefficients]
+    return tuple(
+        (v, prod(_hilbert_squarefree(a, b, v.prime) for a, b in combinations(coeffs, 2)))
+        for v in _places_of_classes(coeffs)
+    )
 
 
 def hasse_invariant(coefficients: Iterable[int | Rational], place: Place) -> int:
-    """Product of hilbert_symbol(a_i, a_j) over i < j for a diagonal form."""
-    coeffs = [squarefree_part(c if isinstance(c, Fraction) else int(c)) for c in coefficients]
-    value = 1
-    for i in range(len(coeffs)):
-        for j in range(i + 1, len(coeffs)):
-            value *= _hilbert_squarefree(coeffs[i], coeffs[j], place.prime)
-    return value
+    """The Hasse symbol of a diagonal form at one place."""
+    return dict(hasse_invariants(coefficients)).get(place, 1)

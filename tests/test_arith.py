@@ -73,6 +73,13 @@ def test_squarefree_part_values():
     assert squarefree_part(1) == 1
     assert squarefree_part(Fraction(-8, 27)) == -6
     assert squarefree_part(Fraction(1, 4)) == 1
+    assert squarefree_part(Fraction(5, 2)) == 10
+
+
+def test_squarefree_part_rejects_non_rational_input():
+    for value in (2.5, 3.0, "6", None):
+        with pytest.raises(InputError):
+            squarefree_part(value)
 
 
 @given(st.integers(min_value=1, max_value=10**6))

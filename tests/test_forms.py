@@ -36,6 +36,18 @@ def test_construction_reduces_to_squarefree():
         DiagonalForm((1, 4))
 
 
+def test_non_rational_input_is_refused():
+    assert DiagonalForm.of([Fraction(5, 2), -1]).coefficients == (10, -1)
+    with pytest.raises(InputError):
+        DiagonalForm.of([2.5, -1])
+    with pytest.raises(InputError):
+        represents(DiagonalForm((1, 1)), 2.5)
+    with pytest.raises(InputError):
+        pfister([-1, 2.5])
+    with pytest.raises(InputError):
+        DiagonalForm.from_json([True, True, True, True, True])
+
+
 def test_invariants_worked_values():
     q = DiagonalForm((-2, 1, 3, 3))
     inv = invariants(q)

@@ -1,9 +1,11 @@
 """Quaternion algebras: ramification, isomorphism, linkage, subfields, genus."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from quatgenus.errors import PreconditionError, SearchExhausted
+from quatgenus.errors import InputError, PreconditionError, SearchExhausted
 from quatgenus.forms import DiagonalForm, is_isotropic, isometric, witt_decompose
 from quatgenus.quaternion import (
     QuaternionAlgebra,
@@ -18,7 +20,7 @@ from quatgenus.quaternion import (
     is_linked,
     ramification,
 )
-from quatgenus.symbols import INFINITE_PLACE, finite_place
+from quatgenus.symbols import INFINITE_PLACE, finite_place, hilbert_symbol, relevant_places_of
 
 symbol = st.sampled_from([-1, 2, -2, 3, -3, 5, -5, 6, -6, 7, -7, 10, -10])
 
@@ -30,6 +32,15 @@ def test_construction_reduces_symbols():
     assert QuaternionAlgebra.of(-4, 18) == QuaternionAlgebra(-1, 2)
     with pytest.raises(PreconditionError):
         QuaternionAlgebra.of(0, 1)
+    assert QuaternionAlgebra.of(Fraction(5, 2), 3) == QuaternionAlgebra(10, 3)
+
+
+def test_non_rational_input_is_refused():
+    # -1.9 once truncated to -1, giving Hamilton's quaternions
+    with pytest.raises(InputError):
+        QuaternionAlgebra.of(-1.9, -1)
+    with pytest.raises(InputError):
+        contains_subfield(HAMILTON, 2.5)
 
 
 def test_norm_and_pure_forms():
@@ -52,6 +63,19 @@ def test_ramification_has_even_size_and_matches_norm_form(a, b):
     assert len(ram) % 2 == 0
     assert is_division(algebra) == (len(ram) > 0)
     assert is_division(algebra) == (not is_isotropic(algebra.norm_form()))
+
+
+@given(
+    st.integers(min_value=-500, max_value=500).filter(lambda n: n != 0),
+    st.integers(min_value=-500, max_value=500).filter(lambda n: n != 0),
+)
+@settings(max_examples=200)
+def test_ramification_is_where_the_symbol_is_minus_one(a, b):
+    algebra = QuaternionAlgebra.of(a, b)
+    # odd primes outside the relevant places must not ramify either
+    places = set(relevant_places_of([a, b])) | {finite_place(p) for p in (3, 5, 7, 11, 13)}
+    expected = sorted(v for v in places if hilbert_symbol(a, b, v) == -1)
+    assert ramification(algebra) == tuple(expected)
 
 
 def test_division_and_split():

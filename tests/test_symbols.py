@@ -12,6 +12,7 @@ from quatgenus.symbols import (
     Place,
     finite_place,
     hasse_invariant,
+    hasse_invariants,
     hilbert_symbol,
     local_is_square,
     parse_place,
@@ -21,6 +22,8 @@ from quatgenus.symbols import (
 PLACES = [INFINITE_PLACE, finite_place(2), finite_place(3), finite_place(5), finite_place(7)]
 
 nonzero = st.integers(min_value=-200, max_value=200).filter(lambda n: n != 0)
+# entries with square factors, so the reduction to square classes is exercised
+unreduced = st.builds(lambda n, t: n * t * t, nonzero, st.integers(min_value=1, max_value=12))
 
 
 def test_worked_symbol_values():
@@ -74,6 +77,20 @@ def test_symbol_with_own_negative_splits(a, place):
 
 def test_symbol_accepts_rationals():
     assert hilbert_symbol(Fraction(-1, 4), Fraction(-9), INFINITE_PLACE) == -1
+    assert hilbert_symbol(Fraction(5, 2), 3, finite_place(3)) == 1
+
+
+def test_non_rational_input_is_refused():
+    # 2.5 once truncated to 2, and (2, 3)_3 = -1 is not (5/2, 3)_3 = 1
+    for call in (
+        lambda: hilbert_symbol(2.5, 3, finite_place(3)),
+        lambda: local_is_square(2.5, finite_place(3)),
+        lambda: relevant_places_of([2.5]),
+        lambda: hasse_invariants([2.5, 3]),
+        lambda: hasse_invariant([2.5, 3], finite_place(3)),
+    ):
+        with pytest.raises(InputError):
+            call()
 
 
 def test_local_is_square():
@@ -96,6 +113,26 @@ def test_relevant_places():
 def test_hasse_invariant_worked_value():
     assert hasse_invariant([1, 1, 3, 3], finite_place(3)) == -1
     assert hasse_invariant([1, 1], finite_place(3)) == 1
+    assert hasse_invariants([-1, -1]) == ((INFINITE_PLACE, -1), (finite_place(2), -1))
+
+
+@given(st.lists(unreduced, min_size=1, max_size=5))
+@settings(max_examples=200)
+def test_hasse_invariants_are_products_of_symbols(coefficients):
+    def product_of_symbols(place):
+        value = 1
+        for i in range(len(coefficients)):
+            for j in range(i + 1, len(coefficients)):
+                value *= hilbert_symbol(coefficients[i], coefficients[j], place)
+        return value
+
+    listed = hasse_invariants(coefficients)
+    assert [v for v, _ in listed] == relevant_places_of(coefficients)
+    for v, e in listed:
+        assert e == product_of_symbols(v)
+    # off the listed places the symbol is 1, and hasse_invariant reads the same table
+    for v in PLACES + [finite_place(11), finite_place(13)]:
+        assert hasse_invariant(coefficients, v) == product_of_symbols(v)
 
 
 def test_parse_place():

@@ -6,6 +6,7 @@ from quatgenus.certificates import (
     Certificate,
     ReplayContext,
     Status,
+    check_node,
     iter_certificates,
     replay,
     tamper,
@@ -243,6 +244,28 @@ def test_runner_rejects_malformed_scripts():
          "algebras": [{"symbols": ["a", "zz"]}], "steps": []},
         {"base": {"abstract": {"symbols": ["a", "b"], "assumptions": 5}},
          "algebras": [{"symbols": ["a", "b"]}], "steps": []},
+        # JSON true is not an integer anywhere one is required
+        {"base": "rationals", "algebras": [[True, -1]], "steps": []},
+        {"base": "rationals", "algebras": [[-1, -1]],
+         "steps": [{"kind": "pushing", "classes": [True]}]},
+        {"base": "rationals", "algebras": [],
+         "steps": [{"kind": "adjoin", "form": [True, True, True, True, True]}]},
+        {"base": "rationals", "algebras": [[-1, -1]],
+         "steps": [{"kind": "alternate", "window": True, "rounds": 1, "max_rounds": 1}]},
+        {"base": "rationals", "algebras": [[-1, -1]],
+         "steps": [{"kind": "alternate", "window": [True], "rounds": 1, "max_rounds": 1}]},
+        {"base": "rationals", "algebras": [[-1, -1]],
+         "steps": [{"kind": "alternate", "window": 3, "rounds": True, "max_rounds": 1}]},
+        {"base": "rationals", "algebras": [[-1, -1]],
+         "steps": [{"kind": "alternate", "window": 3, "rounds": 1, "max_rounds": True}]},
+        {"base": "rationals", "algebras": [[-1, -1]],
+         "steps": [{"kind": "iterate", "window": 3, "max_rounds": True}]},
+        {"base": {"abstract": {"symbols": ["a", "b"], "assumptions": [
+            {"id": "n", "anisotropic": {"norm_of": True}}]}},
+         "algebras": [{"symbols": ["a", "b"]}, {"symbols": ["b", "a"]}], "steps": []},
+        {"base": {"abstract": {"symbols": ["a", "b"], "assumptions": [
+            {"id": "q", "anisotropic": {"albert_of": [True, 0]}}]}},
+         "algebras": [{"symbols": ["a", "b"]}, {"symbols": ["b", "a"]}], "steps": []},
     ):
         with pytest.raises(InputError):
             report, _ = run_script_data(bad, config)
@@ -317,6 +340,30 @@ def test_tampered_certificates_fail_replay():
     assert {"R-BASE", "R-GENERIC", "R-MONOTONE", "R-PFISTER", "R-CHAIN"} <= set(seen)
     for rule, cert_json in seen.items():
         assert not replay(Certificate.from_json(tamper(cert_json)), context), rule
+
+
+def test_check_node_reads_only_the_premises_stored_fields():
+    data = {
+        "base": "rationals",
+        "algebras": [[-1, -1], [-1, -3]],
+        "steps": [{"kind": "iterate", "window": 10, "max_rounds": 3}],
+    }
+    report, _ = run_script_data(data, RunConfig())
+    context = context_from_report(report)
+    # a chain or monotone node whose premise keeps its status when tampered
+    sound = next(
+        cert
+        for cert_json in certificates_in_report(report)
+        for cert in iter_certificates(Certificate.from_json(cert_json))
+        if cert.rule in ("R-MONOTONE", "R-CHAIN") and cert.premises[0].rule != "R-BASE"
+    )
+    assert check_node(sound, context) and replay(sound, context)
+    parent_json = sound.to_json()
+    parent_json["premises"] = [tamper(parent_json["premises"][0])]
+    parent = Certificate.from_json(parent_json)
+    assert check_node(parent, context)
+    assert not replay(parent, context)
+    assert not replay(parent.premises[0], context)
 
 
 def test_certificate_from_json_rejects_malformed_fields():
