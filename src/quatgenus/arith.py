@@ -200,6 +200,13 @@ def squarefree_part(x: int | Rational) -> int:
         raise InputError(f"not an integer or a fraction: {x!r}")
     if n == 0:
         raise InputError("zero has no square class")
+    return _squarefree_int(n)
+
+
+# keyed after the type dispatch: lru_cache keys by equality, so a cache on
+# squarefree_part would answer 2.0 with the entry made for Fraction(2)
+@lru_cache(maxsize=4096)
+def _squarefree_int(n: int) -> int:
     f = factor(n)
     out = f.sign
     for p, e in f.prime_powers:

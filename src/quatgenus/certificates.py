@@ -71,7 +71,7 @@ def disc_to_json(d: DiscClass) -> object:
 
 
 def disc_from_json(data: object) -> DiscClass:
-    if isinstance(data, int):
+    if type(data) is int:  # not isinstance: JSON true is a bool, which Python counts as an int
         return data
     return SymbolicClass.from_json(data)
 
@@ -371,9 +371,9 @@ def _check_node(cert: Certificate, context: ReplayContext | None) -> bool:
         if cert.subject.signed_disc() != stored_sd or adjoined.signed_disc() != stored_ad:
             return False
         raw_ctx = cert.param("disc_context")
-        if not isinstance(raw_ctx, list):
+        if not isinstance(raw_ctx, list) or not all(type(x) is int for x in raw_ctx):
             return False
-        trivialized = tuple(int(x) for x in raw_ctx)
+        trivialized = tuple(raw_ctx)
         if context is not None and context.adjunctions is not None:
             if trivialized != context.trivialized_below(cert.level):
                 return False

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .arith import Rational, squarefree_part
@@ -45,22 +45,9 @@ class DiagonalForm:
     def dim(self) -> int:
         return len(self.coefficients)
 
-    @cached_property
+    @property
     def _invariants(self) -> "FormInvariants":
-        # cached_property writes the instance __dict__, so a frozen form keeps its invariants
-        n = self.dim
-        prod = 1
-        for c in self.coefficients:
-            prod *= c
-        det = squarefree_part(prod)
-        pos = sum(1 for c in self.coefficients if c > 0)
-        return FormInvariants(
-            dimension=n,
-            determinant=det,
-            signed_discriminant=_disc_sign(n) * det,
-            hasse=hasse_invariants(self.coefficients),
-            signature=(pos, n - pos),
-        )
+        return _invariants_of(self.coefficients)
 
     def det(self) -> int:
         return self._invariants.determinant
@@ -97,6 +84,24 @@ class DiagonalForm:
 
 
 HYPERBOLIC_PLANE = DiagonalForm((1, -1))
+
+
+# keyed by value: equal forms built apart (from JSON, by represents) share one entry
+@lru_cache(maxsize=1024)
+def _invariants_of(coefficients: tuple[int, ...]) -> "FormInvariants":
+    n = len(coefficients)
+    prod = 1
+    for c in coefficients:
+        prod *= c
+    det = squarefree_part(prod)
+    pos = sum(1 for c in coefficients if c > 0)
+    return FormInvariants(
+        dimension=n,
+        determinant=det,
+        signed_discriminant=_disc_sign(n) * det,
+        hasse=hasse_invariants(coefficients),
+        signature=(pos, n - pos),
+    )
 
 
 def _disc_sign(n: int) -> int:
@@ -139,7 +144,7 @@ def relevant_places(q: DiagonalForm) -> list[Place]:
 
 
 def invariants(q: DiagonalForm) -> FormInvariants:
-    """The form's classifying data, computed once per form."""
+    """The form's classifying data, computed once per distinct coefficient tuple."""
     return q._invariants
 
 

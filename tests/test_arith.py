@@ -77,7 +77,9 @@ def test_squarefree_part_values():
 
 
 def test_squarefree_part_rejects_non_rational_input():
-    for value in (2.5, 3.0, "6", None):
+    # with 2 and Fraction(2) reduced first, a memo keyed before the type test would answer 2.0
+    assert squarefree_part(2) == squarefree_part(Fraction(2)) == 2
+    for value in (2.0, 2.5, 3.0, "6", None):
         with pytest.raises(InputError):
             squarefree_part(value)
 

@@ -38,8 +38,10 @@ def test_construction_reduces_to_squarefree():
 
 def test_non_rational_input_is_refused():
     assert DiagonalForm.of([Fraction(5, 2), -1]).coefficients == (10, -1)
-    with pytest.raises(InputError):
-        DiagonalForm.of([2.5, -1])
+    assert DiagonalForm.of([2, Fraction(2)]).coefficients == (2, 2)
+    for value in (2.0, 2.5):
+        with pytest.raises(InputError):
+            DiagonalForm.of([value, -1])
     with pytest.raises(InputError):
         represents(DiagonalForm((1, 1)), 2.5)
     with pytest.raises(InputError):
@@ -52,6 +54,8 @@ def test_invariants_worked_values():
     q = DiagonalForm((-2, 1, 3, 3))
     inv = invariants(q)
     assert invariants(q) is inv
+    # one entry per coefficient tuple, however the equal form was built
+    assert invariants(DiagonalForm.from_json([-2, 1, 3, 3])) is inv
     assert inv.dimension == 4
     assert inv.determinant == -2
     assert inv.signed_discriminant == -2

@@ -1,9 +1,12 @@
 """Vector search backends: identical enumeration order, pure vs compiled."""
 
+import importlib.util
 import itertools
 import os
+import shutil
 import subprocess
 import sys
+import sysconfig
 from pathlib import Path
 
 import pytest
@@ -12,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 import quatgenus
 from quatgenus import _searchpure, search
 from quatgenus.errors import InputError
-from quatgenus.search import backend_name, compiled_available, isotropic_vector_search
+from quatgenus.search import backend_name, isotropic_vector_search
 
 coefficient = st.sampled_from([1, -1, 2, -2, 3, -3, 5, -5, 6, -6, 7, -7, 10, -10, 15, -15])
 
@@ -76,10 +79,32 @@ def test_pure_backend_agrees_with_dispatch(coefficients, bound):
     )
 
 
-@pytest.mark.skipif(not compiled_available(), reason="compiled kernel not built")
-def test_compiled_backend_matches_pure_exactly():
-    from quatgenus import _fastkernel
+def _built_kernel(tmp_path):
+    """The committed _fastkernel.c compiled into tmp_path and loaded, or a skip."""
+    source = Path(quatgenus.__file__).resolve().parent / "_fastkernel.c"
+    include = sysconfig.get_paths()["include"]
+    configured = (sysconfig.get_config_var("CC") or "cc").split()[0]
+    compiler = shutil.which(configured) or shutil.which("gcc") or shutil.which("cc")
+    if compiler is None:
+        pytest.skip("no C compiler found to build the compiled kernel")
+    if not (Path(include) / "Python.h").exists():
+        pytest.skip(f"Python.h not found under {include}; cannot build the compiled kernel")
+    target = tmp_path / ("_fastkernel" + sysconfig.get_config_var("EXT_SUFFIX"))
+    built = subprocess.run(
+        [compiler, "-shared", "-fPIC", "-O2", f"-I{include}", str(source), "-o", str(target)],
+        capture_output=True,
+        text=True,
+    )
+    assert built.returncode == 0, built.stderr
+    spec = importlib.util.spec_from_file_location("quatgenus._fastkernel", target)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
+
+def test_compiled_backend_matches_pure_exactly(tmp_path):
+    # built outside the package, so the backend of this run stays as it was
+    _fastkernel = _built_kernel(tmp_path)
     cases = [
         ((1, -1), 30),
         ((1, 1, -2), 30),

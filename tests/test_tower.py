@@ -1,5 +1,7 @@
 """Tower engine: gated adjunction, certified steps, iteration, replay, tampering."""
 
+import copy
+
 import pytest
 
 from quatgenus.certificates import (
@@ -7,6 +9,7 @@ from quatgenus.certificates import (
     ReplayContext,
     Status,
     check_node,
+    disc_from_json,
     iter_certificates,
     replay,
     tamper,
@@ -373,6 +376,61 @@ def test_certificate_from_json_rejects_malformed_fields():
     for field, value in (("parameters", [1]), ("level", "x"), ("level", True)):
         with pytest.raises(InputError):
             Certificate.from_json({**good, field: value})
+
+
+def test_pfister_node_refuses_malformed_integers():
+    state = TowerState(RationalBase())
+    state, _ = adjoin(state, DiagonalForm((-2, 1, 3, 3)))
+    cert = derive_status(state, DiagonalForm((1, 1, 1, 1))).certificate
+    assert cert.rule == "R-PFISTER" and cert.param("exponent") == 2
+    assert replay(cert) and replay(cert, state.replay_context())
+    with pytest.raises(InputError):
+        disc_from_json(True)
+    good = cert.to_json()
+    for field, value in (
+        ("subject_disc", True),
+        ("disc_context", ["x"]),
+        ("disc_context", [None]),
+        ("disc_context", [True]),
+        ("disc_context", ["3"]),
+    ):
+        bad = {**good, "parameters": {**good["parameters"], field: value}}
+        assert not replay(Certificate.from_json(bad)), (field, value)
+        assert not replay(Certificate.from_json(bad), state.replay_context()), (field, value)
+
+
+def test_tampering_any_node_of_a_warm_deep_report_fails_replay():
+    data = {
+        "base": "rationals",
+        "algebras": [[-1, -1], [-1, -3]],
+        "steps": [{"kind": "alternate", "rounds": 2, "max_rounds": 4, "window": 20}],
+    }
+    report, _ = run_script_data(data, RunConfig())
+    context = context_from_report(report)
+    trees = list(certificates_in_report(report))
+    # warm every cache on the untampered trees first
+    assert all(replay(Certificate.from_json(tree), context) for tree in trees)
+    # the deepest node of each rule, named by its tree and its path of premise indices
+    deepest: dict[str, tuple[int, tuple[int, ...]]] = {}
+    for index, tree in enumerate(trees):
+        stack = [(tree, ())]
+        while stack:
+            node, path = stack.pop()
+            if node["rule"] not in deepest or len(path) > len(deepest[node["rule"]][1]):
+                deepest[node["rule"]] = (index, path)
+            stack.extend((p, path + (i,)) for i, p in enumerate(node["premises"]))
+    assert {"R-BASE", "R-GENERIC", "R-MONOTONE", "R-PFISTER", "R-CHAIN"} <= set(deepest)
+    assert len(deepest["R-BASE"][1]) >= 5
+    for rule, (index, path) in deepest.items():
+        tree = copy.deepcopy(trees[index])
+        if not path:
+            tree = tamper(tree)
+        else:
+            parent = tree
+            for i in path[:-1]:
+                parent = parent["premises"][i]
+            parent["premises"][path[-1]] = tamper(parent["premises"][path[-1]])
+        assert not replay(Certificate.from_json(tree), context), rule
 
 
 def test_unknown_membership_gate_raises_truncation():
