@@ -51,6 +51,13 @@ RULES = (
     "R-CHAIN",
 )
 
+# The most levels a tower may have. A certificate over such a tower nests at
+# most MAX_LEVELS + 2 nodes deep: a level-0 leaf, one node per level, and an
+# R-MONOTONE or R-CHAIN node on top. At that depth a whole report still
+# renders and parses within Python's default recursion limit.
+MAX_LEVELS = 256
+MAX_DEPTH = MAX_LEVELS + 2
+
 
 class Status(Enum):
     ANISOTROPIC = "anisotropic"
@@ -139,8 +146,14 @@ class Certificate:
 
     @classmethod
     def from_json(cls, data: object) -> "Certificate":
+        return cls._from_json(data, 1)
+
+    @classmethod
+    def _from_json(cls, data: object, depth: int) -> "Certificate":
         if not isinstance(data, dict):
             raise InputError(f"not a certificate: {data!r}")
+        if depth > MAX_DEPTH:
+            raise InputError(f"certificate nests deeper than {MAX_DEPTH} nodes")
         try:
             rule = data["rule"]
             status = Status(data["status"])
@@ -152,10 +165,15 @@ class Certificate:
             if not isinstance(raw_params, dict):
                 raise InputError(f"certificate parameters must be an object: {raw_params!r}")
             params = tuple(sorted(raw_params.items()))
-            premises = tuple(cls.from_json(p) for p in data.get("premises", []))
+            raw_premises = data.get("premises", [])
+            if not isinstance(raw_premises, list):
+                raise InputError(f"certificate premises must be a list: {raw_premises!r}")
         except (KeyError, ValueError, TypeError) as exc:
             raise InputError(f"malformed certificate: {exc}") from exc
-        return cls(rule, status, subject, level, params, premises)
+        premises = []  # a loop, not a comprehension: one frame per level
+        for raw in raw_premises:
+            premises.append(cls._from_json(raw, depth + 1))
+        return cls(rule, status, subject, level, params, tuple(premises))
 
 
 def _params(**kwargs: object) -> tuple[tuple[str, object], ...]:
@@ -417,9 +435,11 @@ def _check_node(cert: Certificate, context: ReplayContext | None) -> bool:
 
 def iter_certificates(cert: Certificate):
     """The node and all descendants, preorder."""
-    yield cert
-    for premise in cert.premises:
-        yield from iter_certificates(premise)
+    stack = [cert]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(reversed(node.premises))
 
 
 def tamper(cert_json: dict) -> dict:

@@ -2,7 +2,8 @@
 
 Output is deterministic: identical invocations print identical bytes. Exit
 codes: 0 success, 1 property failure, 2 malformed input, 3 unmet
-precondition, 4 truncation left a required claim unknown.
+precondition, 4 truncation left a required claim unknown, 70 internal error
+(a bug: any other exception).
 """
 
 from __future__ import annotations
@@ -195,6 +196,8 @@ def cmd_tower(args: argparse.Namespace) -> int:
         raise InputError(f"cannot read script: {error}") from error
     except json.JSONDecodeError as error:
         raise InputError(f"script is not valid JSON: {error}") from error
+    except RecursionError as error:
+        raise InputError("script nests too deeply to parse") from error
     config = RunConfig(
         height_bound=args.height_bound,
         witness_window=args.witness_window,
@@ -301,6 +304,10 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
+    except Exception as error:
+        # a bug, not a verdict: exit 1 is reserved for a failed replay
+        print(f"error: internal: {error!r}", file=sys.stderr)
+        return 70
 
 
 if __name__ == "__main__":

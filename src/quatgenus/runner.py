@@ -28,6 +28,7 @@ from .symbolic import SymbolicAlgebra, SymbolicClass, symbolic_albert_form
 from .tower import (
     AbstractBase,
     Assumption,
+    Family,
     RationalBase,
     TowerState,
     TrackedStatement,
@@ -40,8 +41,6 @@ from .tower import (
 )
 
 SCHEMA = "tower-report/1"
-
-_KIND_ALIASES = {"iterateP": "iterate", "theoremC": "alternate"}
 
 
 @dataclass(frozen=True)
@@ -68,7 +67,7 @@ def _is_int(value: object) -> bool:
 @dataclass(frozen=True)
 class Script:
     base: RationalBase | AbstractBase
-    concrete: tuple[QuaternionAlgebra, ...]
+    family: Family  # empty over an abstract base
     abstract: tuple[SymbolicAlgebra, ...]
     steps: tuple[dict, ...]
 
@@ -115,7 +114,7 @@ def parse_script(data: object) -> Script:
             ):
                 raise InputError(f"a concrete algebra is a [a, b] pair: {entry!r}")
             concrete.append(QuaternionAlgebra.of(entry[0], entry[1]))
-        return Script(RationalBase(), tuple(concrete), (), tuple(steps))
+        return Script(RationalBase(), Family.of(concrete), (), tuple(steps))
     if isinstance(raw_base, dict) and "abstract" in raw_base:
         block = raw_base["abstract"]
         if not isinstance(block, dict):
@@ -150,7 +149,7 @@ def parse_script(data: object) -> Script:
             subject = _parse_abstract_form(raw["anisotropic"], abstract)
             assumptions.append(Assumption(ident, subject))
         base = AbstractBase(tuple(symbols), tuple(assumptions))
-        return Script(base, (), tuple(abstract), tuple(steps))
+        return Script(base, Family(()), tuple(abstract), tuple(steps))
     raise InputError(f"unknown base: {raw_base!r}")
 
 
@@ -173,16 +172,15 @@ def execute_script(script: Script, config: RunConfig) -> dict:
     required: list[TrackedStatement] = []
     for raw in script.steps:
         kind = raw.get("kind")
-        kind = _KIND_ALIASES.get(kind, kind)
         if kind == "pushing":
             classes = raw.get("classes")
             if not isinstance(classes, list) or not all(_is_int(c) for c in classes):
                 raise InputError("the pushing step needs a list of integer classes")
-            state, step = step_pushing_extension(state, list(script.concrete), classes)
+            state, step = step_pushing_extension(state, script.family, classes)
             step_reports.append(step.to_json())
             required += step.required_statements()
         elif kind == "linking":
-            family = list(script.concrete) if script.is_concrete else list(script.abstract)
+            family = script.family if script.is_concrete else list(script.abstract)
             state, step = step_linking_extension(state, family)
             step_reports.append(step.to_json())
             required += step.required_statements()
@@ -191,7 +189,7 @@ def execute_script(script: Script, config: RunConfig) -> dict:
             max_rounds = raw.get("max_rounds", config.max_levels)
             if not _is_int(max_rounds):
                 raise InputError("max_rounds must be an integer")
-            state, report = iterate_pushing(state, list(script.concrete), window, max_rounds)
+            state, report = iterate_pushing(state, script.family, window, max_rounds)
             step_reports.append(report.to_json())
             required += report.required_statements()
         elif kind == "alternate":
@@ -201,7 +199,7 @@ def execute_script(script: Script, config: RunConfig) -> dict:
             if not _is_int(rounds) or not _is_int(max_rounds):
                 raise InputError("rounds and max_rounds must be integers")
             state, report = run_alternating_truncation(
-                state, list(script.concrete), window, rounds, max_rounds
+                state, script.family, window, rounds, max_rounds
             )
             step_reports.append(report.to_json())
             required += report.required_statements()
@@ -213,7 +211,7 @@ def execute_script(script: Script, config: RunConfig) -> dict:
             )
             required.append(gate)
         else:
-            raise InputError(f"unknown step kind: {raw.get('kind')!r}")
+            raise InputError(f"unknown step kind: {kind!r}")
     context = state.replay_context()
     checked = passed = 0
     tracked_statements = [derive_status(state, f) for f in state.tracked]
@@ -228,7 +226,7 @@ def execute_script(script: Script, config: RunConfig) -> dict:
     report = {
         "schema": SCHEMA,
         "base": script.base.to_json(),
-        "algebras": [a.to_json() for a in (script.concrete or script.abstract)],
+        "algebras": [a.to_json() for a in (script.family.algebras or script.abstract)],
         "config": config.to_json(),
         "steps": step_reports,
         "final_state": {

@@ -15,10 +15,14 @@ over the whole current tower.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import combinations
 
 from .arith import squarefree_part
 from .certificates import (
+    MAX_LEVELS,
     Certificate,
     FormLike,
     ReplayContext,
@@ -176,6 +180,12 @@ def derive_status(state: TowerState, subject: FormLike) -> TrackedStatement:
         else:
             status = Status.UNKNOWN
             blocked = (0, None)
+    # only an anisotropic start ever reaches the Pfister rule
+    n = (
+        form_pfister_exponent(subject)
+        if status is Status.ANISOTROPIC and state.adjunctions
+        else None
+    )
     for level, phi in enumerate(state.adjunctions, start=1):
         if status is Status.ISOTROPIC:
             continue
@@ -187,7 +197,6 @@ def derive_status(state: TowerState, subject: FormLike) -> TrackedStatement:
         if status is Status.UNKNOWN:
             continue
         assert cert is not None
-        n = form_pfister_exponent(subject)
         trivialized = state.trivialized_below(level)
         if (
             n is not None
@@ -208,14 +217,19 @@ def derive_status(state: TowerState, subject: FormLike) -> TrackedStatement:
     return TrackedStatement(subject, top, status, cert, blocked)
 
 
-def _check_form_dimension(phi: FormLike) -> None:
+def _check_adjunction(state: TowerState, phi: FormLike) -> None:
     if phi.dim < 2:
         raise InputError("adjoined forms must have dimension at least 2")
+    if state.top_level >= MAX_LEVELS:
+        raise TruncationError(
+            f"refusing to adjoin {phi}: the tower already has {MAX_LEVELS} levels, "
+            "the most a report can hold"
+        )
 
 
 def adjoin(state: TowerState, phi: FormLike) -> tuple[TowerState, TrackedStatement]:
     """Strict adjunction: phi must be certified anisotropic over the whole tower."""
-    _check_form_dimension(phi)
+    _check_adjunction(state, phi)
     gate = derive_status(state, phi)
     if gate.status is Status.ISOTROPIC:
         raise InputError(f"refusing to adjoin {phi}: isotropic over the current tower")
@@ -235,7 +249,7 @@ def _adjoin_gated(state: TowerState, phi: FormLike, step_base: TowerState) -> To
     discriminant, or by the gate itself when nothing sits between the step
     base and this position.
     """
-    _check_form_dimension(phi)
+    _check_adjunction(state, phi)
     defined = phi.dim % 2 == 1 or state.top_level == step_base.top_level
     if not defined:
         disc = phi.signed_disc()
@@ -269,19 +283,40 @@ def _validate_classes(classes: list[int]) -> list[int]:
     return out
 
 
-def _validate_concrete_family(algebras: list[QuaternionAlgebra]) -> None:
-    if not algebras:
-        raise PreconditionError("the family must be nonempty")
-    for alg in algebras:
-        if not is_division(alg):
-            raise PreconditionError(f"{alg} is split; the family must be division algebras")
-    for i in range(len(algebras)):
-        for j in range(i + 1, len(algebras)):
-            if is_isomorphic(algebras[i], algebras[j]):
+@dataclass(frozen=True)
+class Family:
+    """Concrete division algebras, pairwise non-isomorphic, checked on construction.
+
+    The connecting algebra of each pair is searched for on first use of
+    `pairs` and kept on the value, so every step over the family shares it.
+    """
+
+    algebras: tuple[QuaternionAlgebra, ...]
+
+    def __post_init__(self) -> None:
+        for alg in self.algebras:
+            if not is_division(alg):
+                raise PreconditionError(f"{alg} is split; the family must be division algebras")
+        for (i, a1), (j, a2) in combinations(enumerate(self.algebras), 2):
+            if is_isomorphic(a1, a2):
                 raise PreconditionError(
                     f"family members {i} and {j} are isomorphic; the family must be a set"
                 )
-            assert is_linked(algebras[i], algebras[j])
+            # over Q every division pair is linked; kept under python -O
+            if not is_linked(a1, a2):
+                raise AssertionError(f"family members {i} and {j} are not linked")
+
+    @classmethod
+    def of(cls, algebras: Iterable[QuaternionAlgebra]) -> "Family":
+        return cls(tuple(algebras))
+
+    @cached_property
+    def pairs(self) -> tuple[tuple[tuple[int, int], QuaternionAlgebra], ...]:
+        """((i, j), connecting algebra) for every pair i < j, in order."""
+        return tuple(
+            ((i, j), connecting_algebra(a1, a2))
+            for (i, a1), (j, a2) in combinations(enumerate(self.algebras), 2)
+        )
 
 
 @dataclass(frozen=True)
@@ -373,23 +408,19 @@ class PushingStep:
         return out
 
 
-def _injectivity_block(
-    state: TowerState, algebras: list[QuaternionAlgebra]
-) -> InjectivityBlock:
-    norms = []
-    for i, alg in enumerate(algebras):
-        norms.append((i, derive_status(state, alg.norm_form())))
-    pairs = []
-    for i in range(len(algebras)):
-        for j in range(i + 1, len(algebras)):
-            conn = connecting_algebra(algebras[i], algebras[j])
-            pairs.append(((i, j), conn, derive_status(state, conn.norm_form())))
-    return InjectivityBlock(tuple(norms), tuple(pairs))
+def _injectivity_block(state: TowerState, family: Family) -> InjectivityBlock:
+    norms = tuple(
+        (i, derive_status(state, alg.norm_form())) for i, alg in enumerate(family.algebras)
+    )
+    pairs = tuple(
+        (pair, conn, derive_status(state, conn.norm_form())) for pair, conn in family.pairs
+    )
+    return InjectivityBlock(norms, pairs)
 
 
 def step_pushing_extension(
     state: TowerState,
-    algebras: list[QuaternionAlgebra],
+    family: Family,
     classes: list[int],
 ) -> tuple[TowerState, PushingStep]:
     """Adjoin the function field of <c,-a,-b,ab> for every non-member pair.
@@ -400,12 +431,15 @@ def step_pushing_extension(
     """
     if not isinstance(state.base, RationalBase):
         raise PreconditionError("the pushing step needs a concrete base")
-    _validate_concrete_family(algebras)
+    algebras = family.algebras
+    if not algebras:
+        raise PreconditionError("the family must be nonempty")
     wanted = _validate_classes(classes)
     notes: list[str] = []
     membership: list[MembershipEntry] = []
-    pairs: list[tuple[int, int]] = []  # (class index into wanted, algebra index)
-    for ci, c in enumerate(wanted):
+    # (class, algebra index, membership form, its anisotropy at the step base)
+    to_adjoin: list[tuple[int, int, DiagonalForm, TrackedStatement]] = []
+    for c in wanted:
         members = 0
         for ai, alg in enumerate(algebras):
             phi = membership_form(c, alg)
@@ -419,28 +453,20 @@ def step_pushing_extension(
             if member:
                 members += 1
             else:
-                pairs.append((ci, ai))
+                to_adjoin.append((c, ai, phi, stmt))
         if members == len(algebras):
             notes.append(f"class {c} already embeds everywhere; nothing to adjoin")
     step_base = state
     current = state
     adjoined: list[AdjoinedRecord] = []
-    for ci, ai in pairs:
-        c = wanted[ci]
-        phi = membership_form(c, algebras[ai])
-        gate = next(
-            e.statement
-            for e in membership
-            if e.klass == c and e.algebra == ai
-        )
-        assert gate.status is Status.ANISOTROPIC
+    for c, ai, phi, gate in to_adjoin:
         current = _adjoin_gated(current, phi, step_base)
         adjoined.append(
             AdjoinedRecord(current.top_level, phi, c, ai, None, gate)
         )
     for alg in algebras:
         current = current.track(alg.norm_form())
-    injectivity = _injectivity_block(current, algebras)
+    injectivity = _injectivity_block(current, family)
     embeddings: list[MembershipEntry] = []
     for c in wanted:
         for ai, alg in enumerate(algebras):
@@ -489,7 +515,7 @@ class LinkingStep:
 
 def step_linking_extension(
     state: TowerState,
-    algebras: list[QuaternionAlgebra] | list[SymbolicAlgebra],
+    algebras: Family | list[SymbolicAlgebra],
 ) -> tuple[TowerState, LinkingStep]:
     """Adjoin the function field of each unlinked pair's 6-dimensional form.
 
@@ -498,20 +524,21 @@ def step_linking_extension(
     assumption for its linkage form; norm forms persist by the dimension
     rule (4 <= 4 < 6 at every new level).
     """
-    if not algebras:
-        raise PreconditionError("the family must be nonempty")
-    if all(isinstance(a, QuaternionAlgebra) for a in algebras):
+    if isinstance(algebras, Family):
+        if not algebras.algebras:
+            raise PreconditionError("the family must be nonempty")
         if not isinstance(state.base, RationalBase):
             raise PreconditionError("concrete algebras need the rational base")
-        _validate_concrete_family(algebras)  # type: ignore[arg-type]
         notes = ("all pairs are already linked over the base; no extension needed",)
         preserved = tuple(
             (i, derive_status(state, alg.norm_form()))
-            for i, alg in enumerate(algebras)  # type: ignore[union-attr]
+            for i, alg in enumerate(algebras.algebras)
         )
         return state, LinkingStep((), (), preserved, notes)
+    if not algebras:
+        raise PreconditionError("the family must be nonempty")
     if not all(isinstance(a, SymbolicAlgebra) for a in algebras):
-        raise InputError("the family must be uniformly concrete or uniformly abstract")
+        raise InputError("a concrete family must be a Family; an abstract one, SymbolicAlgebras")
     if not isinstance(state.base, AbstractBase):
         raise PreconditionError("abstract algebras need an abstract base")
     step_base = state
@@ -520,7 +547,7 @@ def step_linking_extension(
     notes: list[str] = []
     for i in range(len(algebras)):
         for j in range(i + 1, len(algebras)):
-            phi = symbolic_albert_form(algebras[i], algebras[j])  # type: ignore[arg-type]
+            phi = symbolic_albert_form(algebras[i], algebras[j])
             gate = derive_status(step_base, phi)
             if gate.status is Status.UNKNOWN:
                 raise InputError(
@@ -539,8 +566,8 @@ def step_linking_extension(
         linked_now.append((rec.pair, stmt))
     preserved = []
     for i, alg in enumerate(algebras):
-        current = current.track(alg.norm_form())  # type: ignore[union-attr]
-        preserved.append((i, derive_status(current, alg.norm_form())))  # type: ignore[union-attr]
+        current = current.track(alg.norm_form())
+        preserved.append((i, derive_status(current, alg.norm_form())))
     return current, LinkingStep(
         tuple(adjoined), tuple(linked_now), tuple(preserved), tuple(notes)
     )
@@ -578,9 +605,7 @@ class WindowReport:
         }
 
 
-def compute_window(
-    state: TowerState, algebras: list[QuaternionAlgebra], window: list[int]
-) -> WindowReport:
+def compute_window(state: TowerState, family: Family, window: list[int]) -> WindowReport:
     """Certified membership matrix over the window; S = certified splits only."""
     if not isinstance(state.base, RationalBase):
         raise PreconditionError("window membership needs a concrete base")
@@ -592,7 +617,7 @@ def compute_window(
         members = 0
         nonmembers = 0
         unknown = 0
-        for ai, alg in enumerate(algebras):
+        for ai, alg in enumerate(family.algebras):
             stmt = derive_status(state, membership_form(c, alg))
             if stmt.status is Status.ISOTROPIC:
                 token = "member"
@@ -666,7 +691,7 @@ _WINDOW_NOTE = (
 
 def iterate_pushing(
     state: TowerState,
-    algebras: list[QuaternionAlgebra],
+    family: Family,
     window: list[int],
     max_rounds: int,
 ) -> tuple[TowerState, IterateReport]:
@@ -677,18 +702,16 @@ def iterate_pushing(
     current = state
     stabilized = False
     while True:
-        report = compute_window(current, algebras, window)
+        report = compute_window(current, family, window)
         if not report.distinguishing:
             stabilized = True
             break
         if len(rounds) >= max_rounds:
             break
-        current, step = step_pushing_extension(
-            current, algebras, list(report.distinguishing)
-        )
+        current, step = step_pushing_extension(current, family, list(report.distinguishing))
         rounds.append(IterateRound(len(rounds) + 1, report, step))
-    final_window = compute_window(current, algebras, window)
-    injectivity = _injectivity_block(current, algebras)
+    final_window = compute_window(current, family, window)
+    injectivity = _injectivity_block(current, family)
     chain = tuple(
         chain_certificate(s.certificate)
         for s in injectivity.statements()
@@ -749,7 +772,7 @@ class AlternatingReport:
 
 def run_alternating_truncation(
     state: TowerState,
-    algebras: list[QuaternionAlgebra],
+    family: Family,
     window: list[int],
     rounds: int,
     max_rounds_per_iterate: int,
@@ -762,12 +785,10 @@ def run_alternating_truncation(
     out_rounds: list[AlternatingRound] = []
     current = state
     for r in range(1, rounds + 1):
-        current, link = step_linking_extension(current, algebras)
-        current, push = iterate_pushing(
-            current, algebras, window, max_rounds_per_iterate
-        )
+        current, link = step_linking_extension(current, family)
+        current, push = iterate_pushing(current, family, window, max_rounds_per_iterate)
         out_rounds.append(AlternatingRound(r, link, push))
-    distinctness = _injectivity_block(current, algebras)
+    distinctness = _injectivity_block(current, family)
     chain = tuple(
         chain_certificate(s.certificate)
         for s in distinctness.statements()

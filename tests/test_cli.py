@@ -4,7 +4,10 @@ import json
 
 import pytest
 
+from quatgenus import cli, runner
+from quatgenus.certificates import MAX_DEPTH, base_certificate, hoffmann_certificate
 from quatgenus.cli import main
+from quatgenus.forms import DiagonalForm
 
 
 def run_cli(capsys, *argv):
@@ -155,10 +158,84 @@ def test_tower_run_unknown_gate_is_truncation(tmp_path, capsys):
     assert "error:" in err
 
 
+def _write_script(tmp_path, data):
+    script = tmp_path / "script.json"
+    script.write_text(json.dumps(data))
+    return str(script)
+
+
+def test_tower_run_split_family_member_is_precondition_error(tmp_path, capsys):
+    script = _write_script(
+        tmp_path,
+        {"algebras": [[1, 5]], "steps": [{"kind": "iterate", "window": 6, "max_rounds": 1}]},
+    )
+    code, out, err = run_cli(capsys, "tower", "run", script)
+    assert (code, out) == (3, "")
+    assert "split" in err
+
+
+def test_tower_run_isomorphic_family_pair_is_precondition_error(tmp_path, capsys):
+    script = _write_script(
+        tmp_path,
+        {"algebras": [[-1, -1], [-2, -1]], "steps": [{"kind": "adjoin", "form": [1, 1, 1, 1, 1]}]},
+    )
+    code, out, err = run_cli(capsys, "tower", "run", script)
+    assert (code, out) == (3, "")
+    assert "isomorphic" in err
+
+
+def test_tower_run_renders_a_report_at_the_depth_limit(tmp_path, capsys, monkeypatch):
+    subject = DiagonalForm((-2, 1, 3, 3))
+    cert = base_certificate(subject)
+    for level in range(1, MAX_DEPTH):
+        cert = hoffmann_certificate(cert, DiagonalForm((1, 1, 1, 1, 1)), level, 2)
+
+    def run_deep(data, config):
+        # the deepest path of a real report: an injectivity statement inside an
+        # iterate round inside an alternating round
+        statement = {"statement": {"certificate": cert.to_json()}}
+        push = {"rounds": [{"step": {"injectivity": {"pair_forms": [statement]}}}]}
+        report = {
+            "replay": {"checked": MAX_DEPTH, "passed": MAX_DEPTH},
+            "steps": [{"kind": "alternating-truncation", "rounds": [{"pushing": push}]}],
+            "unknown_count": 0,
+        }
+        return report, 0
+
+    def render_and_parse(report):
+        rendered = runner.render_report(report)
+        assert json.loads(rendered) == report
+        return rendered
+
+    monkeypatch.setattr(cli, "run_script_data", run_deep)
+    monkeypatch.setattr(cli, "render_report", render_and_parse)
+    code, out, err = run_cli(capsys, "tower", "run", _write_script(tmp_path, {}))
+    assert (code, err) == (0, "")
+    assert out.count('"rule": "R-HOFFMANN"') == MAX_DEPTH - 1
+
+
+def test_internal_error_exits_70(capsys, monkeypatch):
+    def broken(args):
+        raise RuntimeError("boom\nsecond line")
+
+    monkeypatch.setattr(cli, "cmd_symbol", broken)
+    code, out, err = run_cli(capsys, "symbol", "1", "7", "3")
+    assert (code, out) == (70, "")
+    assert err == "error: internal: RuntimeError('boom\\nsecond line')\n"
+
+
 def test_tower_run_missing_file(tmp_path, capsys):
     code, _out, err = run_cli(capsys, "tower", "run", str(tmp_path / "nope.json"))
     assert code == 2
     assert "cannot read script" in err
+
+
+def test_tower_run_too_deeply_nested_script_is_input_error(tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    code, _out, err = run_cli(capsys, "tower", "run", str(deep))
+    assert code == 2
+    assert "nests too deeply" in err
 
 
 def test_tower_text_summary(tmp_path, capsys):

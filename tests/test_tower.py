@@ -1,22 +1,29 @@
 """Tower engine: gated adjunction, certified steps, iteration, replay, tampering."""
 
 import copy
+from dataclasses import replace
 
 import pytest
 
+from quatgenus import tower
 from quatgenus.certificates import (
+    MAX_DEPTH,
+    MAX_LEVELS,
     Certificate,
     ReplayContext,
     Status,
+    base_certificate,
+    chain_certificate,
     check_node,
     disc_from_json,
+    hoffmann_certificate,
     iter_certificates,
     replay,
     tamper,
 )
 from quatgenus.errors import InputError, PreconditionError, TruncationError
 from quatgenus.forms import DiagonalForm
-from quatgenus.quaternion import QuaternionAlgebra
+from quatgenus.quaternion import QuaternionAlgebra, connecting_algebra
 from quatgenus.runner import (
     RunConfig,
     certificates_in_report,
@@ -28,6 +35,7 @@ from quatgenus.symbolic import SymbolicAlgebra, SymbolicClass
 from quatgenus.tower import (
     AbstractBase,
     Assumption,
+    Family,
     RationalBase,
     TowerState,
     adjoin,
@@ -42,7 +50,7 @@ from quatgenus.tower import (
 
 HAMILTON = QuaternionAlgebra(-1, -1)
 D13 = QuaternionAlgebra(-1, -3)
-FAMILY = [HAMILTON, D13]
+FAMILY = Family.of([HAMILTON, D13])
 
 
 def test_membership_form():
@@ -130,11 +138,12 @@ def test_pushing_step_worked_instance():
 
 
 def test_pushing_rejects_split_and_isomorphic_families():
-    state = TowerState(RationalBase())
     with pytest.raises(PreconditionError):
-        step_pushing_extension(state, [QuaternionAlgebra(1, 5)], [-2])
+        Family.of([QuaternionAlgebra(1, 5)])
     with pytest.raises(PreconditionError):
-        step_pushing_extension(state, [HAMILTON, QuaternionAlgebra(-2, -1)], [-2])
+        Family.of([HAMILTON, QuaternionAlgebra(-2, -1)])
+    with pytest.raises(PreconditionError):
+        step_pushing_extension(TowerState(RationalBase()), Family.of([]), [-2])
 
 
 def test_compute_window_on_the_base():
@@ -223,18 +232,6 @@ def test_runner_worked_script_counts():
     assert report["final_state"]["levels"] == [{"index": 1, "form": [-2, 1, 3, 3]}]
 
 
-def test_runner_legacy_step_aliases():
-    for alias, canonical in (("iterateP", "iterate-pushing"), ("theoremC", "alternating-truncation")):
-        data = {
-            "base": "rationals",
-            "algebras": [[-1, -1], [-1, -3]],
-            "steps": [{"kind": alias, "window": 10, "max_rounds": 3, "rounds": 1}],
-        }
-        report, code = run_script_data(data, RunConfig())
-        assert code == 0
-        assert report["steps"][0]["kind"] == canonical
-
-
 def test_runner_rejects_malformed_scripts():
     config = RunConfig()
     for bad in (
@@ -242,6 +239,11 @@ def test_runner_rejects_malformed_scripts():
         {"base": "p-adic"},
         {"base": "rationals", "algebras": [[1]], "steps": []},
         {"base": "rationals", "algebras": [], "steps": [{"kind": "mystery"}]},
+        # the retired spellings of "iterate" and "alternate"
+        {"base": "rationals", "algebras": [[-1, -1], [-1, -3]],
+         "steps": [{"kind": "iterateP", "window": 10, "max_rounds": 3}]},
+        {"base": "rationals", "algebras": [[-1, -1], [-1, -3]],
+         "steps": [{"kind": "theoremC", "window": 10, "max_rounds": 3, "rounds": 1}]},
         {"base": "rationals", "algebras": [], "steps": [{"kind": "pushing", "classes": "x"}]},
         {"base": {"abstract": {"symbols": ["a"], "assumptions": []}},
          "algebras": [{"symbols": ["a", "zz"]}], "steps": []},
@@ -438,14 +440,14 @@ def test_unknown_membership_gate_raises_truncation():
     state = TowerState(RationalBase())
     state, _ = adjoin(state, DiagonalForm((1, 1, 1, 1)))
     with pytest.raises(TruncationError):
-        step_pushing_extension(state, [D13], [-2])
+        step_pushing_extension(state, Family.of([D13]), [-2])
 
 
 def test_parse_script_shapes():
     script = parse_script(
-        {"base": "rationals", "algebras": [[-4, 18]], "steps": []}
+        {"base": "rationals", "algebras": [[-4, -12]], "steps": []}
     )
-    assert script.concrete == (QuaternionAlgebra(-1, 2),)
+    assert script.family == Family.of([QuaternionAlgebra(-1, -3)])
     abstract = parse_script(
         {
             "base": {
@@ -459,4 +461,106 @@ def test_parse_script_shapes():
         }
     )
     assert not abstract.is_concrete
+    assert abstract.family.algebras == ()
     assert abstract.base.assumptions[0].ident == "n1"
+
+
+def test_family_is_checked_once_and_each_pair_connected_once(monkeypatch):
+    calls = {"connecting_algebra": [], "is_linked": []}
+    for name in calls:
+        original = getattr(tower, name)
+
+        def counted(a1, a2, _name=name, _original=original):
+            calls[_name].append((a1, a2))
+            return _original(a1, a2)
+
+        monkeypatch.setattr(tower, name, counted)
+    data = {
+        "base": "rationals",
+        "algebras": [[-1, -1], [-1, -3], [-2, -5]],
+        "steps": [{"kind": "alternate", "rounds": 2, "max_rounds": 1, "window": 6}],
+    }
+    report, code = run_script_data(data, RunConfig())
+    assert code == 0
+    assert len(report["steps"][0]["rounds"]) == 2
+    algebras = [QuaternionAlgebra.of(a, b) for a, b in data["algebras"]]
+    pairs = [(algebras[i], algebras[j]) for i, j in ((0, 1), (0, 2), (1, 2))]
+    assert calls["is_linked"] == pairs
+    assert calls["connecting_algebra"] == pairs
+
+
+def test_family_pairs_are_the_connecting_algebras():
+    family = Family.of([HAMILTON, D13, QuaternionAlgebra(-2, -5)])
+    assert [pair for pair, _ in family.pairs] == [(0, 1), (0, 2), (1, 2)]
+    for (i, j), conn in family.pairs:
+        assert conn == connecting_algebra(family.algebras[i], family.algebras[j])
+    assert family.pairs is family.pairs
+    assert Family.of([]).pairs == ()
+
+
+def _hoffmann_chain(nodes: int) -> Certificate:
+    subject = DiagonalForm((-2, 1, 3, 3))
+    cert = base_certificate(subject)
+    for level in range(1, nodes):
+        cert = hoffmann_certificate(cert, DiagonalForm((1, 1, 1, 1, 1)), level, 2)
+    return cert
+
+
+def _depth(cert: Certificate) -> int:
+    depth = 1
+    while cert.premises:
+        (cert,) = cert.premises
+        depth += 1
+    return depth
+
+
+def _nodes(cert: Certificate) -> list[Certificate]:
+    """The nodes of a tree stripped of their premises: == that does not recurse."""
+    return [replace(node, premises=()) for node in iter_certificates(cert)]
+
+
+def _chain_json(cert: Certificate) -> dict:
+    """cert.to_json() of a single chain, built from the leaf up without recursing."""
+    nodes = [cert]
+    while nodes[-1].premises:
+        nodes.append(nodes[-1].premises[0])
+    data = None
+    for node in reversed(nodes):
+        data = {**replace(node, premises=()).to_json(), "premises": [] if data is None else [data]}
+    return data
+
+
+def test_adjunction_past_the_level_limit_is_a_truncation():
+    filler = DiagonalForm((1, 1, 1, 1, 1))
+    subject = DiagonalForm((-2, 1, 3, 3))  # anisotropic up the filler by R-HOFFMANN
+    below = TowerState(RationalBase(), (filler,) * (MAX_LEVELS - 1))
+    full, gate = adjoin(below, subject)
+    assert full.top_level == MAX_LEVELS
+    assert gate.status is Status.ANISOTROPIC
+    with pytest.raises(TruncationError):
+        adjoin(full, subject)
+    with pytest.raises(TruncationError):
+        tower._adjoin_gated(full, subject, full)
+    # the deepest certificate over the fullest tower is within what from_json accepts
+    chain = chain_certificate(derive_status(full, DiagonalForm((1, 1))).certificate)
+    assert _depth(chain) == MAX_DEPTH
+    assert _nodes(Certificate.from_json(_chain_json(chain))) == _nodes(chain)
+
+
+def test_deep_chains_iterate_and_parse_without_recursing():
+    deep = _hoffmann_chain(1200)
+    nodes = list(iter_certificates(deep))
+    assert [n.level for n in nodes] == list(range(1199, -1, -1))
+    assert replay(deep)
+    with pytest.raises(InputError):
+        Certificate.from_json(_chain_json(deep))
+    deepest = _hoffmann_chain(MAX_DEPTH)
+    assert _nodes(Certificate.from_json(_chain_json(deepest))) == _nodes(deepest)
+    with pytest.raises(InputError):
+        Certificate.from_json(_chain_json(_hoffmann_chain(MAX_DEPTH + 1)))
+    # preorder across branches: each node, then its premises left to right
+    a, b = _hoffmann_chain(2), _hoffmann_chain(3)
+    fork = Certificate("R-CHAIN", Status.ANISOTROPIC, a.subject, 2, (), (a, b))
+    assert list(iter_certificates(fork)) == [
+        fork, a, a.premises[0], b, b.premises[0], b.premises[0].premises[0]
+    ]
