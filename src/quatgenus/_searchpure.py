@@ -9,12 +9,17 @@ most-significant left prefix and a right suffix; value tables keyed by the
 partial sums hold the minimal-rank tuple per value, and each shell only
 touches its own surface, so exhausting a bound costs on the order of the
 final cube rather than cube times shells.
+
+Orthant lemma: flipping a negative coordinate v to -v lowers its rank from
+2|v| to 2|v| - 1 and keeps both c*v^2 and the max-norm shell. So within a
+shell, the minimal-rank tuple of each half for each value, and with it the
+first zero in enumeration order, has nonnegative coordinates. This kernel
+therefore enumerates the nonnegative orthant only: (m+1)^k - m^k tuples per
+half on shell m instead of (2m+1)^k - (2m-1)^k. The compiled kernel walks
+the full cube and reaches the same vectors.
 """
 
 from __future__ import annotations
-
-from itertools import product
-from typing import Iterator
 
 
 def _rank_value(r: int) -> int:
@@ -24,32 +29,21 @@ def _rank_value(r: int) -> int:
     return (r + 1) // 2 if r % 2 else -(r // 2)
 
 
-def _surface(coeffs: tuple[int, ...], m: int, pw: list[int]) -> Iterator[tuple[int, int]]:
-    """Yield (value, ordinal) over tuples whose max rank is 2m-1 or 2m.
+def _surface(tables: list[list[tuple[int, int]]], m: int) -> list[tuple[int, int]]:
+    """(value, ordinal) over the nonnegative tuples of max-norm exactly m.
 
-    Decomposed by the first coordinate j carrying a new rank, so each tuple
-    appears exactly once.
+    tables[i][v] is (c_i * v^2, rank(v) * pw_i) for v = 0..m. The surface is
+    split by the first coordinate j equal to m, so each tuple appears once:
+    coordinates before j range over 0..m-1, those after j over 0..m.
     """
-    k = len(coeffs)
-    hi = 2 * m
-    new_lo = hi - 1
-    for j in range(k):
-        ranges = []
-        for i in range(k):
-            if i < j:
-                ranges.append(range(0, new_lo))
-            elif i == j:
-                ranges.append(range(new_lo, hi + 1))
-            else:
-                ranges.append(range(0, hi + 1))
-        for digits in product(*ranges):
-            val = 0
-            ordinal = 0
-            for i, d in enumerate(digits):
-                v = _rank_value(d)
-                val += coeffs[i] * v * v
-                ordinal += d * pw[i]
-            yield val, ordinal
+    out: list[tuple[int, int]] = []
+    for j in range(len(tables)):
+        part = [(0, 0)]
+        for i, table in enumerate(tables):
+            column = table[:m] if i < j else table[m : m + 1] if i == j else table
+            part = [(a + b, o + p) for a, o in part for b, p in column]
+        out += part
+    return out
 
 
 def _decode(ordinal: int, k: int, base: int, pw: list[int]) -> list[int]:
@@ -68,13 +62,18 @@ def search(coefficients: tuple[int, ...], bound: int) -> tuple[int, ...] | None:
     base = 2 * bound + 1
     pw_l = [base ** (k_left - 1 - i) for i in range(k_left)]
     pw_r = [base ** (k_right - 1 - i) for i in range(k_right)]
+    # per coordinate, (c * v^2, rank(v) * pw) for v = 0..m, grown one entry a shell
+    tables_l = [[(0, 0)] for _ in cl]
+    tables_r = [[(0, 0)] for _ in cr]
     # value -> minimal ordinal over the cube searched so far; the all-zero
     # tuple (value 0, ordinal 0) seeds both sides
     left_all: dict[int, int] = {0: 0}
     right_all: dict[int, int] = {0: 0}
     for m in range(1, bound + 1):
-        surf_l = list(_surface(cl, m, pw_l))
-        surf_r = list(_surface(cr, m, pw_r))
+        for table, c, w in zip(tables_l + tables_r, coefficients, pw_l + pw_r):
+            table.append((c * m * m, (2 * m - 1) * w))
+        surf_l = _surface(tables_l, m)
+        surf_r = _surface(tables_r, m)
         right_new: dict[int, int] = {}
         for val, o in surf_r:
             prev = right_new.get(val)

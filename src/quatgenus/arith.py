@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
+from typing import Iterator
 
 from .errors import InputError
 
@@ -241,9 +242,18 @@ def squarefree_classes(limit: int) -> list[int]:
     return out
 
 
-def witness_sequence(limit: int) -> list[int]:
+def iter_witnesses(limit: int) -> Iterator[int]:
     """The square-class witness order: |c| ascending, positive first, c = 1 skipped."""
-    return [c for c in squarefree_classes(limit) if c != 1]
+    for m in range(1, limit + 1):
+        if is_squarefree(m):
+            if m != 1:
+                yield m
+            yield -m
+
+
+def witness_sequence(limit: int) -> list[int]:
+    """The witness order up to |c| <= limit, as a list."""
+    return list(iter_witnesses(limit))
 
 
 def parse_rational(text: str) -> Rational:

@@ -119,7 +119,7 @@ def disc_mismatch(d1: DiscClass, d2: DiscClass, trivialized: tuple[int, ...]) ->
     return False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Certificate:
     rule: str
     status: Status
@@ -127,6 +127,27 @@ class Certificate:
     level: int
     parameters: tuple[tuple[str, object], ...]
     premises: tuple["Certificate", ...]
+
+    # Equality and hashing walk the tree with an explicit stack, comparing each
+    # node's own fields and premise count: the generated ones recurse once per
+    # level and overflow on a MAX_DEPTH chain.
+    def _own_fields(self) -> tuple:
+        return (self.rule, self.status, self.subject, self.level, self.parameters, len(self.premises))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a is not b:
+                if a._own_fields() != b._own_fields():
+                    return False
+                stack.extend(zip(a.premises, b.premises))
+        return True
+
+    def __hash__(self) -> int:
+        return hash(tuple(node._own_fields() for node in iter_certificates(self)))
 
     def param(self, key: str) -> object:
         for k, v in self.parameters:

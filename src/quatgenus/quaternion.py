@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .arith import Rational, squarefree_part, witness_sequence
+from .arith import Rational, iter_witnesses, squarefree_part
 from .errors import PreconditionError, SearchExhausted
 from .forms import DiagonalForm, is_isotropic, isometric, represents, witt_decompose
 from .symbols import Place, hasse_invariants
@@ -100,7 +100,7 @@ def common_subfield_witness(
     for alg in (a1, a2):
         if not is_division(alg):
             raise PreconditionError(f"{alg} is split; subfield search needs division algebras")
-    for c in witness_sequence(limit):
+    for c in iter_witnesses(limit):
         if contains_subfield(a1, c) and contains_subfield(a2, c):
             return c
     raise SearchExhausted(
@@ -117,7 +117,7 @@ def distinguishing_witness(
             raise PreconditionError(f"{alg} is split; genus comparison needs division algebras")
     if is_isomorphic(a1, a2):
         raise PreconditionError("the algebras are isomorphic; no distinguishing witness exists")
-    for c in witness_sequence(limit):
+    for c in iter_witnesses(limit):
         if contains_subfield(a1, c) != contains_subfield(a2, c):
             return c
     raise SearchExhausted(

@@ -1,6 +1,7 @@
 """Integer kernel: primality, factorization, square-free parts, residues."""
 
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,6 +10,7 @@ from quatgenus.arith import (
     factor,
     is_prime,
     is_squarefree,
+    iter_witnesses,
     legendre,
     parse_rational,
     squarefree_classes,
@@ -122,6 +124,11 @@ def test_squarefree_classes_order():
 
 def test_witness_sequence_skips_one():
     assert witness_sequence(6) == [-1, 2, -2, 3, -3, 5, -5, 6, -6]
+
+
+def test_witness_order_is_lazy_and_matches_the_list():
+    assert list(islice(iter_witnesses(10**12), 5)) == [-1, 2, -2, 3, -3]
+    assert list(iter_witnesses(50)) == witness_sequence(50)
 
 
 def test_parse_rational():

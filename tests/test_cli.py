@@ -75,6 +75,13 @@ def test_quat_compare_text(capsys):
     assert out == "isomorphic; linked; no distinguishing witness\n"
 
 
+# each pair makes is_linked's dual route split an 8-dimensional form
+@pytest.mark.parametrize("first,second", [("-30,29", "-15,-29"), ("5,-30", "-15,-5")])
+def test_quat_compare_eight_dimensional_split(capsys, first, second):
+    code, out, _ = run_cli(capsys, "quat", "compare", first, second)
+    assert (code, out) == (0, "not isomorphic; linked; distinguishing witness -1\n")
+
+
 def test_quat_compare_split_is_precondition_error(capsys):
     code, _out, err = run_cli(capsys, "quat", "compare", "-1,-1", "1,5")
     assert code == 3

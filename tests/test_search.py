@@ -18,6 +18,8 @@ from quatgenus.errors import InputError
 from quatgenus.search import backend_name, isotropic_vector_search
 
 coefficient = st.sampled_from([1, -1, 2, -2, 3, -3, 5, -5, 6, -6, 7, -7, 10, -10, 15, -15])
+# any nonzero |c| <= 100, square-free or not
+wide_coefficient = st.integers(min_value=-100, max_value=100).filter(bool)
 
 
 def _rank(x: int) -> int:
@@ -61,10 +63,20 @@ def test_bound_validation():
         isotropic_vector_search((1, -1), 0)
 
 
-@given(st.lists(coefficient, min_size=2, max_size=3), st.integers(min_value=1, max_value=6))
-@settings(max_examples=120, deadline=None)
-def test_search_matches_brute_reference(coefficients, bound):
-    coefficients = tuple(coefficients)
+@given(
+    st.one_of(
+        st.tuples(
+            st.lists(coefficient, min_size=2, max_size=3), st.integers(min_value=1, max_value=6)
+        ),
+        st.tuples(
+            st.lists(wide_coefficient, min_size=4, max_size=5),
+            st.integers(min_value=1, max_value=3),
+        ),
+    )
+)
+@settings(max_examples=160, deadline=None)
+def test_search_matches_brute_reference(case):
+    coefficients, bound = tuple(case[0]), case[1]
     assert isotropic_vector_search(coefficients, bound) == _brute_minimum(
         coefficients, bound
     )
@@ -79,8 +91,17 @@ def test_pure_backend_agrees_with_dispatch(coefficients, bound):
     )
 
 
-def _built_kernel(tmp_path):
-    """The committed _fastkernel.c compiled into tmp_path and loaded, or a skip."""
+@given(st.lists(wide_coefficient, min_size=2, max_size=8), st.integers(min_value=1, max_value=12))
+@settings(max_examples=150, deadline=None)
+def test_returned_vectors_lie_in_the_nonnegative_orthant(coefficients, bound):
+    vec = isotropic_vector_search(tuple(coefficients), bound)
+    assert vec is None or min(vec) >= 0
+
+
+@pytest.fixture(scope="module")
+def built_kernel(tmp_path_factory):
+    """The committed _fastkernel.c compiled into a temporary directory and loaded, or a skip."""
+    tmp_path = tmp_path_factory.mktemp("kernel")
     source = Path(quatgenus.__file__).resolve().parent / "_fastkernel.c"
     include = sysconfig.get_paths()["include"]
     configured = (sysconfig.get_config_var("CC") or "cc").split()[0]
@@ -102,9 +123,8 @@ def _built_kernel(tmp_path):
     return module
 
 
-def test_compiled_backend_matches_pure_exactly(tmp_path):
+def test_compiled_backend_matches_pure_exactly(built_kernel):
     # built outside the package, so the backend of this run stays as it was
-    _fastkernel = _built_kernel(tmp_path)
     cases = [
         ((1, -1), 30),
         ((1, 1, -2), 30),
@@ -115,9 +135,18 @@ def test_compiled_backend_matches_pure_exactly(tmp_path):
         ((13, -1, 1, 1), 30),
     ]
     for coefficients, bound in cases:
-        assert _fastkernel.search(coefficients, bound) == _searchpure.search(
+        assert built_kernel.search(coefficients, bound) == _searchpure.search(
             coefficients, bound
         )
+
+
+# up to dimension 8, the size of is_linked's form: the compiled kernel walks the
+# full cube, the pure one the nonnegative orthant
+@given(st.lists(wide_coefficient, min_size=2, max_size=8), st.integers(min_value=1, max_value=10))
+@settings(max_examples=150, deadline=None)
+def test_compiled_backend_matches_pure_on_random_forms(built_kernel, coefficients, bound):
+    coefficients = tuple(coefficients)
+    assert built_kernel.search(coefficients, bound) == _searchpure.search(coefficients, bound)
 
 
 def test_backend_name_is_reported():

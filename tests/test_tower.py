@@ -18,6 +18,7 @@ from quatgenus.certificates import (
     disc_from_json,
     hoffmann_certificate,
     iter_certificates,
+    monotone_certificate,
     replay,
     tamper,
 )
@@ -528,6 +529,28 @@ def _chain_json(cert: Certificate) -> dict:
     for node in reversed(nodes):
         data = {**replace(node, premises=()).to_json(), "premises": [] if data is None else [data]}
     return data
+
+
+def test_certificate_equality_and_hash_at_max_depth_do_not_recurse():
+    # built twice, so equality cannot short-cut on identity
+    first, second = _hoffmann_chain(MAX_DEPTH), _hoffmann_chain(MAX_DEPTH)
+    assert first is not second and first == second
+    assert not first != second
+    differing = Certificate("R-ASSUME", Status.ANISOTROPIC, first.subject, 0, (), ())
+    for node in reversed(list(iter_certificates(second))[:-1]):  # same chain, other leaf
+        differing = replace(node, premises=(differing,))
+    assert _depth(differing) == MAX_DEPTH
+    assert first != differing and not first == differing
+    assert first != first.premises[0]
+    # a chain with hashable parameters: equal chains hash equally
+    isotropic = base_certificate(DiagonalForm((1, -1)))
+    chains = []
+    for _ in range(2):
+        cert = isotropic
+        for level in range(1, MAX_DEPTH):
+            cert = monotone_certificate(cert, level)
+        chains.append(cert)
+    assert chains[0] == chains[1] and hash(chains[0]) == hash(chains[1])
 
 
 def test_adjunction_past_the_level_limit_is_a_truncation():
