@@ -14,11 +14,15 @@ from functools import lru_cache
 from math import gcd, isqrt
 from typing import Iterator
 
-from .errors import InputError
+from .errors import InputError, SearchExhausted
 
 Rational = Fraction
 
 _TRIAL_BOUND = 1_000_000
+
+# Brent-rho steps for one split, over all parameters: a smallest prime factor
+# near 1e9 takes about 65,000, and running out takes a fraction of a second
+_RHO_BUDGET = 1 << 18
 
 # Miller-Rabin witness set, deterministic for all n < psi_12 (Sorenson-Webster,
 # "Strong pseudoprimes to twelve prime bases", Math. Comp. 2017); psi_12 itself
@@ -109,13 +113,18 @@ def _is_strong_lucas_probable_prime(n: int) -> bool:
 
 
 def _brent_rho(n: int) -> int:
-    """Find a nontrivial factor of odd composite n. Deterministic parameter sweep."""
+    """Find a nontrivial factor of odd composite n. Deterministic parameter sweep;
+    SearchExhausted after _RHO_BUDGET steps."""
     if n % 2 == 0:
         return 2
+    steps = 0
     for c in range(1, 100):
         y, m, g, r, q = 2, 128, 1, 1, 1
         x = ys = y
         while g == 1:
+            steps += 2 * r
+            if steps > _RHO_BUDGET:
+                raise SearchExhausted(f"no factor of {n} found within {_RHO_BUDGET} rho steps")
             x = y
             for _ in range(r):
                 y = (y * y + c) % n

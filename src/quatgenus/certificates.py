@@ -147,7 +147,13 @@ class Certificate:
         return True
 
     def __hash__(self) -> int:
-        return hash(tuple(node._own_fields() for node in iter_certificates(self)))
+        # parameters are left out: they may hold lists, and equal nodes still hash equally
+        return hash(
+            tuple(
+                (n.rule, n.status, n.subject, n.level, len(n.premises))
+                for n in iter_certificates(self)
+            )
+        )
 
     def param(self, key: str) -> object:
         for k, v in self.parameters:

@@ -17,7 +17,7 @@ from quatgenus.arith import (
     squarefree_part,
     witness_sequence,
 )
-from quatgenus.errors import InputError
+from quatgenus.errors import InputError, SearchExhausted
 
 SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
 
@@ -47,6 +47,12 @@ def test_factor_known_product():
     f = factor(9991)
     assert f.sign == 1
     assert f.prime_powers == ((97, 1), (103, 1))
+
+
+def test_factor_gives_up_on_two_large_primes():
+    # rho would need on the order of 2^30 steps to split this
+    with pytest.raises(SearchExhausted):
+        factor((2**61 - 1) * (2**59 - 55))
 
 
 def test_factor_sign_and_units():

@@ -536,13 +536,14 @@ def test_certificate_equality_and_hash_at_max_depth_do_not_recurse():
     first, second = _hoffmann_chain(MAX_DEPTH), _hoffmann_chain(MAX_DEPTH)
     assert first is not second and first == second
     assert not first != second
+    assert hash(first) == hash(second)  # R-HOFFMANN parameters hold lists
     differing = Certificate("R-ASSUME", Status.ANISOTROPIC, first.subject, 0, (), ())
     for node in reversed(list(iter_certificates(second))[:-1]):  # same chain, other leaf
         differing = replace(node, premises=(differing,))
     assert _depth(differing) == MAX_DEPTH
     assert first != differing and not first == differing
     assert first != first.premises[0]
-    # a chain with hashable parameters: equal chains hash equally
+    # a monotone chain: equal chains hash equally
     isotropic = base_certificate(DiagonalForm((1, -1)))
     chains = []
     for _ in range(2):
