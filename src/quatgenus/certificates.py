@@ -54,7 +54,8 @@ RULES = (
 # The most levels a tower may have. A certificate over such a tower nests at
 # most MAX_LEVELS + 2 nodes deep: a level-0 leaf, one node per level, and an
 # R-MONOTONE or R-CHAIN node on top. At that depth a whole report still
-# renders and parses within Python's default recursion limit.
+# parses within Python's default recursion limit: json.loads and from_json
+# recurse once per nesting level, though to_json and rendering do not.
 MAX_LEVELS = 256
 MAX_DEPTH = MAX_LEVELS + 2
 
@@ -162,13 +163,26 @@ class Certificate:
         return None
 
     def to_json(self) -> dict:
+        # top down with an explicit stack: each node's dict is made with an
+        # empty premise list, which its premises' dicts then fill in order
+        root = self._own_json()
+        stack = [(self, root["premises"])]
+        while stack:
+            node, premises = stack.pop()
+            for premise in node.premises:
+                data = premise._own_json()
+                premises.append(data)
+                stack.append((premise, data["premises"]))
+        return root
+
+    def _own_json(self) -> dict:
         return {
             "rule": self.rule,
             "status": self.status.value,
             "subject": self.subject.to_json(),
             "level": self.level,
             "parameters": {k: v for k, v in self.parameters},
-            "premises": [p.to_json() for p in self.premises],
+            "premises": [],
         }
 
     @classmethod

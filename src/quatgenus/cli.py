@@ -52,7 +52,7 @@ def _parse_algebra(text: str) -> QuaternionAlgebra:
 
 
 def _emit_json(payload: dict) -> None:
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    sys.stdout.write(render_report(payload))
 
 
 def cmd_symbol(args: argparse.Namespace) -> int:

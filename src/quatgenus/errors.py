@@ -21,3 +21,9 @@ class TruncationError(QuatGenusError):
 
 class SearchExhausted(PreconditionError):
     """A bounded enumeration ran out of budget before finding the requested object."""
+
+
+def _crosscheck(agrees: bool, claim: str) -> None:
+    """Fail when two routes to one answer disagree: an assert that python -O keeps."""
+    if not agrees:
+        raise AssertionError(f"cross-check failed: {claim}")

@@ -14,7 +14,7 @@ from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .arith import Rational, squarefree_part
-from .errors import InputError
+from .errors import InputError, _crosscheck
 from .search import isotropic_vector_search
 from .symbols import Place, hasse_invariants, hilbert_symbol, local_is_square
 
@@ -204,7 +204,7 @@ def isotropic_vector(q: DiagonalForm, bound: int) -> tuple[int, ...] | None:
         return None
     vec = isotropic_vector_search(q.coefficients, bound)
     if vec is not None:
-        assert q.evaluate(vec) == 0
+        _crosscheck(q.evaluate(vec) == 0, "the search returns a zero of the form")
     return vec
 
 
@@ -380,7 +380,10 @@ def witt_decompose(q: DiagonalForm, height_bound: int = 200) -> WittDecompositio
         part = None
     elif current is not None and current.dim == target.dimension:
         part = current
-        assert _same_invariants(invariants(part), target)
+        _crosscheck(
+            _same_invariants(invariants(part), target),
+            "the split-off kernel has the anisotropic part's invariants",
+        )
     else:
         part = _synthesize(target, q)
         if part is None:
@@ -388,7 +391,7 @@ def witt_decompose(q: DiagonalForm, height_bound: int = 200) -> WittDecompositio
                 f"could not realize the anisotropic part of {q} within the search budget"
             )
     if part is not None:
-        assert not is_isotropic(part)
+        _crosscheck(not is_isotropic(part), "the anisotropic part is anisotropic")
     return WittDecomposition(index, part, tuple(witnesses))
 
 

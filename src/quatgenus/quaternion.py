@@ -2,7 +2,7 @@
 
 Every structural question is answered two ways where a cheap dual route
 exists: ramification from Hilbert symbols on one side, norm-form isotropy
-on the other, with the agreement asserted. Witness searches run in the
+on the other, with the agreement checked. Witness searches run in the
 canonical square-class order so results are reproducible.
 """
 
@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .arith import Rational, iter_witnesses, squarefree_part
-from .errors import PreconditionError, SearchExhausted
+from .errors import PreconditionError, SearchExhausted, _crosscheck
 from .forms import DiagonalForm, is_isotropic, isometric, represents, witt_decompose
 from .symbols import Place, hasse_invariants
 
@@ -54,7 +54,7 @@ def is_division(alg: QuaternionAlgebra) -> bool:
     """Division over Q; ramification and norm-form anisotropy must agree."""
     by_symbols = len(ramification(alg)) > 0
     by_norm = not is_isotropic(alg.norm_form())
-    assert by_symbols == by_norm
+    _crosscheck(by_symbols == by_norm, "ramification and norm form agree on division")
     return by_symbols
 
 
@@ -62,7 +62,7 @@ def is_isomorphic(a1: QuaternionAlgebra, a2: QuaternionAlgebra) -> bool:
     """Equality of ramification sets; cross-checked against norm-form isometry."""
     by_ram = ramification(a1) == ramification(a2)
     by_norm = isometric(a1.norm_form(), a2.norm_form())
-    assert by_ram == by_norm
+    _crosscheck(by_ram == by_norm, "ramification and norm forms agree on isomorphism")
     return by_ram
 
 
@@ -81,7 +81,10 @@ def is_linked(a1: QuaternionAlgebra, a2: QuaternionAlgebra) -> bool:
     linked = is_isotropic(albert_form(a1, a2))
     # dual route: the difference of norm forms has Witt index >= 2 exactly then
     diff = a1.norm_form().perp(a2.norm_form().negated())
-    assert linked == (witt_decompose(diff).witt_index >= 2)
+    _crosscheck(
+        linked == (witt_decompose(diff).witt_index >= 2),
+        "Albert form and norm-form difference agree on linkage",
+    )
     return linked
 
 

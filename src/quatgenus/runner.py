@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import repeat
+from json.encoder import encode_basestring_ascii
 
 from .arith import witness_sequence
 from .certificates import (
@@ -248,9 +250,101 @@ def report_exit_code(report: dict) -> int:
     return 0
 
 
+_BATCH = 4096  # pieces joined at a time, so no list holds every token
+_int_repr = int.__repr__  # as json does: an IntEnum renders as its number
+_END = object()
+_STR = repeat(str)  # all(map(isinstance, d, _STR)): every key of d is a str
+
+
 def render_report(report: dict) -> str:
-    """Canonical byte-stable JSON rendering."""
-    return json.dumps(report, indent=2, sort_keys=True) + "\n"
+    """Canonical byte-stable JSON: json.dumps(report, indent=2, sort_keys=True) + "\\n".
+
+    With indent set, json.dumps runs a pure-Python encoder that nests one
+    generator per container level, so every chunk is resumed through every
+    enclosing level. This walk keeps the open containers on an explicit
+    stack instead. Strings, ints, bools and None are written here; anything
+    else (floats, a dict with a non-str key, an unserializable object) is
+    handed to json.dumps whole and re-indented, which is exact because
+    encoded JSON holds no raw newline. Any JSON value renders, not only
+    reports.
+    """
+    newlines = ["\n"]  # newlines[d] == "\n" + "  " * d, grown on demand
+    separators: dict[int, str] = {}  # "," + newlines[d], for containers of 2+ items
+    batches: list[str] = []
+    parts: list[str] = []
+    append = parts.append
+    encode = encode_basestring_ascii
+    # one frame per open container: (iterator over its items, is a dict,
+    # separator between items, id for the cycle check)
+    stack: list[tuple] = []
+    open_ids: set[int] = set()
+    depth = 0
+    value: object = report
+    while True:
+        if len(parts) >= _BATCH:
+            batches.append("".join(parts))
+            parts.clear()
+        if isinstance(value, str):
+            append(encode(value))
+        elif value is None:
+            append("null")
+        elif value is True:
+            append("true")
+        elif value is False:
+            append("false")
+        elif isinstance(value, int):
+            append(_int_repr(value))
+        elif isinstance(value, (list, tuple)) or (
+            isinstance(value, dict) and all(map(isinstance, value, _STR))
+        ):
+            is_dict = isinstance(value, dict)
+            if not value:
+                append("{}" if is_dict else "[]")
+            else:
+                ident = id(value)
+                if ident in open_ids:
+                    raise ValueError("Circular reference detected")
+                open_ids.add(ident)
+                depth += 1
+                if depth == len(newlines):
+                    newlines.append(newlines[-1] + "  ")
+                separator = None
+                if len(value) > 1:
+                    separator = separators.get(depth)
+                    if separator is None:
+                        separator = separators[depth] = "," + newlines[depth]
+                items = iter(sorted(value.items()) if is_dict else value)
+                stack.append((items, is_dict, separator, ident))
+                if is_dict:
+                    key, value = next(items)
+                    append("{" + newlines[depth] + encode(key) + ": ")
+                else:
+                    value = next(items)
+                    append("[" + newlines[depth])
+                continue
+        else:
+            append(json.dumps(value, indent=2, sort_keys=True).replace("\n", newlines[depth]))
+        # the value is written: move on to the next item, closing finished containers
+        while stack:
+            items, is_dict, separator, ident = stack[-1]
+            item = next(items, _END)
+            if item is not _END:
+                if is_dict:
+                    key, value = item
+                    append(separator + encode(key) + ": ")
+                else:
+                    value = item
+                    append(separator)
+                break
+            stack.pop()
+            open_ids.discard(ident)
+            depth -= 1
+            append(newlines[depth])
+            append("}" if is_dict else "]")
+        else:
+            append("\n")
+            batches.append("".join(parts))
+            return "".join(batches)
 
 
 def summarize_report(report: dict) -> str:

@@ -39,7 +39,7 @@ from .certificates import (
     monotone_certificate,
     pfister_certificate,
 )
-from .errors import InputError, PreconditionError, TruncationError
+from .errors import InputError, PreconditionError, TruncationError, _crosscheck
 from .forms import DiagonalForm
 from .quaternion import (
     QuaternionAlgebra,
@@ -302,9 +302,8 @@ class Family:
                 raise PreconditionError(
                     f"family members {i} and {j} are isomorphic; the family must be a set"
                 )
-            # over Q every division pair is linked; kept under python -O
-            if not is_linked(a1, a2):
-                raise AssertionError(f"family members {i} and {j} are not linked")
+            # over Q every division pair is linked
+            _crosscheck(is_linked(a1, a2), f"family members {i} and {j} are linked")
 
     @classmethod
     def of(cls, algebras: Iterable[QuaternionAlgebra]) -> "Family":

@@ -1,10 +1,15 @@
 """Quaternion algebras: ramification, isomorphism, linkage, subfields, genus."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import quatgenus
 from quatgenus.errors import InputError, PreconditionError, SearchExhausted
 from quatgenus.forms import DiagonalForm, is_isotropic, isometric, witt_decompose
 from quatgenus.quaternion import (
@@ -171,3 +176,35 @@ def test_subfield_membership_is_norm_form_criterion():
         member = contains_subfield(D13, c)
         a, b = D13.a, D13.b
         assert member == is_isotropic(DiagonalForm.of([c, -a, -b, a * b]))
+
+
+# Each cross-check runs with one route forced to disagree; an assert would vanish under -O.
+_FORCED_DISAGREEMENTS = """
+import sys
+from quatgenus import forms, quaternion
+print("optimize", sys.flags.optimize)
+quaternion.is_isotropic = lambda form: True  # the norm-form route calls every algebra split
+forms.isotropic_vector_search = lambda coefficients, bound: (1,) * len(coefficients)
+for check in (
+    lambda: quaternion.is_division(quaternion.QuaternionAlgebra(-1, -1)),
+    lambda: forms.isotropic_vector(forms.DiagonalForm.of([1, -1, 2]), 3),
+):
+    try:
+        check()
+    except AssertionError as error:
+        print(error)
+"""
+
+
+def test_cross_checks_still_raise_under_python_optimize():
+    paths = [str(Path(quatgenus.__file__).parent.parent), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    child = subprocess.run(
+        [sys.executable, "-O", "-c", _FORCED_DISAGREEMENTS],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    assert child.stdout.splitlines() == [
+        "optimize 1",
+        "cross-check failed: ramification and norm form agree on division",
+        "cross-check failed: the search returns a zero of the form",
+    ]

@@ -520,17 +520,6 @@ def _nodes(cert: Certificate) -> list[Certificate]:
     return [replace(node, premises=()) for node in iter_certificates(cert)]
 
 
-def _chain_json(cert: Certificate) -> dict:
-    """cert.to_json() of a single chain, built from the leaf up without recursing."""
-    nodes = [cert]
-    while nodes[-1].premises:
-        nodes.append(nodes[-1].premises[0])
-    data = None
-    for node in reversed(nodes):
-        data = {**replace(node, premises=()).to_json(), "premises": [] if data is None else [data]}
-    return data
-
-
 def test_certificate_equality_and_hash_at_max_depth_do_not_recurse():
     # built twice, so equality cannot short-cut on identity
     first, second = _hoffmann_chain(MAX_DEPTH), _hoffmann_chain(MAX_DEPTH)
@@ -568,7 +557,7 @@ def test_adjunction_past_the_level_limit_is_a_truncation():
     # the deepest certificate over the fullest tower is within what from_json accepts
     chain = chain_certificate(derive_status(full, DiagonalForm((1, 1))).certificate)
     assert _depth(chain) == MAX_DEPTH
-    assert _nodes(Certificate.from_json(_chain_json(chain))) == _nodes(chain)
+    assert _nodes(Certificate.from_json(chain.to_json())) == _nodes(chain)
 
 
 def test_deep_chains_iterate_and_parse_without_recursing():
@@ -576,15 +565,22 @@ def test_deep_chains_iterate_and_parse_without_recursing():
     nodes = list(iter_certificates(deep))
     assert [n.level for n in nodes] == list(range(1199, -1, -1))
     assert replay(deep)
+    data = deep.to_json()  # walked with a stack: recursion overflows at 1,200 nodes
+    for node in nodes:
+        below = data["premises"]
+        assert {**data, "premises": []} == replace(node, premises=()).to_json()
+        data = below[0] if below else None
+    assert data is None
     with pytest.raises(InputError):
-        Certificate.from_json(_chain_json(deep))
+        Certificate.from_json(deep.to_json())
     deepest = _hoffmann_chain(MAX_DEPTH)
-    assert _nodes(Certificate.from_json(_chain_json(deepest))) == _nodes(deepest)
+    assert _nodes(Certificate.from_json(deepest.to_json())) == _nodes(deepest)
     with pytest.raises(InputError):
-        Certificate.from_json(_chain_json(_hoffmann_chain(MAX_DEPTH + 1)))
+        Certificate.from_json(_hoffmann_chain(MAX_DEPTH + 1).to_json())
     # preorder across branches: each node, then its premises left to right
     a, b = _hoffmann_chain(2), _hoffmann_chain(3)
     fork = Certificate("R-CHAIN", Status.ANISOTROPIC, a.subject, 2, (), (a, b))
     assert list(iter_certificates(fork)) == [
         fork, a, a.premises[0], b, b.premises[0], b.premises[0].premises[0]
     ]
+    assert fork.to_json()["premises"] == [a.to_json(), b.to_json()]
