@@ -207,8 +207,11 @@ def cmd_tower(args: argparse.Namespace) -> int:
     report, code = run_script_data(data, config)
     rendered = render_report(report)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(rendered)
+        try:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                handle.write(rendered)
+        except OSError as error:
+            raise InputError(f"cannot write report: {error}") from error
     if args.output == "json":
         sys.stdout.write(rendered)
     else:

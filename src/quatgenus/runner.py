@@ -155,12 +155,15 @@ def parse_script(data: object) -> Script:
     raise InputError(f"unknown base: {raw_base!r}")
 
 
+_MAX_WINDOW = 1000  # the largest window limit a script or --witness-window may name
+
+
 def _window_classes(raw: object, config: RunConfig) -> list[int]:
     if raw is None:
-        return witness_sequence(config.witness_window)
+        raw = config.witness_window
     if _is_int(raw):
-        if raw < 1:
-            raise InputError("window limit must be positive")
+        if not 1 <= raw <= _MAX_WINDOW:
+            raise InputError(f"window limit must be between 1 and {_MAX_WINDOW}: {raw}")
         return witness_sequence(raw)
     if isinstance(raw, list) and all(_is_int(c) for c in raw):
         return list(raw)

@@ -120,10 +120,6 @@ class SymbolicAlgebra:
     a: SymbolicClass
     b: SymbolicClass
 
-    @classmethod
-    def of_names(cls, a_name: str, b_name: str) -> "SymbolicAlgebra":
-        return cls(SymbolicClass.named(a_name), SymbolicClass.named(b_name))
-
     def norm_form(self) -> SymbolicForm:
         return SymbolicForm(
             (

@@ -430,57 +430,54 @@ def step_pushing_extension(
     """
     if not isinstance(state.base, RationalBase):
         raise PreconditionError("the pushing step needs a concrete base")
-    algebras = family.algebras
-    if not algebras:
+    if not family.algebras:
         raise PreconditionError("the family must be nonempty")
-    wanted = _validate_classes(classes)
-    notes: list[str] = []
-    membership: list[MembershipEntry] = []
-    # (class, algebra index, membership form, its anisotropy at the step base)
-    to_adjoin: list[tuple[int, int, DiagonalForm, TrackedStatement]] = []
-    for c in wanted:
-        members = 0
-        for ai, alg in enumerate(algebras):
-            phi = membership_form(c, alg)
-            stmt = derive_status(state, phi)
-            if stmt.status is Status.UNKNOWN:
-                raise TruncationError(
-                    f"membership of {c} in algebra {ai} is UNKNOWN at the step base"
-                )
-            member = stmt.status is Status.ISOTROPIC
-            membership.append(MembershipEntry(c, ai, member, stmt))
-            if member:
-                members += 1
-            else:
-                to_adjoin.append((c, ai, phi, stmt))
-        if members == len(algebras):
-            notes.append(f"class {c} already embeds everywhere; nothing to adjoin")
-    step_base = state
+    at_base = compute_window(state, family, classes)
+    return _push(state, family, at_base.window, at_base.entries)
+
+
+def _as_membership(entries: Iterable[WindowEntry]) -> tuple[MembershipEntry, ...]:
+    return tuple(
+        MembershipEntry(e.klass, e.algebra, e.status == "member", e.statement) for e in entries
+    )
+
+
+def _push(
+    state: TowerState,
+    family: Family,
+    wanted: tuple[int, ...],
+    at_base: tuple[WindowEntry, ...],
+) -> tuple[TowerState, PushingStep]:
+    """Push `wanted`, whose window entries at the step base `state` are `at_base`."""
+    for e in at_base:
+        if e.status == "unresolved":
+            raise TruncationError(
+                f"membership of {e.klass} in algebra {e.algebra} is UNKNOWN at the step base"
+            )
+    to_adjoin = [e for e in at_base if e.status == "non-member"]
+    pushed = {e.klass for e in to_adjoin}
+    notes = tuple(
+        f"class {c} already embeds everywhere; nothing to adjoin" for c in wanted if c not in pushed
+    )
     current = state
     adjoined: list[AdjoinedRecord] = []
-    for c, ai, phi, gate in to_adjoin:
-        current = _adjoin_gated(current, phi, step_base)
+    for e in to_adjoin:
+        phi = e.statement.subject
+        current = _adjoin_gated(current, phi, state)
         adjoined.append(
-            AdjoinedRecord(current.top_level, phi, c, ai, None, gate)
+            AdjoinedRecord(current.top_level, phi, e.klass, e.algebra, None, e.statement)
         )
-    for alg in algebras:
+    for alg in family.algebras:
         current = current.track(alg.norm_form())
     injectivity = _injectivity_block(current, family)
-    embeddings: list[MembershipEntry] = []
-    for c in wanted:
-        for ai, alg in enumerate(algebras):
-            phi = membership_form(c, alg)
-            stmt = derive_status(current, phi)
-            embeddings.append(
-                MembershipEntry(c, ai, stmt.status is Status.ISOTROPIC, stmt)
-            )
+    embeddings = compute_window(current, family, list(wanted)).entries
     step = PushingStep(
-        tuple(wanted),
-        tuple(membership),
+        wanted,
+        _as_membership(at_base),
         tuple(adjoined),
         injectivity,
-        tuple(embeddings),
-        tuple(notes),
+        _as_membership(embeddings),
+        notes,
     )
     return current, step
 
@@ -707,9 +704,10 @@ def iterate_pushing(
             break
         if len(rounds) >= max_rounds:
             break
-        current, step = step_pushing_extension(current, family, list(report.distinguishing))
+        split = set(report.distinguishing)
+        at_base = tuple(e for e in report.entries if e.klass in split)
+        current, step = _push(current, family, report.distinguishing, at_base)
         rounds.append(IterateRound(len(rounds) + 1, report, step))
-    final_window = compute_window(current, family, window)
     injectivity = _injectivity_block(current, family)
     chain = tuple(
         chain_certificate(s.certificate)
@@ -720,10 +718,10 @@ def iterate_pushing(
     if not stabilized:
         notes.append("round budget exhausted before stabilization")
     return current, IterateReport(
-        tuple(final_window.window),
+        report.window,
         tuple(rounds),
         stabilized,
-        final_window,
+        report,
         injectivity,
         chain,
         tuple(notes),
@@ -781,6 +779,10 @@ def run_alternating_truncation(
         raise PreconditionError("the alternating truncation needs a concrete base")
     if rounds < 0:
         raise InputError("rounds must be nonnegative")
+    if rounds > MAX_LEVELS:
+        # every round that adjoins a form adds a level, and a round that
+        # adjoins nothing repeats the round before it
+        raise InputError(f"rounds must be at most {MAX_LEVELS}")
     out_rounds: list[AlternatingRound] = []
     current = state
     for r in range(1, rounds + 1):

@@ -237,6 +237,31 @@ def test_tower_run_missing_file(tmp_path, capsys):
     assert "cannot read script" in err
 
 
+def test_tower_run_unwritable_out_is_input_error(tmp_path, capsys):
+    script = tmp_path / "worked.json"
+    script.write_text(json.dumps({"base": "rationals", "algebras": [[-1, -1]], "steps": []}))
+    for out_path in (tmp_path / "missing" / "report.json", tmp_path):
+        code, _out, err = run_cli(capsys, "tower", "run", str(script), "--out", str(out_path))
+        assert code == 2
+        assert err.startswith("error: cannot write report: ")
+
+
+def test_tower_run_witness_window_is_bounded(tmp_path, capsys):
+    script = tmp_path / "iterate.json"
+    script.write_text(
+        json.dumps(
+            {
+                "base": "rationals",
+                "algebras": [[-1, -1], [-1, -3]],
+                "steps": [{"kind": "iterate", "max_rounds": 0}],
+            }
+        )
+    )
+    code, out, err = run_cli(capsys, "tower", "run", str(script), "--witness-window", "1001")
+    assert (code, out) == (2, "")
+    assert "window limit must be between 1 and 1000" in err
+
+
 def test_tower_run_too_deeply_nested_script_is_input_error(tmp_path, capsys):
     deep = tmp_path / "deep.json"
     deep.write_text("[" * 100_000 + "]" * 100_000)

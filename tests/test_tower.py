@@ -6,6 +6,7 @@ from dataclasses import replace
 import pytest
 
 from quatgenus import tower
+from quatgenus.arith import witness_sequence
 from quatgenus.certificates import (
     MAX_DEPTH,
     MAX_LEVELS,
@@ -26,6 +27,7 @@ from quatgenus.errors import InputError, PreconditionError, TruncationError
 from quatgenus.forms import DiagonalForm
 from quatgenus.quaternion import QuaternionAlgebra, connecting_algebra
 from quatgenus.runner import (
+    _MAX_WINDOW,
     RunConfig,
     certificates_in_report,
     context_from_report,
@@ -173,6 +175,38 @@ def test_iterate_stabilizes_on_worked_family():
         assert replay(cert, state.replay_context())
 
 
+def test_iterate_measures_each_membership_once(monkeypatch):
+    measured = []
+    original = tower.compute_window
+
+    def recorded(state, family, window):
+        report = original(state, family, window)
+        measured.append((list(window), report))
+        return report
+
+    monkeypatch.setattr(tower, "compute_window", recorded)
+    window = witness_sequence(10)
+    _, report = iterate_pushing(TowerState(RationalBase()), FAMILY, window, 3)
+    assert report.rounds
+    for rnd in report.rounds:
+        split = rnd.window.distinguishing
+        at_base = [e for e in rnd.window.entries if e.klass in split]
+        assert len(rnd.step.membership) == len(at_base)
+        for entry, measured_entry in zip(rnd.step.membership, at_base):
+            assert entry.statement is measured_entry.statement
+    full = [r for w, r in measured if w == window]
+    assert len(full) == len(report.rounds) + 1
+    assert report.final_window is full[-1]
+
+
+def test_pushing_names_the_first_unresolved_membership():
+    # over <1,1> no rule carries an anisotropic membership form up a level
+    state, _ = adjoin(TowerState(RationalBase()), DiagonalForm.of([1, 1]))
+    # -2 embeds in HAMILTON but not D13; 2 embeds in neither
+    with pytest.raises(TruncationError, match="membership of -2 in algebra 1 is UNKNOWN"):
+        step_pushing_extension(state, FAMILY, [-2, 2])
+
+
 def test_abstract_linking_requires_an_albert_assumption():
     a1 = SymbolicAlgebra(SymbolicClass.named("a1"), SymbolicClass.named("b1"))
     a2 = SymbolicAlgebra(SymbolicClass.named("a2"), SymbolicClass.named("b2"))
@@ -272,9 +306,22 @@ def test_runner_rejects_malformed_scripts():
         {"base": {"abstract": {"symbols": ["a", "b"], "assumptions": [
             {"id": "q", "anisotropic": {"albert_of": [True, 0]}}]}},
          "algebras": [{"symbols": ["a", "b"]}, {"symbols": ["b", "a"]}], "steps": []},
+        # bounded work: a window limit past _MAX_WINDOW, more rounds than levels
+        {"base": "rationals", "algebras": [[-1, -1], [-1, -3]],
+         "steps": [{"kind": "iterate", "window": _MAX_WINDOW + 1, "max_rounds": 0}]},
+        {"base": "rationals", "algebras": [[-1, -1], [-1, -3]],
+         "steps": [{"kind": "alternate", "window": _MAX_WINDOW + 1, "rounds": 1, "max_rounds": 0}]},
+        {"base": "rationals", "algebras": [[-1, -1]],
+         "steps": [{"kind": "alternate", "window": 3, "rounds": MAX_LEVELS + 1, "max_rounds": 1}]},
     ):
         with pytest.raises(InputError):
             report, _ = run_script_data(bad, config)
+    # the --witness-window default meets the same bounds as a script's window
+    default_window = {"base": "rationals", "algebras": [[-1, -1], [-1, -3]],
+                      "steps": [{"kind": "iterate", "max_rounds": 0}]}
+    for limit in (0, _MAX_WINDOW + 1):
+        with pytest.raises(InputError):
+            run_script_data(default_window, RunConfig(witness_window=limit))
 
 
 def test_runner_propagates_exit_semantics():
