@@ -15,15 +15,21 @@ nodes apply exactly two persistence principles plus bookkeeping:
   R-ASSUME    declared anisotropy in an abstract ledger at level 0
 
 check_node() re-derives the facts one node consumed from its premises' stored
-fields, and replay() checks each node once; neither trusts a stored status.
+fields, and replay() checks each node of a tree once; neither trusts a stored
+status. Under a ReplayContext, replay() also checks each node object at most
+once across all its calls with that context: a node whose whole subtree has
+passed is not walked again. That relies on certificates being frozen: a
+node's JSON-valued parameters must not be mutated in place after a replay.
 """
 
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass
+from bisect import insort
+from dataclasses import dataclass, field
 from enum import Enum
-from typing import Union
+from functools import cached_property
+from typing import Iterator, Union
 
 from .arith import squarefree_part
 from .errors import InputError
@@ -54,8 +60,8 @@ RULES = (
 # The most levels a tower may have. A certificate over such a tower nests at
 # most MAX_LEVELS + 2 nodes deep: a level-0 leaf, one node per level, and an
 # R-MONOTONE or R-CHAIN node on top. At that depth a whole report still
-# parses within Python's default recursion limit: json.loads and from_json
-# recurse once per nesting level, though to_json and rendering do not.
+# parses within Python's default recursion limit: json.loads recurses once per
+# nesting level, though from_json, to_json and rendering do not.
 MAX_LEVELS = 256
 MAX_DEPTH = MAX_LEVELS + 2
 
@@ -187,10 +193,27 @@ class Certificate:
 
     @classmethod
     def from_json(cls, data: object) -> "Certificate":
-        return cls._from_json(data, 1)
+        # depth first with an explicit stack of open nodes, each with its own
+        # fields, an iterator over its raw premises and the premises built so
+        # far: each node's own fields are validated before its premises, left
+        # to right, so the first error reported is the first in preorder
+        done = object()  # not None: a JSON null premise is an error, not the end
+        stack = [(*cls._own_from_json(data, 1), [])]
+        while True:
+            fields, pending, premises = stack[-1]
+            raw = next(pending, done)
+            if raw is not done:
+                stack.append((*cls._own_from_json(raw, len(stack) + 1), []))
+                continue
+            stack.pop()
+            node = cls(*fields, tuple(premises))
+            if not stack:
+                return node
+            stack[-1][2].append(node)
 
-    @classmethod
-    def _from_json(cls, data: object, depth: int) -> "Certificate":
+    @staticmethod
+    def _own_from_json(data: object, depth: int) -> tuple[tuple, Iterator[object]]:
+        """A node's own fields and an iterator over its raw premises."""
         if not isinstance(data, dict):
             raise InputError(f"not a certificate: {data!r}")
         if depth > MAX_DEPTH:
@@ -211,10 +234,7 @@ class Certificate:
                 raise InputError(f"certificate premises must be a list: {raw_premises!r}")
         except (KeyError, ValueError, TypeError) as exc:
             raise InputError(f"malformed certificate: {exc}") from exc
-        premises = []  # a loop, not a comprehension: one frame per level
-        for raw in raw_premises:
-            premises.append(cls._from_json(raw, depth + 1))
-        return cls(rule, status, subject, level, params, tuple(premises))
+        return (rule, status, subject, level, params), iter(raw_premises)
 
 
 def _params(**kwargs: object) -> tuple[tuple[str, object], ...]:
@@ -326,6 +346,11 @@ class ReplayContext:
 
     assumptions: tuple[tuple[str, FormLike], ...] = ()
     adjunctions: tuple[FormLike, ...] | None = None
+    # id(node) -> node for every node whose whole subtree has passed replay()
+    # under this context; holding the node keeps its id from being reused
+    _passed: dict[int, Certificate] = field(
+        default_factory=dict, init=False, compare=False, repr=False, hash=False
+    )
 
     def assumption_subject(self, ident: str) -> FormLike | None:
         for k, f in self.assumptions:
@@ -333,19 +358,46 @@ class ReplayContext:
                 return f
         return None
 
+    @cached_property
+    def _killed_prefixes(self) -> tuple[tuple[int, ...], ...]:
+        """Entry k: the sorted classes killed by the binary forms among the first k adjunctions."""
+        killed: list[int] = []
+        current: tuple[int, ...] = ()
+        prefixes = [current]
+        for phi in self.adjunctions or ():
+            if isinstance(phi, DiagonalForm) and phi.dim == 2:
+                insort(killed, squarefree_part(-phi.coefficients[0] * phi.coefficients[1]))
+                current = tuple(killed)
+            prefixes.append(current)
+        return tuple(prefixes)
+
     def trivialized_below(self, level: int) -> tuple[int, ...]:
         if self.adjunctions is None:
             return ()
-        killed = []
-        for phi in self.adjunctions[: max(level - 1, 0)]:
-            if isinstance(phi, DiagonalForm) and phi.dim == 2:
-                killed.append(squarefree_part(-phi.coefficients[0] * phi.coefficients[1]))
-        return tuple(sorted(killed))
+        prefixes = self._killed_prefixes
+        return prefixes[min(max(level - 1, 0), len(prefixes) - 1)]
 
 
 def replay(cert: Certificate, context: ReplayContext | None = None) -> bool:
-    """Re-derive every fact the certificate tree consumed; False on any mismatch."""
-    return all(check_node(node, context) for node in iter_certificates(cert))
+    """Re-derive every fact the certificate tree consumed; False on any mismatch.
+
+    Under a context, a node whose whole subtree already passed under that
+    context is skipped. Nodes are recorded only when the whole call passes.
+    """
+    passed = {} if context is None else context._passed
+    visited = []
+    stack = [cert]
+    while stack:
+        node = stack.pop()
+        if id(node) in passed:
+            continue
+        if not check_node(node, context):
+            return False
+        visited.append(node)
+        stack.extend(reversed(node.premises))
+    for node in visited:
+        passed[id(node)] = node
+    return True
 
 
 def check_node(cert: Certificate, context: ReplayContext | None = None) -> bool:

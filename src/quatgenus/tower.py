@@ -97,14 +97,19 @@ class TowerState:
     def top_level(self) -> int:
         return len(self.adjunctions)
 
-    def replay_context(self) -> ReplayContext:
+    @cached_property
+    def _replay_context(self) -> ReplayContext:
         assumptions: tuple[tuple[str, FormLike], ...] = ()
         if isinstance(self.base, AbstractBase):
             assumptions = tuple((a.ident, a.subject) for a in self.base.assumptions)
         return ReplayContext(assumptions=assumptions, adjunctions=self.adjunctions)
 
+    def replay_context(self) -> ReplayContext:
+        """The state's one context, so its killed-class table is built once."""
+        return self._replay_context
+
     def trivialized_below(self, level: int) -> tuple[int, ...]:
-        return self.replay_context().trivialized_below(level)
+        return self._replay_context.trivialized_below(level)
 
     def track(self, *forms: FormLike) -> "TowerState":
         new = list(self.tracked)

@@ -1,12 +1,16 @@
 """Tower engine: gated adjunction, certified steps, iteration, replay, tampering."""
 
 import copy
+import json
+import sys
 from dataclasses import replace
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from quatgenus import tower
-from quatgenus.arith import witness_sequence
+from quatgenus import certificates, tower
+from quatgenus.arith import squarefree_part, witness_sequence
 from quatgenus.certificates import (
     MAX_DEPTH,
     MAX_LEVELS,
@@ -32,6 +36,7 @@ from quatgenus.runner import (
     certificates_in_report,
     context_from_report,
     parse_script,
+    render_report,
     run_script_data,
 )
 from quatgenus.symbolic import SymbolicAlgebra, SymbolicClass
@@ -54,6 +59,17 @@ from quatgenus.tower import (
 HAMILTON = QuaternionAlgebra(-1, -1)
 D13 = QuaternionAlgebra(-1, -3)
 FAMILY = Family.of([HAMILTON, D13])
+WORKED_PUSHING = {
+    "base": "rationals",
+    "algebras": [[-1, -1], [-1, -3]],
+    "steps": [{"kind": "pushing", "classes": [-2]}],
+}
+# the benchmark's tower-deep script: a 19-level alternating truncation
+DEEP_SCRIPT = {
+    "base": "rationals",
+    "algebras": [[-1, -1], [-1, -3], [-2, -5], [-1, -7]],
+    "steps": [{"kind": "alternate", "rounds": 2, "max_rounds": 4, "window": 20}],
+}
 
 
 def test_membership_form():
@@ -463,24 +479,34 @@ def test_tampering_any_node_of_a_warm_deep_report_fails_replay():
     # the deepest node of each rule, named by its tree and its path of premise indices
     deepest: dict[str, tuple[int, tuple[int, ...]]] = {}
     for index, tree in enumerate(trees):
-        stack = [(tree, ())]
-        while stack:
-            node, path = stack.pop()
+        for path, node in _paths(tree):
             if node["rule"] not in deepest or len(path) > len(deepest[node["rule"]][1]):
                 deepest[node["rule"]] = (index, path)
-            stack.extend((p, path + (i,)) for i, p in enumerate(node["premises"]))
     assert {"R-BASE", "R-GENERIC", "R-MONOTONE", "R-PFISTER", "R-CHAIN"} <= set(deepest)
     assert len(deepest["R-BASE"][1]) >= 5
     for rule, (index, path) in deepest.items():
-        tree = copy.deepcopy(trees[index])
-        if not path:
-            tree = tamper(tree)
-        else:
-            parent = tree
-            for i in path[:-1]:
-                parent = parent["premises"][i]
-            parent["premises"][path[-1]] = tamper(parent["premises"][path[-1]])
-        assert not replay(Certificate.from_json(tree), context), rule
+        assert not replay(Certificate.from_json(_tamper_at(trees[index], path)), context), rule
+
+
+def _paths(tree: dict):
+    """(path of premise indices, node) for every node of a certificate JSON tree, preorder."""
+    stack = [((), tree)]
+    while stack:
+        path, node = stack.pop()
+        yield path, node
+        stack.extend((path + (i,), p) for i, p in enumerate(node["premises"]))
+
+
+def _tamper_at(tree: dict, path: tuple[int, ...]) -> dict:
+    """A copy of the tree with the node at the path tampered."""
+    if not path:
+        return tamper(tree)
+    tree = copy.deepcopy(tree)
+    parent = tree
+    for i in path[:-1]:
+        parent = parent["premises"][i]
+    parent["premises"][path[-1]] = tamper(parent["premises"][path[-1]])
+    return tree
 
 
 def test_unknown_membership_gate_raises_truncation():
@@ -631,3 +657,194 @@ def test_deep_chains_iterate_and_parse_without_recursing():
         fork, a, a.premises[0], b, b.premises[0], b.premises[0].premises[0]
     ]
     assert fork.to_json()["premises"] == [a.to_json(), b.to_json()]
+
+
+def test_from_json_parses_a_max_depth_chain_under_a_low_recursion_limit():
+    deepest = _hoffmann_chain(MAX_DEPTH)
+    deepest_json, too_deep_json = deepest.to_json(), _hoffmann_chain(MAX_DEPTH + 1).to_json()
+    frames, frame = 0, sys._getframe()
+    while frame is not None:
+        frames, frame = frames + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(frames + 60)  # far fewer frames than MAX_DEPTH nesting levels
+    try:
+        parsed = Certificate.from_json(deepest_json)
+        with pytest.raises(InputError):
+            Certificate.from_json(too_deep_json)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert _nodes(parsed) == _nodes(deepest)
+
+
+def test_from_json_reports_the_first_error_in_preorder():
+    leaf = {"rule": "R-BASE", "status": "isotropic", "subject": [1, -1], "level": 0,
+            "parameters": {"verdict": "isotropic"}}
+    bad_level = {**leaf, "level": "x", "premises": [None]}
+    cases = (
+        # a node's own fields come before its premises
+        ({**leaf, "status": "?", "premises": [bad_level]}, "malformed certificate"),
+        # premises left to right, each subtree before the next premise
+        ({**leaf, "premises": [{**leaf, "premises": [bad_level]}, None]}, "level must be"),
+        ({**leaf, "premises": [leaf, None, bad_level]}, "not a certificate: None"),
+    )
+    for data, message in cases:
+        with pytest.raises(InputError, match=message):
+            Certificate.from_json(data)
+
+
+def _slice_trivialized(adjunctions, level: int) -> tuple[int, ...]:
+    """The definition the killed-class table replaced: slice, filter, sort."""
+    killed = []
+    for phi in adjunctions[: max(level - 1, 0)]:
+        if isinstance(phi, DiagonalForm) and phi.dim == 2:
+            killed.append(squarefree_part(-phi.coefficients[0] * phi.coefficients[1]))
+    return tuple(sorted(killed))
+
+
+def test_killed_class_table_matches_the_slice_definition(monkeypatch):
+    adjunctions = tuple(
+        DiagonalForm(c)
+        for c in ((1, 3), (-2, 1, 3, 3), (1, 1), (1, 1, 1, 1, 1), (2, 5), (1, 3), (-1, -7))
+    )
+    binary = sum(phi.dim == 2 for phi in adjunctions)
+    calls = []
+    real = certificates.squarefree_part
+    monkeypatch.setattr(
+        certificates, "squarefree_part", lambda x: calls.append(x) or real(x)
+    )
+    state = TowerState(RationalBase(), adjunctions)
+    assert state.replay_context() is state.replay_context()
+    for _ in range(2):
+        for level in range(state.top_level + 3):
+            expected = _slice_trivialized(adjunctions, level)
+            assert state.trivialized_below(level) == expected, level
+            assert state.replay_context().trivialized_below(level) == expected, level
+    assert len(calls) == binary  # one table per state, built once
+    assert state.trivialized_below(state.top_level + 1) == (-10, -7, -3, -3, -1)
+    assert all(ReplayContext().trivialized_below(level) == () for level in range(4))
+
+
+def _from_json_nodes(report: dict) -> list[Certificate]:
+    """Every node object of the report's certificates, parsed from its rendered JSON."""
+    parsed = json.loads(render_report(report))
+    return [
+        node
+        for cert_json in certificates_in_report(parsed)
+        for node in iter_certificates(Certificate.from_json(cert_json))
+    ]
+
+
+def test_replaying_each_node_under_one_context_checks_each_node_once(monkeypatch):
+    calls = []
+    real = certificates._check_node
+    monkeypatch.setattr(
+        certificates, "_check_node", lambda cert, ctx: calls.append(cert) or real(cert, ctx)
+    )
+    counts = {}
+    for name, script in (("worked", WORKED_PUSHING), ("deep", DEEP_SCRIPT)):
+        report, _ = run_script_data(script, RunConfig())
+        nodes = _from_json_nodes(report)
+        context = context_from_report(report)
+        calls.clear()
+        assert all(replay(node, context) for node in nodes)
+        assert len(calls) == len({id(node) for node in calls}) == len(nodes)
+        assert all(replay(node, context) for node in nodes)  # checks nothing again
+        counts[name] = (len(calls), report["replay"]["checked"])
+    # the worked report holds each in-run certificate once; tower-deep's step
+    # reports repeat some of its 1,175
+    assert counts == {"worked": (17, 17), "deep": (2111, 1175)}
+    # one replay per node that walked its whole subtree made 17,702 checks
+    assert sum(len(list(iter_certificates(node))) for node in nodes) == 17702
+
+
+def test_a_failed_replay_records_nothing():
+    data = {
+        "base": "rationals",
+        "algebras": [[-1, -1], [-1, -3]],
+        "steps": [{"kind": "iterate", "window": 10, "max_rounds": 3}],
+    }
+    report, _ = run_script_data(data, RunConfig())
+    context = context_from_report(report)
+    trees = list(certificates_in_report(report))
+    # the deepest node whose tampering keeps the fields its parent reads
+    index, path = max(
+        (
+            (i, path)
+            for i, tree in enumerate(trees)
+            for path, node in _paths(tree)
+            if node["rule"] in ("R-PFISTER", "R-MONOTONE") and node["premises"]
+        ),
+        key=lambda found: len(found[1]),
+    )
+    assert len(path) >= 2
+    tampered = Certificate.from_json(_tamper_at(trees[index], path))
+    nodes = list(iter_certificates(tampered))
+    above, below = nodes[: len(path) + 1], nodes[len(path) + 1:]
+    assert all(check_node(node, context) for node in above[:-1])
+    assert not check_node(above[-1], context)
+    # the walk passes every ancestor, then fails: none of them is recorded
+    assert not replay(tampered, context)
+    assert context._passed == {}
+    for _ in range(2):
+        assert not any(replay(node, context) for node in reversed(above))
+        assert all(replay(node, context) for node in below)
+    others = [Certificate.from_json(tree) for i, tree in enumerate(trees) if i != index]
+    assert all(replay(tree, context) for tree in others)
+    assert not replay(tampered, context)
+    assert set(context._passed) == {
+        id(node) for tree in [*others, below[0]] for node in iter_certificates(tree)
+    }
+
+
+SMALL_SCRIPTS = (
+    WORKED_PUSHING,
+    {"base": "rationals", "algebras": [[-1, -1], [-1, -3]],
+     "steps": [{"kind": "alternate", "rounds": 1, "max_rounds": 2, "window": 6}]},
+    {"base": "rationals", "algebras": [[-1, -1], [-2, -5]],
+     "steps": [{"kind": "adjoin", "form": [1, 2, 3, 5, 6]}, {"kind": "pushing", "classes": [-3]}]},
+    {
+        "base": {"abstract": {"symbols": ["a1", "b1", "a2", "b2"], "assumptions": [
+            {"id": "norms-1", "anisotropic": {"norm_of": 0}},
+            {"id": "norms-2", "anisotropic": {"norm_of": 1}},
+            {"id": "link-12", "anisotropic": {"albert_of": [0, 1]}},
+        ]}},
+        "algebras": [{"symbols": ["a1", "b1"]}, {"symbols": ["a2", "b2"]}],
+        "steps": [{"kind": "linking"}],
+    },
+)
+
+
+@lru_cache(maxsize=None)
+def _small_report(index: int) -> tuple[ReplayContext, list[dict]]:
+    report, _ = run_script_data(SMALL_SCRIPTS[index], RunConfig())
+    return context_from_report(report), list(certificates_in_report(report))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_replay_under_a_shared_context_agrees_with_a_fresh_one(data):
+    context, trees = _small_report(data.draw(st.integers(0, len(SMALL_SCRIPTS) - 1)))
+    index = data.draw(st.integers(0, len(trees) - 1))
+    paths = [path for path, _ in _paths(trees[index])]
+    path = data.draw(st.sampled_from(paths))
+    forest = [
+        Certificate.from_json(_tamper_at(tree, path) if i == index else tree)
+        for i, tree in enumerate(trees)
+    ]
+    nodes = [node for tree in forest for node in iter_certificates(tree)]
+    rng = data.draw(st.randoms(use_true_random=False))
+    order = rng.sample(nodes, len(nodes)) + rng.sample(nodes, len(nodes))  # each node twice
+    shared = replace(context)  # a context of its own: the cached reports keep theirs clean
+    verdicts = [replay(node, shared) for node in order]
+    assert verdicts == [replay(node, replace(context)) for node in order]
+    assert not all(verdicts)
+
+
+def test_replay_context_equality_hash_and_repr_ignore_the_memo():
+    report, _ = run_script_data(WORKED_PUSHING, RunConfig())
+    used, unused = context_from_report(report), context_from_report(report)
+    assert all(replay(Certificate.from_json(c), used) for c in certificates_in_report(report))
+    assert used._passed and not unused._passed
+    assert used == unused and hash(used) == hash(unused) and repr(used) == repr(unused)
+    assert "_passed" not in repr(used)
+    assert replace(used)._passed == {}
