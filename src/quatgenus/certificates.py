@@ -32,7 +32,7 @@ from functools import cached_property
 from typing import Iterator, Union
 
 from .arith import squarefree_part
-from .errors import InputError
+from .errors import InputError, _is_int
 from .forms import (
     DiagonalForm,
     is_isotropic,
@@ -85,7 +85,7 @@ def disc_to_json(d: DiscClass) -> object:
 
 
 def disc_from_json(data: object) -> DiscClass:
-    if type(data) is int:  # not isinstance: JSON true is a bool, which Python counts as an int
+    if _is_int(data):
         return data
     return SymbolicClass.from_json(data)
 
@@ -224,7 +224,7 @@ class Certificate:
             subject = form_from_json(data["subject"])
             level = data["level"]
             raw_params = data.get("parameters", {})
-            if not isinstance(level, int) or isinstance(level, bool):
+            if not _is_int(level):
                 raise InputError(f"certificate level must be an integer: {level!r}")
             if not isinstance(raw_params, dict):
                 raise InputError(f"certificate parameters must be an object: {raw_params!r}")
@@ -456,6 +456,7 @@ def _check_node(cert: Certificate, context: ReplayContext | None) -> bool:
         return (
             premise.status is Status.ISOTROPIC
             and premise.level < cert.level
+            and _is_int(cert.param("from_level"))
             and cert.param("from_level") == premise.level
             and forms_equal(premise.subject, cert.subject)
         )
@@ -471,7 +472,7 @@ def _check_node(cert: Certificate, context: ReplayContext | None) -> bool:
             return False
         n = cert.param("exponent")
         adjoined = form_from_json(cert.param("adjoined"))
-        if not isinstance(n, int) or cert.subject.dim != 2**n:
+        if not _is_int(n) or cert.subject.dim != 2**n:
             return False
         if form_pfister_exponent(cert.subject) != n:
             return False
@@ -482,7 +483,7 @@ def _check_node(cert: Certificate, context: ReplayContext | None) -> bool:
         if cert.subject.signed_disc() != stored_sd or adjoined.signed_disc() != stored_ad:
             return False
         raw_ctx = cert.param("disc_context")
-        if not isinstance(raw_ctx, list) or not all(type(x) is int for x in raw_ctx):
+        if not isinstance(raw_ctx, list) or not all(map(_is_int, raw_ctx)):
             return False
         trivialized = tuple(raw_ctx)
         if context is not None and context.adjunctions is not None:
@@ -505,7 +506,7 @@ def _check_node(cert: Certificate, context: ReplayContext | None) -> bool:
             return False
         n = cert.param("exponent")
         adjoined = form_from_json(cert.param("adjoined"))
-        if not isinstance(n, int) or n < 0:
+        if not _is_int(n) or n < 0:
             return False
         if context is not None and context.adjunctions is not None:
             if cert.level > len(context.adjunctions) or not forms_equal(
@@ -520,6 +521,7 @@ def _check_node(cert: Certificate, context: ReplayContext | None) -> bool:
         return (
             premise.status is Status.ANISOTROPIC
             and premise.level == cert.level
+            and _is_int(cert.param("levels"))
             and cert.param("levels") == cert.level
             and forms_equal(premise.subject, cert.subject)
         )

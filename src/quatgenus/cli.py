@@ -198,12 +198,7 @@ def cmd_tower(args: argparse.Namespace) -> int:
         raise InputError(f"script is not valid JSON: {error}") from error
     except RecursionError as error:
         raise InputError("script nests too deeply to parse") from error
-    config = RunConfig(
-        height_bound=args.height_bound,
-        witness_window=args.witness_window,
-        max_levels=args.max_levels,
-        seed=args.seed,
-    )
+    config = RunConfig(witness_window=args.witness_window, max_levels=args.max_levels)
     report, code = run_script_data(data, config)
     rendered = render_report(report)
     if args.out:
@@ -265,10 +260,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_tower.add_argument("script", help="path to a JSON script")
     p_tower.add_argument("--out", help="also write the JSON report to this file")
     p_tower.add_argument("--output", choices=("text", "json"), default="json")
-    p_tower.add_argument("--height-bound", type=int, default=200)
     p_tower.add_argument("--witness-window", type=int, default=10)
     p_tower.add_argument("--max-levels", type=int, default=3)
-    p_tower.add_argument("--seed", type=int, default=0)
     p_tower.set_defaults(func=cmd_tower)
 
     p_selftest = commands.add_parser("selftest", help="run a property suite")

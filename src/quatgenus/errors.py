@@ -1,4 +1,5 @@
-"""Exception taxonomy shared by the library and the CLI exit-code mapping."""
+"""Exception taxonomy shared by the library and the CLI exit-code mapping,
+and the two checks every layer shares: cross-checks and JSON integers."""
 
 from __future__ import annotations
 
@@ -27,3 +28,8 @@ def _crosscheck(agrees: bool, claim: str) -> None:
     """Fail when two routes to one answer disagree: an assert that python -O keeps."""
     if not agrees:
         raise AssertionError(f"cross-check failed: {claim}")
+
+
+def _is_int(value: object) -> bool:
+    """A JSON integer: true and false are bools, which Python counts as ints."""
+    return isinstance(value, int) and not isinstance(value, bool)

@@ -14,7 +14,7 @@ from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .arith import Rational, squarefree_part
-from .errors import InputError, _crosscheck
+from .errors import InputError, _crosscheck, _is_int
 from .search import isotropic_vector_search
 from .symbols import Place, hasse_invariants, hilbert_symbol, local_is_square
 
@@ -74,8 +74,7 @@ class DiagonalForm:
 
     @classmethod
     def from_json(cls, data: object) -> "DiagonalForm":
-        # type(c) is int: JSON true is a bool, which Python counts as an int
-        if not isinstance(data, list) or not all(type(c) is int for c in data):
+        if not isinstance(data, list) or not all(map(_is_int, data)):
             raise InputError(f"not a diagonal form: {data!r}")
         return cls.of(data)
 
@@ -353,7 +352,10 @@ def _synthesize(target: FormInvariants, q: DiagonalForm) -> DiagonalForm | None:
     return None
 
 
-def witt_decompose(q: DiagonalForm, height_bound: int = 200) -> WittDecomposition:
+_SPLIT_BOUND = 200  # max-norm of the isotropic vectors witt_decompose splits off
+
+
+def witt_decompose(q: DiagonalForm) -> WittDecomposition:
     """Witt index, anisotropic kernel, and the splitting witnesses used."""
     target = invariants(q)
     index = 0
@@ -365,7 +367,7 @@ def witt_decompose(q: DiagonalForm, height_bound: int = 200) -> WittDecompositio
     witnesses: list[tuple[int, ...]] = []
     for _ in range(index):
         assert current is not None
-        vec = isotropic_vector(current, height_bound)
+        vec = isotropic_vector(current, _SPLIT_BOUND)
         if vec is None:
             current = None
             break

@@ -46,7 +46,7 @@ class QuaternionAlgebra:
 def ramification(alg: QuaternionAlgebra) -> tuple[Place, ...]:
     """Places v where (a, b)_v, the Hasse symbol of <a, b>, is -1; always an even number."""
     ram = tuple(v for v, e in hasse_invariants([alg.a, alg.b]) if e == -1)
-    assert len(ram) % 2 == 0  # Hilbert reciprocity
+    _crosscheck(len(ram) % 2 == 0, "Hilbert reciprocity: an even number of places ramify")
     return ram
 
 
@@ -147,20 +147,21 @@ def _pair_candidates(limit_rank: int):
                     yield seq[i], seq[j]
 
 
-def connecting_algebra(
-    a1: QuaternionAlgebra, a2: QuaternionAlgebra, limit_rank: int = 400
-) -> QuaternionAlgebra:
+_CONNECTING_RANK = 400  # connecting_algebra tries symbol pairs up to this rank
+
+
+def connecting_algebra(a1: QuaternionAlgebra, a2: QuaternionAlgebra) -> QuaternionAlgebra:
     """The algebra ramified exactly at the symmetric difference of the two sets."""
     if is_isomorphic(a1, a2):
         raise PreconditionError("isomorphic algebras have no connecting algebra")
     target = set(ramification(a1)) ^ set(ramification(a2))
     assert target and len(target) % 2 == 0
-    for a, b in _pair_candidates(limit_rank):
+    for a, b in _pair_candidates(_CONNECTING_RANK):
         cand = QuaternionAlgebra.of(a, b)
         if set(ramification(cand)) == target:
             return cand
     raise SearchExhausted(
-        f"no connecting algebra found within symbol rank {limit_rank}; raise the limit"
+        f"no connecting algebra among the symbol pairs of rank at most {_CONNECTING_RANK}"
     )
 
 

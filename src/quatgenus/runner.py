@@ -24,7 +24,7 @@ from .certificates import (
     form_from_json,
     iter_certificates,
 )
-from .errors import InputError
+from .errors import InputError, _is_int
 from .quaternion import QuaternionAlgebra
 from .symbolic import SymbolicAlgebra, SymbolicClass, symbolic_albert_form
 from .tower import (
@@ -35,7 +35,6 @@ from .tower import (
     TowerState,
     TrackedStatement,
     adjoin,
-    derive_status,
     iterate_pushing,
     run_alternating_truncation,
     step_linking_extension,
@@ -47,23 +46,17 @@ SCHEMA = "tower-report/1"
 
 @dataclass(frozen=True)
 class RunConfig:
-    height_bound: int = 200
     witness_window: int = 10
     max_levels: int = 3
-    seed: int = 0
 
     def to_json(self) -> dict:
+        # tower-report/1 requires height_bound and seed; nothing reads them
         return {
-            "height_bound": self.height_bound,
+            "height_bound": 200,
             "witness_window": self.witness_window,
             "max_levels": self.max_levels,
-            "seed": self.seed,
+            "seed": 0,
         }
-
-
-def _is_int(value: object) -> bool:
-    """A JSON integer: true and false are bools, which Python counts as ints."""
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -219,7 +212,7 @@ def execute_script(script: Script, config: RunConfig) -> dict:
             raise InputError(f"unknown step kind: {kind!r}")
     context = state.replay_context()
     checked = passed = 0
-    tracked_statements = [derive_status(state, f) for f in state.tracked]
+    tracked_statements = [state.statement(f) for f in state.tracked]
     for stmt in required + tracked_statements:
         if stmt.certificate is None:
             continue

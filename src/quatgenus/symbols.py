@@ -15,7 +15,7 @@ from math import prod
 from typing import Iterable
 
 from .arith import Rational, factor, is_prime, legendre, squarefree_part
-from .errors import InputError
+from .errors import InputError, _is_int
 
 
 @dataclass(frozen=True, order=True)
@@ -58,7 +58,7 @@ def parse_place(text: str) -> Place:
 def place_from_json(value: str | int) -> Place:
     if value == "inf":
         return INFINITE_PLACE
-    if isinstance(value, int):
+    if _is_int(value):
         return finite_place(value)
     raise InputError(f"not a place: {value!r}")
 

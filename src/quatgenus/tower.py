@@ -1,10 +1,10 @@
 """Finite truncations of function-field towers over Q or an abstract base.
 
 A tower state is a base plus an ordered list of adjoined forms, each level
-standing for the function field of the previous level's quadric. Statuses
-of tracked forms are re-derived on demand, walking the levels with exactly
-the certificate rules; everything a step claims is backed by a replayable
-certificate, and anything underivable is an honest UNKNOWN.
+standing for the function field of the previous level's quadric. A form's
+status at a state is derived once per state, walking the levels with
+exactly the certificate rules; everything a step claims is backed by a
+replayable certificate, and anything underivable is an honest UNKNOWN.
 
 Multi-form steps (pushing, linking) certify each adjoined form's anisotropy
 over the step's base state and record that gate; the function field at each
@@ -16,7 +16,7 @@ over the whole current tower.
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
 
@@ -92,6 +92,11 @@ class TowerState:
     base: Base
     adjunctions: tuple[FormLike, ...] = ()
     tracked: tuple[FormLike, ...] = ()
+    # subject -> derive_status(self, subject); a status reads only the base
+    # and the adjunctions, so each one is derived once per state
+    _statements: dict[FormLike, "TrackedStatement"] = field(
+        default_factory=dict, init=False, compare=False, repr=False, hash=False
+    )
 
     @property
     def top_level(self) -> int:
@@ -111,12 +116,21 @@ class TowerState:
     def trivialized_below(self, level: int) -> tuple[int, ...]:
         return self._replay_context.trivialized_below(level)
 
+    def statement(self, subject: FormLike) -> "TrackedStatement":
+        """The subject's status at this state, derived on the first request."""
+        stmt = self._statements.get(subject)
+        if stmt is None:
+            stmt = self._statements[subject] = derive_status(self, subject)
+        return stmt
+
     def track(self, *forms: FormLike) -> "TowerState":
         new = list(self.tracked)
         for f in forms:
             if not any(forms_equal(f, g) for g in new):
                 new.append(f)
-        return TowerState(self.base, self.adjunctions, tuple(new))
+        state = TowerState(self.base, self.adjunctions, tuple(new))
+        state._statements.update(self._statements)  # no status reads `tracked`
+        return state
 
     def to_json(self) -> dict:
         return {
@@ -235,7 +249,7 @@ def _check_adjunction(state: TowerState, phi: FormLike) -> None:
 def adjoin(state: TowerState, phi: FormLike) -> tuple[TowerState, TrackedStatement]:
     """Strict adjunction: phi must be certified anisotropic over the whole tower."""
     _check_adjunction(state, phi)
-    gate = derive_status(state, phi)
+    gate = state.statement(phi)
     if gate.status is Status.ISOTROPIC:
         raise InputError(f"refusing to adjoin {phi}: isotropic over the current tower")
     if gate.status is Status.UNKNOWN:
@@ -324,22 +338,6 @@ class Family:
 
 
 @dataclass(frozen=True)
-class MembershipEntry:
-    klass: int
-    algebra: int
-    member: bool
-    statement: TrackedStatement
-
-    def to_json(self) -> dict:
-        return {
-            "class": self.klass,
-            "algebra": self.algebra,
-            "member": self.member,
-            "statement": self.statement.to_json(),
-        }
-
-
-@dataclass(frozen=True)
 class AdjoinedRecord:
     level: int
     form: FormLike
@@ -383,24 +381,32 @@ class InjectivityBlock:
     def statements(self) -> list[TrackedStatement]:
         return [s for _, s in self.norm_forms] + [s for _, _, s in self.pair_forms]
 
+    def chain(self) -> tuple[Certificate, ...]:
+        """R-CHAIN over the union of the tower for every statement certified anisotropic."""
+        return tuple(
+            chain_certificate(s.certificate)
+            for s in self.statements()
+            if s.status is Status.ANISOTROPIC and s.certificate is not None
+        )
+
 
 @dataclass(frozen=True)
 class PushingStep:
     classes: tuple[int, ...]
-    membership: tuple[MembershipEntry, ...]
+    membership: tuple[WindowEntry, ...]
     adjoined: tuple[AdjoinedRecord, ...]
     injectivity: InjectivityBlock
-    embeddings: tuple[MembershipEntry, ...]
+    embeddings: tuple[WindowEntry, ...]
     notes: tuple[str, ...]
 
     def to_json(self) -> dict:
         return {
             "kind": "pushing",
             "classes": list(self.classes),
-            "membership_at_base": [e.to_json() for e in self.membership],
+            "membership_at_base": [e.membership_json() for e in self.membership],
             "adjoined": [r.to_json() for r in self.adjoined],
             "injectivity": self.injectivity.to_json(),
-            "embeddings": [e.to_json() for e in self.embeddings],
+            "embeddings": [e.membership_json() for e in self.embeddings],
             "notes": list(self.notes),
         }
 
@@ -414,10 +420,10 @@ class PushingStep:
 
 def _injectivity_block(state: TowerState, family: Family) -> InjectivityBlock:
     norms = tuple(
-        (i, derive_status(state, alg.norm_form())) for i, alg in enumerate(family.algebras)
+        (i, state.statement(alg.norm_form())) for i, alg in enumerate(family.algebras)
     )
     pairs = tuple(
-        (pair, conn, derive_status(state, conn.norm_form())) for pair, conn in family.pairs
+        (pair, conn, state.statement(conn.norm_form())) for pair, conn in family.pairs
     )
     return InjectivityBlock(norms, pairs)
 
@@ -438,31 +444,17 @@ def step_pushing_extension(
     if not family.algebras:
         raise PreconditionError("the family must be nonempty")
     at_base = compute_window(state, family, classes)
-    return _push(state, family, at_base.window, at_base.entries)
-
-
-def _as_membership(entries: Iterable[WindowEntry]) -> tuple[MembershipEntry, ...]:
-    return tuple(
-        MembershipEntry(e.klass, e.algebra, e.status == "member", e.statement) for e in entries
-    )
-
-
-def _push(
-    state: TowerState,
-    family: Family,
-    wanted: tuple[int, ...],
-    at_base: tuple[WindowEntry, ...],
-) -> tuple[TowerState, PushingStep]:
-    """Push `wanted`, whose window entries at the step base `state` are `at_base`."""
-    for e in at_base:
+    for e in at_base.entries:
         if e.status == "unresolved":
             raise TruncationError(
                 f"membership of {e.klass} in algebra {e.algebra} is UNKNOWN at the step base"
             )
-    to_adjoin = [e for e in at_base if e.status == "non-member"]
+    to_adjoin = [e for e in at_base.entries if e.status == "non-member"]
     pushed = {e.klass for e in to_adjoin}
     notes = tuple(
-        f"class {c} already embeds everywhere; nothing to adjoin" for c in wanted if c not in pushed
+        f"class {c} already embeds everywhere; nothing to adjoin"
+        for c in at_base.window
+        if c not in pushed
     )
     current = state
     adjoined: list[AdjoinedRecord] = []
@@ -475,14 +467,9 @@ def _push(
     for alg in family.algebras:
         current = current.track(alg.norm_form())
     injectivity = _injectivity_block(current, family)
-    embeddings = compute_window(current, family, list(wanted)).entries
+    embeddings = compute_window(current, family, list(at_base.window)).entries
     step = PushingStep(
-        wanted,
-        _as_membership(at_base),
-        tuple(adjoined),
-        injectivity,
-        _as_membership(embeddings),
-        notes,
+        at_base.window, at_base.entries, tuple(adjoined), injectivity, embeddings, notes
     )
     return current, step
 
@@ -532,8 +519,7 @@ def step_linking_extension(
             raise PreconditionError("concrete algebras need the rational base")
         notes = ("all pairs are already linked over the base; no extension needed",)
         preserved = tuple(
-            (i, derive_status(state, alg.norm_form()))
-            for i, alg in enumerate(algebras.algebras)
+            (i, state.statement(alg.norm_form())) for i, alg in enumerate(algebras.algebras)
         )
         return state, LinkingStep((), (), preserved, notes)
     if not algebras:
@@ -549,7 +535,7 @@ def step_linking_extension(
     for i in range(len(algebras)):
         for j in range(i + 1, len(algebras)):
             phi = symbolic_albert_form(algebras[i], algebras[j])
-            gate = derive_status(step_base, phi)
+            gate = step_base.statement(phi)
             if gate.status is Status.UNKNOWN:
                 raise InputError(
                     f"no anisotropy assumption covers the linkage form of pair ({i},{j}); "
@@ -560,15 +546,13 @@ def step_linking_extension(
                 continue
             current = _adjoin_gated(current, phi, step_base)
             adjoined.append(AdjoinedRecord(current.top_level, phi, None, None, (i, j), gate))
+    for alg in algebras:
+        current = current.track(alg.norm_form())
     linked_now = []
     for rec in adjoined:
-        stmt = derive_status(current, rec.form)
         assert rec.pair is not None
-        linked_now.append((rec.pair, stmt))
-    preserved = []
-    for i, alg in enumerate(algebras):
-        current = current.track(alg.norm_form())
-        preserved.append((i, derive_status(current, alg.norm_form())))
+        linked_now.append((rec.pair, current.statement(rec.form)))
+    preserved = [(i, current.statement(alg.norm_form())) for i, alg in enumerate(algebras)]
     return current, LinkingStep(
         tuple(adjoined), tuple(linked_now), tuple(preserved), tuple(notes)
     )
@@ -588,6 +572,12 @@ class WindowEntry:
             "status": self.status,
             "statement": self.statement.to_json(),
         }
+
+    def membership_json(self) -> dict:
+        """The entry as a pushing step records it: a member bool in place of the status."""
+        out = self.to_json()
+        out["member"] = out.pop("status") == "member"
+        return out
 
 
 @dataclass(frozen=True)
@@ -619,7 +609,7 @@ def compute_window(state: TowerState, family: Family, window: list[int]) -> Wind
         nonmembers = 0
         unknown = 0
         for ai, alg in enumerate(family.algebras):
-            stmt = derive_status(state, membership_form(c, alg))
+            stmt = state.statement(membership_form(c, alg))
             if stmt.status is Status.ISOTROPIC:
                 token = "member"
                 members += 1
@@ -709,16 +699,9 @@ def iterate_pushing(
             break
         if len(rounds) >= max_rounds:
             break
-        split = set(report.distinguishing)
-        at_base = tuple(e for e in report.entries if e.klass in split)
-        current, step = _push(current, family, report.distinguishing, at_base)
+        current, step = step_pushing_extension(current, family, list(report.distinguishing))
         rounds.append(IterateRound(len(rounds) + 1, report, step))
     injectivity = _injectivity_block(current, family)
-    chain = tuple(
-        chain_certificate(s.certificate)
-        for s in injectivity.statements()
-        if s.status is Status.ANISOTROPIC and s.certificate is not None
-    )
     notes = [_WINDOW_NOTE]
     if not stabilized:
         notes.append("round budget exhausted before stabilization")
@@ -728,7 +711,7 @@ def iterate_pushing(
         stabilized,
         report,
         injectivity,
-        chain,
+        injectivity.chain(),
         tuple(notes),
     )
 
@@ -795,14 +778,9 @@ def run_alternating_truncation(
         current, push = iterate_pushing(current, family, window, max_rounds_per_iterate)
         out_rounds.append(AlternatingRound(r, link, push))
     distinctness = _injectivity_block(current, family)
-    chain = tuple(
-        chain_certificate(s.certificate)
-        for s in distinctness.statements()
-        if s.status is Status.ANISOTROPIC and s.certificate is not None
-    )
     return current, AlternatingReport(
         tuple(out_rounds),
         distinctness,
-        chain,
+        distinctness.chain(),
         (_WINDOW_NOTE,),
     )

@@ -262,6 +262,15 @@ def test_tower_run_witness_window_is_bounded(tmp_path, capsys):
     assert "window limit must be between 1 and 1000" in err
 
 
+def test_tower_run_has_no_seed_or_height_bound_flag(tmp_path, capsys):
+    script = tmp_path / "worked.json"
+    script.write_text(json.dumps({"base": "rationals", "algebras": [[-1, -1]]}))
+    for flag in ("--seed", "--height-bound"):
+        code, out, err = run_cli(capsys, "tower", "run", str(script), flag, "1")
+        assert (code, out) == (2, "")
+        assert f"unrecognized arguments: {flag} 1" in err
+
+
 def test_tower_run_too_deeply_nested_script_is_input_error(tmp_path, capsys):
     deep = tmp_path / "deep.json"
     deep.write_text("[" * 100_000 + "]" * 100_000)

@@ -185,9 +185,18 @@ from quatgenus import forms, quaternion
 print("optimize", sys.flags.optimize)
 quaternion.is_isotropic = lambda form: True  # the norm-form route calls every algebra split
 forms.isotropic_vector_search = lambda coefficients, bound: (1,) * len(coefficients)
+
+
+def odd_ramification():
+    # one ramified place: Hilbert reciprocity says the count is even
+    quaternion.hasse_invariants = lambda entries: [(quaternion.Place(2, 2), -1)]
+    quaternion.ramification(quaternion.QuaternionAlgebra(-1, -1))
+
+
 for check in (
     lambda: quaternion.is_division(quaternion.QuaternionAlgebra(-1, -1)),
     lambda: forms.isotropic_vector(forms.DiagonalForm.of([1, -1, 2]), 3),
+    odd_ramification,
 ):
     try:
         check()
@@ -207,4 +216,5 @@ def test_cross_checks_still_raise_under_python_optimize():
         "optimize 1",
         "cross-check failed: ramification and norm form agree on division",
         "cross-check failed: the search returns a zero of the form",
+        "cross-check failed: Hilbert reciprocity: an even number of places ramify",
     ]

@@ -133,7 +133,7 @@ def test_hoffmann_applies_across_larger_adjunction():
 def test_pushing_step_worked_instance():
     state = TowerState(RationalBase())
     state, step = step_pushing_extension(state, FAMILY, [-2])
-    assert [(m.klass, m.algebra, m.member) for m in step.membership] == [
+    assert [(m.klass, m.algebra, m.status == "member") for m in step.membership] == [
         (-2, 0, True),
         (-2, 1, False),
     ]
@@ -509,6 +509,44 @@ def _tamper_at(tree: dict, path: tuple[int, ...]) -> dict:
     return tree
 
 
+@pytest.mark.parametrize(
+    "rule, key, value",
+    [
+        ("R-MONOTONE", "from_level", 0.0),
+        ("R-MONOTONE", "from_level", False),
+        ("R-CHAIN", "levels", 3.0),
+        ("R-PFISTER", "exponent", True),
+        ("R-HOFFMANN", "exponent", True),
+    ],
+)
+def test_replay_refuses_non_integer_json_where_the_engine_writes_integers(rule, key, value):
+    # <1,1> stays anisotropic by R-PFISTER (exponent 1), then R-HOFFMANN
+    # (exponent 1) twice, under an R-CHAIN over 3 levels; <1,-1> is isotropic
+    # at level 0 and lifted by R-MONOTONE
+    state = TowerState(
+        RationalBase(),
+        (DiagonalForm((1, 2)), DiagonalForm((1, 1, 1)), DiagonalForm((1, 1, 1, 1))),
+    )
+    context = state.replay_context()
+    trees = (
+        chain_certificate(derive_status(state, DiagonalForm((1, 1))).certificate).to_json(),
+        derive_status(state, DiagonalForm((1, -1))).certificate.to_json(),
+    )
+    tree, path, node = next(
+        (t, p, n) for t in trees for p, n in _paths(t) if n["rule"] == rule
+    )
+    assert replay(Certificate.from_json(tree), context)
+    assert node["parameters"][key] == value  # the same number as another JSON type
+    node["parameters"][key] = value
+    mutated = Certificate.from_json(tree)
+    target = mutated
+    for i in path:
+        target = target.premises[i]
+    assert target.rule == rule
+    assert not check_node(target, context)
+    assert not replay(mutated, context)
+
+
 def test_unknown_membership_gate_raises_truncation():
     # over a 4-dim Pfister adjunction, a 4-dim membership form has no rule
     state = TowerState(RationalBase())
@@ -848,3 +886,42 @@ def test_replay_context_equality_hash_and_repr_ignore_the_memo():
     assert used == unused and hash(used) == hash(unused) and repr(used) == repr(unused)
     assert "_passed" not in repr(used)
     assert replace(used)._passed == {}
+
+
+@pytest.mark.parametrize(
+    "script, statements",
+    [
+        # the steps and the tracked loop ask 423 times for these 214 statements
+        pytest.param(DEEP_SCRIPT, 214, id="tower-deep"),
+        # -1 embeds in both algebras: the step adjoins nothing and only tracks
+        pytest.param(
+            {**WORKED_PUSHING, "steps": [{"kind": "pushing", "classes": [-1]}]},
+            5,
+            id="nothing-adjoined",
+        ),
+    ],
+)
+def test_each_statement_is_derived_once(monkeypatch, script, statements):
+    keys = []
+    real = tower.derive_status
+
+    def recorded(state, subject):
+        keys.append((state.adjunctions, subject))
+        return real(state, subject)
+
+    monkeypatch.setattr(tower, "derive_status", recorded)
+    run_script_data(script, RunConfig())
+    assert len(keys) == len(set(keys)) == statements
+
+
+def test_tower_state_equality_hash_and_repr_ignore_the_statements():
+    levels = (DiagonalForm((-2, 1, 3, 3)),)
+    used, unused = TowerState(RationalBase(), levels), TowerState(RationalBase(), levels)
+    norm = DiagonalForm((1, 1, 1, 1))
+    stmt = used.statement(norm)
+    assert used.statement(norm) is stmt
+    assert stmt == derive_status(unused, norm)
+    assert used._statements and not unused._statements
+    assert used == unused and hash(used) == hash(unused) and repr(used) == repr(unused)
+    assert "_statements" not in repr(used)
+    assert replace(used)._statements == {}
