@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from typing import Iterable, Sequence
 
 from .arith import Rational, squarefree_part
@@ -248,7 +249,6 @@ def _split_hyperbolic(q: DiagonalForm, vec: tuple[int, ...]) -> DiagonalForm | N
     """Split off the hyperbolic plane through an isotropic vector; diagonalize the rest."""
     n = q.dim
     a = q.coefficients
-    b = lambda u, w: sum(Fraction(ai) * ui * wi for ai, ui, wi in zip(a, u, w))
     v = [Fraction(x) for x in vec]
     # partner with b(v, w) != 0 exists because q is regular and v nonzero
     w = None
@@ -287,9 +287,18 @@ def _split_hyperbolic(q: DiagonalForm, vec: tuple[int, ...]) -> DiagonalForm | N
         basis.append(x)
     if len(basis) != n - 2:
         return None
-    # Gram matrix of the complement, then symmetric diagonalization
+    # Gram matrix of the complement from integer numerators: basis vector i is
+    # nums[i] / dens[i], so each entry is one integer sum over dens[i] * dens[j]
     k = n - 2
-    gram = [[b(basis[i], basis[j]) for j in range(k)] for i in range(k)]
+    dens = [lcm(*(x.denominator for x in u)) for u in basis]
+    nums = [[x.numerator * (d // x.denominator) for x in u] for u, d in zip(basis, dens)]
+    gram = [
+        [
+            Fraction(sum(c * s * t for c, s, t in zip(a, nu, nt)), du * dt)
+            for nt, dt in zip(nums, dens)
+        ]
+        for nu, du in zip(nums, dens)
+    ]
     diag: list[Fraction] = []
     idx = list(range(k))
     while idx:
@@ -355,13 +364,24 @@ def _synthesize(target: FormInvariants, q: DiagonalForm) -> DiagonalForm | None:
 _SPLIT_BOUND = 200  # max-norm of the isotropic vectors witt_decompose splits off
 
 
-def witt_decompose(q: DiagonalForm) -> WittDecomposition:
-    """Witt index, anisotropic kernel, and the splitting witnesses used."""
+def _peel(q: DiagonalForm) -> tuple[int, FormInvariants]:
+    """Witt index and the anisotropic part's invariants, from invariants alone."""
     target = invariants(q)
     index = 0
     while _failing_place(target) is None:
         target = _peel_invariants(target)
         index += 1
+    return index, target
+
+
+def witt_index(q: DiagonalForm) -> int:
+    """Number of hyperbolic planes q splits off; no vector is searched for."""
+    return _peel(q)[0]
+
+
+def witt_decompose(q: DiagonalForm) -> WittDecomposition:
+    """Witt index, anisotropic kernel, and the splitting witnesses used."""
+    index, target = _peel(q)
     # explicit splitting builds a concrete anisotropic part alongside the count
     current: DiagonalForm | None = q
     witnesses: list[tuple[int, ...]] = []

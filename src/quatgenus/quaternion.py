@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .arith import Rational, iter_witnesses, squarefree_part
 from .errors import PreconditionError, SearchExhausted, _crosscheck
-from .forms import DiagonalForm, is_isotropic, isometric, represents, witt_decompose
+from .forms import DiagonalForm, is_isotropic, isometric, represents, witt_index
 from .symbols import Place, hasse_invariants
 
 
@@ -74,15 +74,19 @@ def albert_form(a1: QuaternionAlgebra, a2: QuaternionAlgebra) -> DiagonalForm:
 
 
 def is_linked(a1: QuaternionAlgebra, a2: QuaternionAlgebra) -> bool:
-    """Do the two division algebras share a common quadratic splitting field?"""
+    """Do the two division algebras share a common quadratic splitting field?
+
+    The Albert form's isotropy decides it. The second route is the Witt index
+    of the norm-form difference, read from that form's invariants: it is at
+    least 2 exactly when the algebras are linked.
+    """
     for alg in (a1, a2):
         if not is_division(alg):
             raise PreconditionError(f"{alg} is split; linkage needs division algebras")
     linked = is_isotropic(albert_form(a1, a2))
-    # dual route: the difference of norm forms has Witt index >= 2 exactly then
     diff = a1.norm_form().perp(a2.norm_form().negated())
     _crosscheck(
-        linked == (witt_decompose(diff).witt_index >= 2),
+        linked == (witt_index(diff) >= 2),
         "Albert form and norm-form difference agree on linkage",
     )
     return linked
@@ -155,7 +159,10 @@ def connecting_algebra(a1: QuaternionAlgebra, a2: QuaternionAlgebra) -> Quaterni
     if is_isomorphic(a1, a2):
         raise PreconditionError("isomorphic algebras have no connecting algebra")
     target = set(ramification(a1)) ^ set(ramification(a2))
-    assert target and len(target) % 2 == 0
+    _crosscheck(
+        bool(target) and len(target) % 2 == 0,
+        "the connecting algebra ramifies at a nonempty, even set of places",
+    )
     for a, b in _pair_candidates(_CONNECTING_RANK):
         cand = QuaternionAlgebra.of(a, b)
         if set(ramification(cand)) == target:

@@ -75,7 +75,8 @@ def test_quat_compare_text(capsys):
     assert out == "isomorphic; linked; no distinguishing witness\n"
 
 
-# each pair makes is_linked's dual route split an 8-dimensional form
+# pairs whose 8-dimensional norm-form difference is slow to split: linkage reads its index
+# from invariants
 @pytest.mark.parametrize("first,second", [("-30,29", "-15,-29"), ("5,-30", "-15,-5")])
 def test_quat_compare_eight_dimensional_split(capsys, first, second):
     code, out, _ = run_cli(capsys, "quat", "compare", first, second)

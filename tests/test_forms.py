@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from quatgenus.arith import squarefree_part
 from quatgenus.errors import InputError
 from quatgenus.forms import (
     HYPERBOLIC_PLANE,
@@ -19,7 +20,9 @@ from quatgenus.forms import (
     pfister_exponent,
     relevant_places,
     represents,
+    _split_hyperbolic,
     witt_decompose,
+    witt_index,
 )
 from quatgenus.oracles import local_isotropic_search
 from quatgenus.symbols import INFINITE_PLACE, finite_place
@@ -153,6 +156,104 @@ def test_witt_decomposition_invariants(coefficients):
         + (() if d.anisotropic_part is None else d.anisotropic_part.coefficients)
     )
     assert isometric(q, DiagonalForm(rebuilt))
+
+
+@given(st.lists(coefficient, min_size=1, max_size=8))
+@settings(max_examples=100, deadline=None)
+def test_witt_index_counts_the_planes_split_off(coefficients):
+    # the index comes from invariants alone; the explicit split finds as many planes
+    q = DiagonalForm(tuple(coefficients))
+    assert witt_index(q) == len(witt_decompose(q).witnesses)
+
+
+def _split_hyperbolic_reference(q, vec):
+    """Reference for _split_hyperbolic: every Gram entry a sum of Fraction products."""
+    n = q.dim
+    a = q.coefficients
+    b = lambda u, w: sum(Fraction(ai) * ui * wi for ai, ui, wi in zip(a, u, w))
+    v = [Fraction(x) for x in vec]
+    i = next(i for i in range(n) if a[i] * vec[i] != 0)
+    w = [Fraction(1) if j == i else Fraction(0) for j in range(n)]
+    rows = [
+        [Fraction(a[j]) * v[j] for j in range(n)],
+        [Fraction(a[j]) * w[j] for j in range(n)],
+    ]
+    pivots = []
+    r = 0
+    for col in range(n):
+        pr = next((i for i in range(r, len(rows)) if rows[i][col] != 0), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        rows[r] = [x / rows[r][col] for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][col] != 0:
+                rows[i] = [x - rows[i][col] * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(col)
+        r += 1
+        if r == len(rows):
+            break
+    basis = []
+    for fc in (c for c in range(n) if c not in pivots):
+        x = [Fraction(0)] * n
+        x[fc] = Fraction(1)
+        for ri, pc in enumerate(pivots):
+            x[pc] = -rows[ri][fc]
+        basis.append(x)
+    if len(basis) != n - 2:
+        return None
+    k = n - 2
+    gram = [[b(basis[i], basis[j]) for j in range(k)] for i in range(k)]
+    diag = []
+    idx = list(range(k))
+    while idx:
+        pivot = next((i for i in idx if gram[i][i] != 0), None)
+        if pivot is None:
+            pair = next(
+                ((i, j) for i in idx for j in idx if i != j and gram[i][j] != 0), None
+            )
+            if pair is None:
+                return None
+            i, j = pair
+            for t in range(k):
+                gram[i][t] += gram[j][t]
+            for t in range(k):
+                gram[t][i] += gram[t][j]
+            continue
+        d = gram[pivot][pivot]
+        diag.append(d)
+        others = [i for i in idx if i != pivot]
+        for i in others:
+            if gram[i][pivot] != 0:
+                factor = gram[i][pivot] / d
+                for t in range(k):
+                    gram[i][t] -= factor * gram[pivot][t]
+                for t in range(k):
+                    gram[t][i] -= factor * gram[t][pivot]
+        idx = others
+    if len(diag) != k or any(d == 0 for d in diag) or not diag:
+        return None
+    return DiagonalForm.of(diag)
+
+
+squarefree_upto_30 = st.sampled_from([c for c in range(-30, 31) if c and squarefree_part(c) == c])
+
+
+@given(
+    st.lists(squarefree_upto_30, min_size=2, max_size=8), st.integers(min_value=0, max_value=6)
+)
+@settings(max_examples=200, deadline=None)
+def test_integer_gram_split_matches_fraction_reference(coefficients, at):
+    q = DiagonalForm(tuple(coefficients))
+    vec = isotropic_vector(q, 3)
+    if vec is None:
+        # no small zero: plant a hyperbolic pair so the draw is still used
+        at %= len(coefficients) - 1
+        coefficients[at + 1] = -coefficients[at]
+        q = DiagonalForm(tuple(coefficients))
+        vec = isotropic_vector(q, 3)
+    assert vec is not None
+    assert _split_hyperbolic(q, vec) == _split_hyperbolic_reference(q, vec)
 
 
 def test_isometry_distinguishes_hasse():

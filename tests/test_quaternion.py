@@ -10,8 +10,9 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import quatgenus
+from quatgenus import forms
 from quatgenus.errors import InputError, PreconditionError, SearchExhausted
-from quatgenus.forms import DiagonalForm, is_isotropic, isometric, witt_decompose
+from quatgenus.forms import DiagonalForm, is_isotropic, isometric, witt_decompose, witt_index
 from quatgenus.quaternion import (
     QuaternionAlgebra,
     albert_form,
@@ -108,10 +109,40 @@ def test_division_pairs_are_always_linked(a, b, c, d):
     d1, d2 = QuaternionAlgebra.of(a, b), QuaternionAlgebra.of(c, d)
     if is_division(d1) and is_division(d2):
         assert is_linked(d1, d2)
+        # is_linked reads the index from invariants; the explicit split agrees
+        diff = d1.norm_form().perp(d2.norm_form().negated())
+        assert witt_index(diff) == len(witt_decompose(diff).witnesses)
         shared = witt_decompose(
             DiagonalForm(d1.pure_form().coefficients + d2.pure_form().negated().coefficients)
         )
         assert shared.witt_index >= 1
+
+
+@pytest.mark.parametrize(
+    "first,second",
+    [
+        (HAMILTON, D13),
+        # pairs whose 8-dimensional norm-form difference is slow to split
+        (QuaternionAlgebra(-30, 29), QuaternionAlgebra(-15, -29)),
+        (QuaternionAlgebra(5, -30), QuaternionAlgebra(-15, -5)),
+    ],
+)
+def test_is_linked_splits_nothing(monkeypatch, first, second):
+    calls = {"isotropic_vector_search": 0, "witt_decompose": 0}
+
+    def counted(name):
+        original = getattr(forms, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(forms, name, counted(name))
+    assert is_linked(first, second)
+    assert calls == {"isotropic_vector_search": 0, "witt_decompose": 0}
 
 
 def test_contains_subfield_worked_values():
@@ -183,25 +214,38 @@ _FORCED_DISAGREEMENTS = """
 import sys
 from quatgenus import forms, quaternion
 print("optimize", sys.flags.optimize)
-quaternion.is_isotropic = lambda form: True  # the norm-form route calls every algebra split
-forms.isotropic_vector_search = lambda coefficients, bound: (1,) * len(coefficients)
+HAMILTON, D13 = quaternion.QuaternionAlgebra(-1, -1), quaternion.QuaternionAlgebra(-1, -3)
 
 
-def odd_ramification():
-    # one ramified place: Hilbert reciprocity says the count is even
-    quaternion.hasse_invariants = lambda entries: [(quaternion.Place(2, 2), -1)]
-    quaternion.ramification(quaternion.QuaternionAlgebra(-1, -1))
-
-
-for check in (
-    lambda: quaternion.is_division(quaternion.QuaternionAlgebra(-1, -1)),
-    lambda: forms.isotropic_vector(forms.DiagonalForm.of([1, -1, 2]), 3),
-    odd_ramification,
-):
+def forced(module, name, value, check):
+    original = getattr(module, name)
+    setattr(module, name, value)
     try:
         check()
     except AssertionError as error:
         print(error)
+    finally:
+        setattr(module, name, original)
+
+
+# the norm-form route calls every algebra split
+forced(quaternion, "is_isotropic", lambda form: True, lambda: quaternion.is_division(HAMILTON))
+forced(
+    forms, "isotropic_vector_search", lambda coefficients, bound: (1,) * len(coefficients),
+    lambda: forms.isotropic_vector(forms.DiagonalForm.of([1, -1, 2]), 3),
+)
+# one ramified place: Hilbert reciprocity says the count is even
+forced(
+    quaternion, "hasse_invariants", lambda entries: [(quaternion.Place(2, 2), -1)],
+    lambda: quaternion.ramification(HAMILTON),
+)
+# the norm-form difference splits no hyperbolic plane
+forced(quaternion, "witt_index", lambda form: 0, lambda: quaternion.is_linked(HAMILTON, D13))
+# Hamilton ramifies at 2 alone, D13 nowhere: the connecting target has one place
+forced(
+    quaternion, "ramification", lambda alg: (quaternion.Place(2, 2),) if alg == HAMILTON else (),
+    lambda: quaternion.connecting_algebra(HAMILTON, D13),
+)
 """
 
 
@@ -217,4 +261,6 @@ def test_cross_checks_still_raise_under_python_optimize():
         "cross-check failed: ramification and norm form agree on division",
         "cross-check failed: the search returns a zero of the form",
         "cross-check failed: Hilbert reciprocity: an even number of places ramify",
+        "cross-check failed: Albert form and norm-form difference agree on linkage",
+        "cross-check failed: the connecting algebra ramifies at a nonempty, even set of places",
     ]

@@ -63,7 +63,7 @@ def test_bound_validation():
             st.lists(wide_coefficient, min_size=4, max_size=5),
             st.integers(min_value=1, max_value=3),
         ),
-        # up to dimension 8, the size of is_linked's form
+        # up to dimension 8, the size of a norm-form difference
         st.tuples(
             st.lists(coefficient, min_size=6, max_size=6), st.integers(min_value=1, max_value=2)
         ),
