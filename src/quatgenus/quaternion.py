@@ -9,11 +9,13 @@ canonical square-class order so results are reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, islice
+from math import prod
 
-from .arith import Rational, iter_witnesses, squarefree_part
+from .arith import Rational, is_prime, is_squarefree, iter_witnesses, squarefree_part
 from .errors import PreconditionError, SearchExhausted, _crosscheck
 from .forms import DiagonalForm, is_isotropic, isometric, represents, witt_index
-from .symbols import Place, hasse_invariants
+from .symbols import INFINITE_PLACE, Place, hasse_invariants
 
 
 @dataclass(frozen=True)
@@ -134,8 +136,6 @@ def distinguishing_witness(
 
 def _pair_candidates(limit_rank: int):
     """Symbol pairs (a,b) in shell order by max rank, then lex by (rank a, rank b)."""
-    from .arith import is_squarefree
-
     seq: list[int] = []
     v = 1
     while len(seq) < limit_rank + 1:
@@ -145,17 +145,39 @@ def _pair_candidates(limit_rank: int):
         v += 1
     seq = seq[: limit_rank + 1]
     for shell in range(1, len(seq)):
-        for i in range(shell + 1):
-            for j in range(shell + 1):
-                if max(i, j) == shell:
-                    yield seq[i], seq[j]
+        for i in range(shell):
+            yield seq[i], seq[shell]
+        for j in range(shell + 1):
+            yield seq[shell], seq[j]
 
 
 _CONNECTING_RANK = 400  # connecting_algebra tries symbol pairs up to this rank
+_CONSTRUCT_TRIES = 1 << 14  # candidates the constructed fallback tries before giving up
+
+
+def _constructed_candidates(odd_primes: list[int]):
+    """(a, q) with a in (P, -P, 2P, -2P) for P the product of the odd primes, for
+    each prime q in ascending order. Every even set of places is the ramification
+    of one of these (Dirichlet's theorem on primes in progressions)."""
+    p = prod(odd_primes)
+    q = 2
+    while True:
+        for a in (p, -p, 2 * p, -2 * p):
+            for b in (q, -q):
+                yield a, b
+        q += 1
+        while not is_prime(q):
+            q += 1
 
 
 def connecting_algebra(a1: QuaternionAlgebra, a2: QuaternionAlgebra) -> QuaternionAlgebra:
-    """The algebra ramified exactly at the symmetric difference of the two sets."""
+    """The algebra ramified exactly at the symmetric difference of the two sets.
+
+    The answer is the first match among the symbol pairs of rank at most
+    _CONNECTING_RANK in shell order; when none matches, the first match among
+    the constructed candidates. Candidates whose real place or odd primes
+    cannot give the target are skipped before their ramification is computed.
+    """
     if is_isomorphic(a1, a2):
         raise PreconditionError("isomorphic algebras have no connecting algebra")
     target = set(ramification(a1)) ^ set(ramification(a2))
@@ -163,12 +185,20 @@ def connecting_algebra(a1: QuaternionAlgebra, a2: QuaternionAlgebra) -> Quaterni
         bool(target) and len(target) % 2 == 0,
         "the connecting algebra ramifies at a nonempty, even set of places",
     )
-    for a, b in _pair_candidates(_CONNECTING_RANK):
+    # (a, b) ramifies at the real place iff a, b < 0, and at an odd prime only if it divides ab
+    real = INFINITE_PLACE in target
+    odd = sorted(v.prime for v in target if v.prime not in (None, 2))
+    searched = _pair_candidates(_CONNECTING_RANK)
+    constructed = islice(_constructed_candidates(odd), _CONSTRUCT_TRIES)
+    for a, b in chain(searched, constructed):
+        if (a < 0 and b < 0) != real or any(a % p and b % p for p in odd):
+            continue
         cand = QuaternionAlgebra.of(a, b)
         if set(ramification(cand)) == target:
             return cand
     raise SearchExhausted(
         f"no connecting algebra among the symbol pairs of rank at most {_CONNECTING_RANK}"
+        f" or the first {_CONSTRUCT_TRIES} constructed candidates"
     )
 
 

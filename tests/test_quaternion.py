@@ -1,9 +1,11 @@
 """Quaternion algebras: ramification, isomorphism, linkage, subfields, genus."""
 
+import json
 import os
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import chain, islice
 from pathlib import Path
 
 import pytest
@@ -13,6 +15,7 @@ import quatgenus
 from quatgenus import forms
 from quatgenus.errors import InputError, PreconditionError, SearchExhausted
 from quatgenus.forms import DiagonalForm, is_isotropic, isometric, witt_decompose, witt_index
+from quatgenus import quaternion
 from quatgenus.quaternion import (
     QuaternionAlgebra,
     albert_form,
@@ -187,6 +190,103 @@ def test_connecting_algebra_ramification_is_symmetric_difference(a, b, c, d):
     assume(not is_isomorphic(d1, d2))
     connecting = connecting_algebra(d1, d2)
     assert set(ramification(connecting)) == set(ramification(d1)) ^ set(ramification(d2))
+
+
+def _cubic_pair_candidates(limit_rank):
+    """The walk as first written: every (i, j) of each shell's square, kept when max(i, j) == shell."""
+    seq = []
+    v = 1
+    while len(seq) < limit_rank + 1:
+        if quaternion.is_squarefree(v):
+            seq.extend((v, -v))
+        v += 1
+    seq = seq[: limit_rank + 1]
+    for shell in range(1, len(seq)):
+        for i in range(shell + 1):
+            for j in range(shell + 1):
+                if max(i, j) == shell:
+                    yield seq[i], seq[j]
+
+
+def test_pair_candidates_follow_the_cubic_filter():
+    walks = {rank: list(quaternion._pair_candidates(rank)) for rank in (*range(41), 400)}
+    for rank in range(41):
+        assert walks[rank] == list(_cubic_pair_candidates(rank))
+        assert walks[rank] == walks[400][: len(walks[rank])]
+    assert len(walks[400]) == 160_800
+    assert walks[400] == list(_cubic_pair_candidates(400))
+
+
+def _unpruned_connecting(a1, a2):
+    """connecting_algebra's candidate order, computing every candidate's ramification."""
+    target = set(ramification(a1)) ^ set(ramification(a2))
+    odd = sorted(v.prime for v in target if v.prime not in (None, 2))
+    constructed = quaternion._constructed_candidates(odd)
+    for a, b in chain(
+        quaternion._pair_candidates(quaternion._CONNECTING_RANK),
+        islice(constructed, quaternion._CONSTRUCT_TRIES),
+    ):
+        cand = QuaternionAlgebra.of(a, b)
+        if set(ramification(cand)) == target:
+            return cand
+    raise SearchExhausted("no connecting algebra")
+
+
+_WORKED_ALGEBRAS = json.loads(
+    (Path(__file__).parent / "data" / "worked_pushing_report.json").read_text()
+)["algebras"]
+
+
+@pytest.mark.parametrize(
+    "first,second",
+    [
+        # the slowest pairs of the benchmark's tower-batch scripts before pruning
+        ((6, -7), (-2, 10)),
+        ((-10, 5), (-7, -7)),
+        ((-5, -7), (6, 7)),
+        ((5, -7), (-6, 3)),
+        ((7, -1), (-3, -5)),
+        ((3, -5), (-1, -7)),
+        ((-1, -7), (2, -6)),
+        *[
+            (tuple(_WORKED_ALGEBRAS[i]), tuple(_WORKED_ALGEBRAS[j]))
+            for i in range(len(_WORKED_ALGEBRAS))
+            for j in range(i + 1, len(_WORKED_ALGEBRAS))
+        ],
+    ],
+)
+def test_pruning_keeps_the_first_match(first, second):
+    a1, a2 = QuaternionAlgebra.of(*first), QuaternionAlgebra.of(*second)
+    assert connecting_algebra(a1, a2) == _unpruned_connecting(a1, a2)
+
+
+@given(symbol, symbol, symbol, symbol)
+@settings(max_examples=60, deadline=None)
+def test_pruning_keeps_the_first_match_on_random_pairs(a, b, c, d):
+    d1, d2 = QuaternionAlgebra.of(a, b), QuaternionAlgebra.of(c, d)
+    assume(is_division(d1) and is_division(d2) and not is_isomorphic(d1, d2))
+    assert connecting_algebra(d1, d2) == _unpruned_connecting(d1, d2)
+
+
+def test_connecting_algebra_beyond_the_walk_is_constructed():
+    # the target {inf, 11, 17, 29} needs symbols beyond rank 400
+    first, second = QuaternionAlgebra(11, 17), QuaternionAlgebra(-26, -29)
+    connecting = connecting_algebra(first, second)
+    assert connecting == QuaternionAlgebra(-5423, -3)  # -5423 = -11 * 17 * 29
+    assert ramification(connecting) == (
+        INFINITE_PLACE, finite_place(11), finite_place(17), finite_place(29)
+    )
+
+
+def test_connecting_algebra_search_is_bounded(monkeypatch):
+    monkeypatch.setattr(quaternion, "_CONNECTING_RANK", 4)
+    monkeypatch.setattr(quaternion, "_CONSTRUCT_TRIES", 8)
+    with pytest.raises(SearchExhausted):
+        connecting_algebra(QuaternionAlgebra(11, 17), QuaternionAlgebra(-26, -29))
+    monkeypatch.setattr(quaternion, "_CONSTRUCT_TRIES", 12)
+    assert connecting_algebra(
+        QuaternionAlgebra(11, 17), QuaternionAlgebra(-26, -29)
+    ) == QuaternionAlgebra(-5423, -3)
 
 
 def test_genus_report():
