@@ -36,6 +36,10 @@ from .runner import RunConfig, render_report, run_script_data, summarize_report
 from .selftest import SUITES, run_suite
 from .symbols import hilbert_symbol, parse_place
 
+# characters per write to --out: a text file encodes each write as a whole, so
+# slicing keeps the encoded copy of a large report to one slice
+_OUT_SLICE = 1 << 20
+
 
 def _parse_form(text: str) -> DiagonalForm:
     parts = [p.strip() for p in text.split(",") if p.strip()]
@@ -204,7 +208,8 @@ def cmd_tower(args: argparse.Namespace) -> int:
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as handle:
-                handle.write(rendered)
+                for start in range(0, len(rendered), _OUT_SLICE):
+                    handle.write(rendered[start : start + _OUT_SLICE])
         except OSError as error:
             raise InputError(f"cannot write report: {error}") from error
     if args.output == "json":

@@ -3,18 +3,20 @@
 Symbols are evaluated on square-free representatives, so they are
 square-class invariant by construction. The closed forms are the
 standard ones: the sign rule at the real place, Legendre-symbol
-formulas at odd primes, and the epsilon/omega unit characters at 2.
+formulas at odd primes, and the epsilon/omega unit characters at 2
+(Serre, A Course in Arithmetic, Ch. III Thm. 1). A form's Hasse symbol
+at a place is their product over pairs of entries; by bilinearity it is
+read in one pass over the entries (Serre, Ch. IV Sec. 2; Lam,
+Introduction to Quadratic Forms over Fields, Ch. V).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
-from math import prod
 from typing import Iterable
 
-from .arith import Rational, factor, is_prime, legendre, squarefree_part
+from .arith import Rational, _factor_positive, is_prime, legendre, squarefree_part
 from .errors import InputError, _is_int
 
 
@@ -121,10 +123,10 @@ def local_is_square(a: int | Rational, place: Place) -> bool:
 
 
 def _places_of_classes(classes: list[int]) -> list[Place]:
-    """The relevant places of square classes; primes from factor need no second test."""
+    """The relevant places of square classes; primes from factoring need no second test."""
     primes = {2}
     for s in classes:
-        primes.update(p for p, _ in factor(s).prime_powers)
+        primes.update(p for p, _ in _factor_positive(abs(s)))
     return [INFINITE_PLACE] + [Place(p, p) for p in sorted(primes)]
 
 
@@ -133,14 +135,51 @@ def relevant_places_of(values: Iterable[int | Rational]) -> list[Place]:
     return _places_of_classes([squarefree_part(v) for v in values])
 
 
+def _hasse_squarefree(coeffs: list[int], prime: int | None) -> int:
+    """The product of _hilbert_squarefree(a_i, a_j, prime) over i < j, in one pass.
+
+    With a_i = p^alpha_i * u_i and k = sum(alpha_i), bilinearity gives
+    (-1)^C(r,2) at the real place, r the number of negative entries;
+    (-1)^(C(m,2) + sum omega(u_i) (k - alpha_i)) at 2, m the number of
+    u_i = 3 (mod 4); and (-1)^(epsilon(p) C(k,2)) * prod (u_i/p)^(k - alpha_i)
+    at odd p, whose Legendre factor is that of the units of the entries p
+    does not divide when k is odd, and of those it divides when k is even
+    (an empty product, 1, when k = 0). The prime must come from factoring,
+    so it is not tested again.
+    """
+    if prime is None:
+        r = sum(1 for a in coeffs if a < 0)
+        return -1 if (r * (r - 1) // 2) % 2 else 1
+    p = prime
+    if p == 2:
+        k = m = omegas = omegas_divided = 0
+        for a in coeffs:
+            alpha, u = _split_at(a, 2)
+            k += alpha
+            m += _epsilon(u)
+            w = _omega(u)
+            omegas += w
+            omegas_divided += alpha * w
+        exponent = m * (m - 1) // 2 + k * omegas - omegas_divided
+        return -1 if exponent % 2 else 1
+    k = 0
+    divided = undivided = 1  # products of units, mod p
+    for a in coeffs:
+        if a % p == 0:
+            k += 1
+            divided = divided * (a // p) % p
+        else:
+            undivided = undivided * a % p
+    value = -1 if (_epsilon(p) * (k * (k - 1) // 2)) % 2 else 1
+    units = undivided if k % 2 else divided
+    return value if pow(units, (p - 1) // 2, p) == 1 else -value
+
+
 def hasse_invariants(coefficients: Iterable[int | Rational]) -> tuple[tuple[Place, int], ...]:
     """(place, product of hilbert_symbol(a_i, a_j) over i < j) at each relevant place of a
     diagonal form, real place first; the Hasse symbol is 1 at every place not listed."""
     coeffs = [squarefree_part(c) for c in coefficients]
-    return tuple(
-        (v, prod(_hilbert_squarefree(a, b, v.prime) for a, b in combinations(coeffs, 2)))
-        for v in _places_of_classes(coeffs)
-    )
+    return tuple((v, _hasse_squarefree(coeffs, v.prime)) for v in _places_of_classes(coeffs))
 
 
 def hasse_invariant(coefficients: Iterable[int | Rational], place: Place) -> int:

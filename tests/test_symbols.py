@@ -1,10 +1,13 @@
 """Hilbert symbols: closed forms against the residue-search oracle."""
 
+from collections import Counter
 from fractions import Fraction
+from math import prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from quatgenus import arith, symbols
 from quatgenus.errors import InputError
 from quatgenus.oracles import hilbert_symbol_search
 from quatgenus.symbols import (
@@ -24,6 +27,23 @@ PLACES = [INFINITE_PLACE, finite_place(2), finite_place(3), finite_place(5), fin
 nonzero = st.integers(min_value=-200, max_value=200).filter(lambda n: n != 0)
 # entries with square factors, so the reduction to square classes is exercised
 unreduced = st.builds(lambda n, t: n * t * t, nonzero, st.integers(min_value=1, max_value=12))
+# signed products over a small prime pool, times squares: most entries share a
+# prime, so the count k of entries a prime divides takes both parities
+pooled = st.builds(
+    lambda sign, primes, t: sign * prod(primes) * t * t,
+    st.sampled_from([1, -1]),
+    st.lists(st.sampled_from([2, 3, 5, 7]), max_size=4),
+    st.integers(min_value=1, max_value=6),
+)
+
+
+def product_of_symbols(coefficients, place):
+    """The Hasse symbol by its definition: the product of (a_i, a_j) over i < j."""
+    value = 1
+    for i in range(len(coefficients)):
+        for j in range(i + 1, len(coefficients)):
+            value *= hilbert_symbol(coefficients[i], coefficients[j], place)
+    return value
 
 
 def test_worked_symbol_values():
@@ -116,23 +136,66 @@ def test_hasse_invariant_worked_value():
     assert hasse_invariants([-1, -1]) == ((INFINITE_PLACE, -1), (finite_place(2), -1))
 
 
-@given(st.lists(unreduced, min_size=1, max_size=5))
-@settings(max_examples=200)
+@given(
+    st.one_of(
+        st.lists(unreduced, min_size=1, max_size=16),
+        st.lists(pooled, min_size=1, max_size=16),
+    )
+)
+@settings(max_examples=300)
 def test_hasse_invariants_are_products_of_symbols(coefficients):
-    def product_of_symbols(place):
-        value = 1
-        for i in range(len(coefficients)):
-            for j in range(i + 1, len(coefficients)):
-                value *= hilbert_symbol(coefficients[i], coefficients[j], place)
-        return value
-
     listed = hasse_invariants(coefficients)
     assert [v for v, _ in listed] == relevant_places_of(coefficients)
     for v, e in listed:
-        assert e == product_of_symbols(v)
+        assert e == product_of_symbols(coefficients, v)
     # off the listed places the symbol is 1, and hasse_invariant reads the same table
     for v in PLACES + [finite_place(11), finite_place(13)]:
-        assert hasse_invariant(coefficients, v) == product_of_symbols(v)
+        assert hasse_invariant(coefficients, v) == product_of_symbols(coefficients, v)
+
+
+@pytest.mark.parametrize(
+    "coefficients, place, expected",
+    [
+        ([-1, -2, 3], INFINITE_PLACE, -1),  # r = 2
+        ([-1, -1, -1, 5], INFINITE_PLACE, -1),  # r = 3
+        ([3, 7, 5], finite_place(2), -1),  # k = 0
+        ([2, 3], finite_place(2), -1),  # k = 1
+        ([2, 6, 5], finite_place(2), -1),  # k = 2
+        ([2, 5], finite_place(3), 1),  # k = 0
+        ([3, 2], finite_place(3), -1),  # k = 1
+        ([3, 6, 5], finite_place(3), 1),  # k = 2
+        ([5, 10, 3], finite_place(5), -1),  # k = 2, epsilon(5) = 0
+    ],
+)
+def test_hasse_symbol_branches(coefficients, place, expected):
+    assert symbols._hasse_squarefree(coefficients, place.prime) == expected
+    assert product_of_symbols(coefficients, place) == expected
+
+
+def test_hasse_invariants_call_no_primality_test_and_no_pair_symbol(monkeypatch):
+    coefficients = [-1, 2, 3, -5, 6, -7, 10, 11, -13, 14, 15, -21, 22, 26, -30, 35]
+    relevant_places_of(coefficients)  # factoring tests its cofactors; warm its cache
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    is_prime = counted("is_prime", arith.is_prime)
+    monkeypatch.setattr(arith, "is_prime", is_prime)
+    monkeypatch.setattr(symbols, "is_prime", is_prime)
+    monkeypatch.setattr(
+        symbols, "_hilbert_squarefree", counted("pair", symbols._hilbert_squarefree)
+    )
+    assert len(hasse_invariants(coefficients)) == 7  # inf, 2, 3, 5, 7, 11, 13
+    assert calls == Counter()
+    # the public routes still test their modulus
+    with pytest.raises(InputError):
+        hilbert_symbol(15, 2, Place(15, 15))
+    assert calls == Counter(pair=1, is_prime=1)
 
 
 def test_parse_place():
