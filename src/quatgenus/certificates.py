@@ -20,12 +20,20 @@ status. Under a ReplayContext, replay() also checks each node object at most
 once across all its calls with that context: a node whose whole subtree has
 passed is not walked again. That relies on certificates being frozen: a
 node's JSON-valued parameters must not be mutated in place after a replay.
+
+Certificates share premises: a statement's certificate is built on its
+premises' objects, so one run's certificates form a DAG. Inside a
+shared_json() block, to_json() returns the same dict for the same node
+object, premises included, so a report holds each node's JSON once however
+often it is cited. Outside such a block every call builds fresh dicts.
 """
 
 from __future__ import annotations
 
 import copy
 from bisect import insort
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -126,6 +134,27 @@ def disc_mismatch(d1: DiscClass, d2: DiscClass, trivialized: tuple[int, ...]) ->
     return False
 
 
+# id(node) -> (node, its dict) while a shared_json() block is open, else None;
+# holding the node keeps its id from being reused
+_built_json: ContextVar[dict[int, tuple["Certificate", dict]] | None] = ContextVar(
+    "_built_json", default=None
+)
+
+
+@contextmanager
+def shared_json() -> Iterator[None]:
+    """Within the block, Certificate.to_json() returns one dict per node object.
+
+    The dicts are shared, so they must not be mutated; the table is dropped
+    when the block ends, whether or not it ends with an error.
+    """
+    token = _built_json.set({})
+    try:
+        yield
+    finally:
+        _built_json.reset(token)
+
+
 @dataclass(frozen=True, eq=False)
 class Certificate:
     rule: str
@@ -170,13 +199,25 @@ class Certificate:
 
     def to_json(self) -> dict:
         # top down with an explicit stack: each node's dict is made with an
-        # empty premise list, which its premises' dicts then fill in order
+        # empty premise list, which its premises' dicts then fill in order.
+        # Inside shared_json() a node whose dict exists is cited, not rebuilt.
+        built = _built_json.get()
+        if built is not None and id(self) in built:
+            return built[id(self)][1]
         root = self._own_json()
+        if built is not None:
+            built[id(self)] = (self, root)
         stack = [(self, root["premises"])]
         while stack:
             node, premises = stack.pop()
             for premise in node.premises:
+                known = None if built is None else built.get(id(premise))
+                if known is not None:
+                    premises.append(known[1])
+                    continue
                 data = premise._own_json()
+                if built is not None:
+                    built[id(premise)] = (premise, data)
                 premises.append(data)
                 stack.append((premise, data["premises"]))
         return root

@@ -6,6 +6,12 @@ one against the final tower before the report leaves this module, and
 counts honest UNKNOWNs among the required claims. Reports are rendered
 with sorted keys and fixed indentation so identical runs are identical
 bytes.
+
+A run's certificates share premise objects, so they form a DAG, and each
+object is handled once: replay checks it once and counts it at every visit,
+the report holds one dict per object, and the renderer writes a container
+met at several places once and re-indents that text for the other places.
+Steps are dispatched through _STEPS, one handler per step kind.
 """
 
 from __future__ import annotations
@@ -17,12 +23,14 @@ from json.encoder import encode_basestring_ascii
 
 from .arith import witness_sequence
 from .certificates import (
+    Certificate,
     FormLike,
     ReplayContext,
     Status,
     check_node,
     form_from_json,
     iter_certificates,
+    shared_json,
 )
 from .errors import InputError, _is_int
 from .quaternion import QuaternionAlgebra
@@ -163,63 +171,102 @@ def _window_classes(raw: object, config: RunConfig) -> list[int]:
     raise InputError(f"window must be a limit or a list of classes: {raw!r}")
 
 
+@dataclass(frozen=True)
+class _AdjoinStep:
+    form: FormLike
+    gate: TrackedStatement
+
+    def to_json(self) -> dict:
+        return {"kind": "adjoin", "form": self.form.to_json(), "gate": self.gate.to_json()}
+
+    def required_statements(self) -> list[TrackedStatement]:
+        return [self.gate]
+
+
+def _pushing(state: TowerState, script: Script, config: RunConfig, raw: dict):
+    classes = raw.get("classes")
+    if not isinstance(classes, list) or not all(_is_int(c) for c in classes):
+        raise InputError("the pushing step needs a list of integer classes")
+    return step_pushing_extension(state, script.family, classes)
+
+
+def _linking(state: TowerState, script: Script, config: RunConfig, raw: dict):
+    family = script.family if script.is_concrete else list(script.abstract)
+    return step_linking_extension(state, family)
+
+
+def _iterate(state: TowerState, script: Script, config: RunConfig, raw: dict):
+    window = _window_classes(raw.get("window"), config)
+    max_rounds = raw.get("max_rounds", config.max_levels)
+    if not _is_int(max_rounds):
+        raise InputError("max_rounds must be an integer")
+    return iterate_pushing(state, script.family, window, max_rounds)
+
+
+def _alternate(state: TowerState, script: Script, config: RunConfig, raw: dict):
+    window = _window_classes(raw.get("window"), config)
+    rounds = raw.get("rounds", 1)
+    max_rounds = raw.get("max_rounds", config.max_levels)
+    if not _is_int(rounds) or not _is_int(max_rounds):
+        raise InputError("rounds and max_rounds must be integers")
+    return run_alternating_truncation(state, script.family, window, rounds, max_rounds)
+
+
+def _adjoin(state: TowerState, script: Script, config: RunConfig, raw: dict):
+    phi = form_from_json(raw.get("form"))
+    state, gate = adjoin(state, phi)
+    return state, _AdjoinStep(phi, gate)
+
+
+# step kind -> handler returning the next state and a step with to_json()
+# and required_statements()
+_STEPS = {
+    "pushing": _pushing,
+    "linking": _linking,
+    "iterate": _iterate,
+    "alternate": _alternate,
+    "adjoin": _adjoin,
+}
+
+
 def execute_script(script: Script, config: RunConfig) -> dict:
-    """Run the steps, replay every certificate, and assemble the report."""
+    """Run the steps, replay every certificate, and assemble the report.
+
+    Certificates cite their premises' objects, so the run's certificates
+    form a DAG. Replay checks each node object once and counts it at every
+    visit, and the report holds one dict per node object (shared_json).
+    """
+    with shared_json():
+        return _execute(script, config)
+
+
+def _execute(script: Script, config: RunConfig) -> dict:
     state = TowerState(script.base)
     step_reports: list[dict] = []
     required: list[TrackedStatement] = []
     for raw in script.steps:
         kind = raw.get("kind")
-        if kind == "pushing":
-            classes = raw.get("classes")
-            if not isinstance(classes, list) or not all(_is_int(c) for c in classes):
-                raise InputError("the pushing step needs a list of integer classes")
-            state, step = step_pushing_extension(state, script.family, classes)
-            step_reports.append(step.to_json())
-            required += step.required_statements()
-        elif kind == "linking":
-            family = script.family if script.is_concrete else list(script.abstract)
-            state, step = step_linking_extension(state, family)
-            step_reports.append(step.to_json())
-            required += step.required_statements()
-        elif kind == "iterate":
-            window = _window_classes(raw.get("window"), config)
-            max_rounds = raw.get("max_rounds", config.max_levels)
-            if not _is_int(max_rounds):
-                raise InputError("max_rounds must be an integer")
-            state, report = iterate_pushing(state, script.family, window, max_rounds)
-            step_reports.append(report.to_json())
-            required += report.required_statements()
-        elif kind == "alternate":
-            window = _window_classes(raw.get("window"), config)
-            rounds = raw.get("rounds", 1)
-            max_rounds = raw.get("max_rounds", config.max_levels)
-            if not _is_int(rounds) or not _is_int(max_rounds):
-                raise InputError("rounds and max_rounds must be integers")
-            state, report = run_alternating_truncation(
-                state, script.family, window, rounds, max_rounds
-            )
-            step_reports.append(report.to_json())
-            required += report.required_statements()
-        elif kind == "adjoin":
-            phi = form_from_json(raw.get("form"))
-            state, gate = adjoin(state, phi)
-            step_reports.append(
-                {"kind": "adjoin", "form": phi.to_json(), "gate": gate.to_json()}
-            )
-            required.append(gate)
-        else:
+        handler = _STEPS.get(kind) if isinstance(kind, str) else None
+        if handler is None:
             raise InputError(f"unknown step kind: {kind!r}")
+        state, step = handler(state, script, config, raw)
+        step_reports.append(step.to_json())
+        required += step.required_statements()
     context = state.replay_context()
     checked = passed = 0
+    # id(node) -> (node, check_node's verdict); holding the node keeps its
+    # id from being reused
+    verdicts: dict[int, tuple[Certificate, bool]] = {}
     tracked_statements = [state.statement(f) for f in state.tracked]
     for stmt in required + tracked_statements:
         if stmt.certificate is None:
             continue
         for cert in iter_certificates(stmt.certificate):
+            known = verdicts.get(id(cert))
+            if known is None:
+                known = verdicts[id(cert)] = (cert, check_node(cert, context))
             checked += 1
-            if check_node(cert, context):
-                passed += 1
+            passed += known[1]
     unknowns = [stmt for stmt in required if stmt.status is Status.UNKNOWN]
     report = {
         "schema": SCHEMA,
@@ -252,6 +299,35 @@ _END = object()
 _STR = repeat(str)  # all(map(isinstance, d, _STR)): every key of d is a str
 
 
+def _shared_containers(value: object) -> set[int]:
+    """The ids of the non-empty lists, tuples and dicts reached at two or more places.
+
+    A container is walked the first time it is reached only, so one inside a
+    shared container is not counted again for each copy. The set only tells
+    render_report which texts to keep: a wrong entry costs time, never bytes,
+    so exact types are checked and dict keys are not.
+    """
+    seen: set[int] = set()
+    shared: set[int] = set()
+    stack = [value]
+    while stack:
+        value = stack.pop()
+        kind = type(value)
+        if kind is dict:
+            items = value.values()
+        elif kind is list or kind is tuple:
+            items = value
+        else:
+            continue
+        ident = id(value)
+        if ident in seen:
+            shared.add(ident)
+        elif value:
+            seen.add(ident)
+            stack.extend(items)
+    return shared
+
+
 def render_report(report: dict) -> str:
     """Canonical byte-stable JSON: json.dumps(report, indent=2, sort_keys=True) + "\\n".
 
@@ -263,7 +339,16 @@ def render_report(report: dict) -> str:
     handed to json.dumps whole and re-indented, which is exact because
     encoded JSON holds no raw newline. Any JSON value renders, not only
     reports.
+
+    A report cites one certificate dict from many places. A container met
+    at two or more places is written once: its text is kept, dedented to
+    depth 0, and each later occurrence appends it re-indented to its own
+    depth. The first occurrence is written in traversal order, so a cycle
+    or an unserializable value raises just where json.dumps raises.
     """
+    shared = _shared_containers(report)
+    written: dict[int, str] = {}  # id -> text at depth 0, for shared containers
+    captures: list[tuple[int, int]] = []  # (id, index in parts) per open shared container
     newlines = ["\n"]  # newlines[d] == "\n" + "  " * d, grown on demand
     separators: dict[int, str] = {}  # "," + newlines[d], for containers of 2+ items
     batches: list[str] = []
@@ -277,7 +362,7 @@ def render_report(report: dict) -> str:
     depth = 0
     value: object = report
     while True:
-        if len(parts) >= _BATCH:
+        if len(parts) >= _BATCH and not captures:
             batches.append("".join(parts))
             parts.clear()
         if isinstance(value, str):
@@ -294,13 +379,18 @@ def render_report(report: dict) -> str:
             isinstance(value, dict) and all(map(isinstance, value, _STR))
         ):
             is_dict = isinstance(value, dict)
+            ident = id(value)
             if not value:
                 append("{}" if is_dict else "[]")
+            elif ident in written:
+                text = written[ident]
+                append(text.replace("\n", newlines[depth]) if depth else text)
             else:
-                ident = id(value)
                 if ident in open_ids:
                     raise ValueError("Circular reference detected")
                 open_ids.add(ident)
+                if ident in shared:
+                    captures.append((ident, len(parts)))
                 depth += 1
                 if depth == len(newlines):
                     newlines.append(newlines[-1] + "  ")
@@ -337,6 +427,12 @@ def render_report(report: dict) -> str:
             depth -= 1
             append(newlines[depth])
             append("}" if is_dict else "]")
+            if captures and captures[-1][0] == ident:
+                start = captures.pop()[1]
+                text = "".join(parts[start:])
+                del parts[start:]
+                append(text)
+                written[ident] = text.replace(newlines[depth], "\n") if depth else text
         else:
             append("\n")
             batches.append("".join(parts))

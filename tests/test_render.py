@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -96,6 +97,86 @@ def test_render_matches_json_dumps(value):
     assert _outcome(render_report, value) == _outcome(_reference, value)
 
 
+# small scalars and keys keep generation fast; test_render_matches_json_dumps
+# covers text and numbers
+small = st.one_of(st.none(), st.booleans(), st.integers(-9, 9), st.sampled_from(["", "é\n", 1.5]))
+small_keys = st.sampled_from(["a", "b", "", 'é"'])
+
+
+def _containers(children, mixed_keys=False, min_size=1):
+    options = [
+        st.lists(children, min_size=min_size, max_size=3),
+        st.lists(children, min_size=min_size, max_size=3).map(tuple),
+        st.dictionaries(small_keys, children, min_size=min_size, max_size=3),
+    ]
+    if mixed_keys:
+        keys = st.one_of(small_keys, st.integers(-2, 2), st.none())
+        options.append(st.dictionaries(keys, children, min_size=1, max_size=2))
+    return st.one_of(options)
+
+
+@st.composite
+def shared_values(draw):
+    """A value citing drawn sub-values at several places and depths, maybe on a cycle.
+
+    Each sub-value may cite the ones drawn before it, so shared containers
+    nest inside shared containers.
+    """
+    pool: list = []
+    for _ in range(draw(st.integers(1, 5))):
+        leaves = st.one_of(small, st.builds(object), *([st.sampled_from(pool)] if pool else []))
+        pool.append(draw(_containers(leaves, mixed_keys=True)))
+    cited = st.sampled_from(pool)
+    nested = st.one_of(cited, _containers(cited), _containers(_containers(cited)), small)
+    value = draw(_containers(nested, min_size=2))
+    lists = [sub for sub in pool if isinstance(sub, list)]
+    if lists and draw(st.booleans()):
+        # a cycle through a shared list: the value cites the list, which cites the value
+        target = draw(st.sampled_from(lists))
+        value = [value, target]
+        target.append(value)
+    return value
+
+
+def _shared_at_several_depths():
+    leaf = {"k": [1, "v"]}
+    middle = [leaf, leaf]
+    return {"a": middle, "b": [[middle]], "c": {"d": leaf}}
+
+
+def _shared_object():
+    inner = [1, object()]
+    return {"a": inner, "b": [inner]}
+
+
+def _shared_mixed_keys():
+    mixed = {"x": [1], 2: "two"}
+    return [mixed, {"k": mixed}, [[mixed]]]
+
+
+def _shared_sortable_non_str_keys():
+    ints = {2: [3], 1: {"y": None}}
+    return {"a": ints, "b": [ints, (ints,)]}
+
+
+def _cycle_through_shared():
+    shared: list = [1]
+    root = {"first": shared, "second": [shared]}
+    shared.append(root)
+    return root
+
+
+@given(shared_values())
+@settings(max_examples=300)
+@example(_shared_at_several_depths())
+@example(_shared_object())
+@example(_shared_mixed_keys())
+@example(_shared_sortable_non_str_keys())
+@example(_cycle_through_shared())
+def test_render_matches_json_dumps_on_shared_values(value):
+    assert _outcome(render_report, value) == _outcome(_reference, value)
+
+
 def test_reports_render_byte_identically():
     pushing, _code = run_script_data(WORKED_PUSHING, RunConfig())
     golden = (DATA / "worked_pushing_report.json").read_text()
@@ -125,3 +206,49 @@ def test_render_does_not_recurse_on_deep_nesting():
     assert rendered.count("\n") == 2 * 4999 + 1
     assert rendered.startswith("[\n  [\n    [\n") and rendered.endswith("\n  ]\n]\n")
     assert ("\n" + "  " * 4999 + "[]\n") in rendered
+
+
+def _frames() -> int:
+    frames, frame = 0, sys._getframe()
+    while frame is not None:
+        frames, frame = frames + 1, frame.f_back
+    return frames
+
+
+def test_render_does_not_recurse_on_shared_nesting():
+    # every level of the chain is also listed in a side list, so each level is
+    # a shared container that opens inside the one above it. The text grows
+    # with the cube of the depth, so the depth stays small and the recursion
+    # limit is cut below it instead.
+    levels: list = []
+    chain: list = []
+    for _ in range(200):
+        chain = [chain, 0]
+        levels.append(chain)
+    value = {"chain": chain, "levels": levels}
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_frames() + 60)  # far fewer frames than nesting levels
+    try:
+        rendered = render_report(value)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert rendered == _reference(value)
+
+
+def test_render_does_not_recurse_on_a_deep_chain_with_shared_levels():
+    deep: list = []
+    levels: list = []
+    for _ in range(4999):
+        deep = [deep]  # 5,000 lists
+        levels.append(deep)
+    # the innermost levels are also listed beside the chain: each is captured
+    # about 5,000 levels deep and written again two levels deep
+    side = levels[:3]
+    rendered = render_report([deep, side])
+    assert rendered == (
+        "[\n  "
+        + render_report(deep)[:-1].replace("\n", "\n  ")
+        + ",\n  "
+        + _reference(side)[:-1].replace("\n", "\n  ")
+        + "\n]\n"
+    )

@@ -1,15 +1,18 @@
 """Tower engine: gated adjunction, certified steps, iteration, replay, tampering."""
 
 import copy
+import hashlib
 import json
+import subprocess
 import sys
 from dataclasses import replace
 from functools import lru_cache
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quatgenus import certificates, tower
+from quatgenus import certificates, runner, tower
 from quatgenus.arith import squarefree_part, witness_sequence
 from quatgenus.certificates import (
     MAX_DEPTH,
@@ -25,6 +28,7 @@ from quatgenus.certificates import (
     iter_certificates,
     monotone_certificate,
     replay,
+    shared_json,
     tamper,
 )
 from quatgenus.errors import InputError, PreconditionError, TruncationError
@@ -68,6 +72,13 @@ WORKED_PUSHING = {
 DEEP_SCRIPT = {
     "base": "rationals",
     "algebras": [[-1, -1], [-1, -3], [-2, -5], [-1, -7]],
+    "steps": [{"kind": "alternate", "rounds": 2, "max_rounds": 4, "window": 20}],
+}
+# the same step over the first eight pairwise non-isomorphic division algebras
+# with entries drawn in order from -1, 2, -2, 3, -3, 5, -5, ..., 13, -13
+WIDTH_8_SCRIPT = {
+    "base": "rationals",
+    "algebras": [[-1, -1], [-1, 3], [-1, -3], [-1, 7], [-1, -7], [-1, 11], [-1, -11], [2, 5]],
     "steps": [{"kind": "alternate", "rounds": 2, "max_rounds": 4, "window": 20}],
 }
 
@@ -925,3 +936,107 @@ def test_tower_state_equality_hash_and_repr_ignore_the_statements():
     assert used == unused and hash(used) == hash(unused) and repr(used) == repr(unused)
     assert "_statements" not in repr(used)
     assert replace(used)._statements == {}
+
+
+@pytest.mark.parametrize(
+    "script, objects, visits",
+    [
+        pytest.param(DEEP_SCRIPT, 359, 1175, id="tower-deep"),
+        pytest.param(WIDTH_8_SCRIPT, 2935, 18835, id="width-8"),
+    ],
+)
+def test_in_run_replay_checks_each_certificate_object_once(monkeypatch, script, objects, visits):
+    calls = []
+    real = runner.check_node
+    monkeypatch.setattr(runner, "check_node", lambda cert, ctx: calls.append(cert) or real(cert, ctx))
+    report, code = run_script_data(script, RunConfig())
+    assert len(calls) == len({id(node) for node in calls}) == objects
+    assert report["replay"] == {"checked": visits, "passed": visits} and code == 0
+
+
+def test_the_width_8_report_keeps_its_bytes():
+    report, _ = run_script_data(WIDTH_8_SCRIPT, RunConfig())
+    digest = hashlib.sha256(render_report(report).encode()).hexdigest()
+    assert digest == "4732e71664cd46292022c3cfdef6aafa4528fa861937a1a15cf0e4a2cef9ddcf"
+
+
+def test_a_shared_node_that_fails_counts_at_every_visit(monkeypatch):
+    real_check, real_iter = runner.check_node, runner.iter_certificates
+    checked: list[Certificate] = []
+    visited: list[Certificate] = []
+
+    def iter_recorded(cert):
+        for node in real_iter(cert):
+            visited.append(node)
+            yield node
+
+    monkeypatch.setattr(runner, "iter_certificates", iter_recorded)
+    monkeypatch.setattr(runner, "check_node", lambda c, ctx: checked.append(c) or real_check(c, ctx))
+    run_script_data(DEEP_SCRIPT, RunConfig())
+    # the first object checked more than once had it been checked per visit;
+    # runs are deterministic, so it is the same call in the next run
+    target = next(i for i, node in enumerate(checked) if sum(v is node for v in visited) > 1)
+    checked.clear()
+    visited.clear()
+
+    def fail_target(cert, ctx):
+        checked.append(cert)
+        return len(checked) - 1 != target and real_check(cert, ctx)
+
+    monkeypatch.setattr(runner, "check_node", fail_target)
+    report, code = run_script_data(DEEP_SCRIPT, RunConfig())
+    failed = checked[target]
+    visits = sum(node is failed for node in visited)
+    assert visits > 1
+    assert report["replay"] == {"checked": 1175, "passed": 1175 - visits}
+    assert code == 1
+
+
+def _pfister_over_base() -> Certificate:
+    state, _ = adjoin(TowerState(RationalBase()), DiagonalForm((-2, 1, 3, 3)))
+    cert = derive_status(state, DiagonalForm((1, 1, 1, 1))).certificate
+    assert cert.rule == "R-PFISTER" and cert.premises[0].rule == "R-BASE"
+    return cert
+
+
+def test_to_json_builds_fresh_dicts_outside_a_run():
+    cert = _pfister_over_base()
+    first, second = cert.to_json(), cert.to_json()
+    assert first == second and first is not second
+    assert first["premises"][0] is not second["premises"][0]
+    expected = copy.deepcopy(first)
+    first["level"] = 7
+    first["premises"][0]["status"] = "isotropic"
+    first["premises"].append(None)
+    assert cert.to_json() == expected
+    with shared_json():
+        shared = cert.to_json()
+        assert cert.to_json() is shared
+        assert cert.premises[0].to_json() is shared["premises"][0]
+        assert shared == expected
+    assert cert.to_json() is not shared
+
+
+def test_a_failed_run_leaves_no_shared_dicts_behind():
+    bad = {**WORKED_PUSHING, "steps": [*WORKED_PUSHING["steps"], {"kind": "unknown"}]}
+    with pytest.raises(InputError, match="unknown step kind"):
+        run_script_data(bad, RunConfig())
+    assert certificates._built_json.get() is None
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    fresh = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; sys.path.insert(0, sys.argv[1]); "
+         "from quatgenus.runner import RunConfig, render_report, run_script_data; "
+         f"sys.stdout.write(render_report(run_script_data({WORKED_PUSHING!r}, RunConfig())[0]))",
+         src],
+        capture_output=True, text=True, check=True,
+    ).stdout
+    report, _ = run_script_data(WORKED_PUSHING, RunConfig())
+    assert render_report(report) == fresh
+
+
+def test_unknown_and_unhashable_step_kinds_are_input_errors():
+    for kind in ("unknown", None, ["pushing"], {"kind": "pushing"}):
+        script = {**WORKED_PUSHING, "steps": [{"kind": kind, "classes": [-2]}]}
+        with pytest.raises(InputError, match="unknown step kind"):
+            run_script_data(script, RunConfig())
