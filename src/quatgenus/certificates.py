@@ -16,10 +16,15 @@ nodes apply exactly two persistence principles plus bookkeeping:
 
 check_node() re-derives the facts one node consumed from its premises' stored
 fields, and replay() checks each node of a tree once; neither trusts a stored
-status. Under a ReplayContext, replay() also checks each node object at most
-once across all its calls with that context: a node whose whole subtree has
-passed is not walked again. That relies on certificates being frozen: a
-node's JSON-valued parameters must not be mutated in place after a replay.
+status. R-GENERIC, R-PFISTER and R-HOFFMANN need 1 <= level and, under a
+context with adjunctions, level <= the tower height and the node's `adjoined`
+form adjoined at that level. A malformed node gets False in bounded work: a
+stored exponent is bounded before 2 is raised to it, and a coefficient that
+factoring gives up on (SearchExhausted) fails the node. Under a ReplayContext,
+replay() also checks each node object at most once across all its calls with
+that context: a node whose whole subtree has passed is not walked again. That
+relies on certificates being frozen: a node's JSON-valued parameters must not
+be mutated in place after a replay.
 
 Certificates share premises: a statement's certificate is built on its
 premises' objects, so one run's certificates form a DAG. Inside a
@@ -36,11 +41,11 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterator, Union
 
-from .arith import squarefree_part
-from .errors import InputError, _is_int
+from .arith import factor, squarefree_part
+from .errors import InputError, SearchExhausted, _is_int
 from .forms import (
     DiagonalForm,
     is_isotropic,
@@ -117,17 +122,30 @@ def form_pfister_exponent(form: FormLike) -> int | None:
     return form.pfister_exponent()
 
 
-def _int_span(classes: tuple[int, ...]) -> set[int]:
-    span = {1}
-    for t in classes:
-        span |= {squarefree_part(x * t) for x in span}
-    return span
+@lru_cache(maxsize=4096)
+def _square_class(t: int) -> frozenset[int]:
+    """t's square class as a vector over F_2: its primes of odd exponent, and -1 when t < 0."""
+    f = factor(t)
+    return frozenset([p for p, e in f.prime_powers if e % 2] + [-1] * (f.sign < 0))
+
+
+def _in_int_span(d: int, classes: tuple[int, ...]) -> bool:
+    """Is d's square class a product of some of the classes? Elimination over
+    F_2, storing one reduced class per leading (largest) prime."""
+    basis: dict[int, frozenset[int]] = {}
+    for t in (*classes, d):  # d last: it is in the span when it reduces to nothing
+        v = _square_class(t)
+        while v and (lead := max(v)) in basis:
+            v ^= basis[lead]
+        if v:
+            basis[lead] = v
+    return not v
 
 
 def disc_mismatch(d1: DiscClass, d2: DiscClass, trivialized: tuple[int, ...]) -> bool:
     """Do the discriminants differ modulo the classes a dim-2 adjunction killed?"""
     if isinstance(d1, int) and isinstance(d2, int):
-        return squarefree_part(d1 * d2) not in _int_span(trivialized)
+        return not _in_int_span(d1 * d2, trivialized)
     if isinstance(d1, SymbolicClass) and isinstance(d2, SymbolicClass):
         # abstract towers never adjoin binary forms, so no symbolic classes trivialize
         return d1 != d2
@@ -445,11 +463,35 @@ def check_node(cert: Certificate, context: ReplayContext | None = None) -> bool:
     """Check one node's rule against the stored fields of its premises, not their proofs."""
     try:
         return _check_node(cert, context)
-    except (InputError, AssertionError):
+    except (InputError, AssertionError, SearchExhausted):
         return False
 
 
+def _sole_premise(cert: Certificate, status: Status) -> Certificate | None:
+    """The node's one premise, when the node and it both have the status and one subject."""
+    if cert.status is not status or len(cert.premises) != 1:
+        return None
+    premise = cert.premises[0]
+    if premise.status is not status or not forms_equal(premise.subject, cert.subject):
+        return None
+    return premise
+
+
+def _adjoined(cert: Certificate, context: ReplayContext | None) -> FormLike | None:
+    """The node's parsed `adjoined` form, when 1 <= level and, under a context
+    with adjunctions, level <= the tower height and that form was adjoined there."""
+    if cert.level < 1:
+        return None
+    adjoined = form_from_json(cert.param("adjoined"))
+    if context is not None and context.adjunctions is not None:
+        tower = context.adjunctions
+        if cert.level > len(tower) or not forms_equal(tower[cert.level - 1], adjoined):
+            return None
+    return adjoined
+
+
 def _check_node(cert: Certificate, context: ReplayContext | None) -> bool:
+    # a tuple test first: a rule read from JSON may be an unhashable list
     if cert.rule not in RULES or cert.level < 0:
         return False
     if cert.status is Status.UNKNOWN:
@@ -479,94 +521,50 @@ def _check_node(cert: Certificate, context: ReplayContext | None) -> bool:
         declared = context.assumption_subject(ident)
         return declared is not None and forms_equal(declared, cert.subject)
     if cert.rule == "R-GENERIC":
-        if cert.level < 1 or cert.premises or cert.status is not Status.ISOTROPIC:
+        if cert.premises or cert.status is not Status.ISOTROPIC:
             return False
-        adjoined = form_from_json(cert.param("adjoined"))
-        if not forms_match(cert.subject, adjoined):
-            return False
-        if context is not None and context.adjunctions is not None:
-            if cert.level > len(context.adjunctions):
-                return False
-            if not forms_equal(context.adjunctions[cert.level - 1], adjoined):
-                return False
-        return True
+        adjoined = _adjoined(cert, context)
+        return adjoined is not None and forms_match(cert.subject, adjoined)
     if cert.rule == "R-MONOTONE":
-        if len(cert.premises) != 1 or cert.status is not Status.ISOTROPIC:
-            return False
-        premise = cert.premises[0]
+        premise = _sole_premise(cert, Status.ISOTROPIC)
+        from_level = cert.param("from_level")
         return (
-            premise.status is Status.ISOTROPIC
+            premise is not None
             and premise.level < cert.level
-            and _is_int(cert.param("from_level"))
-            and cert.param("from_level") == premise.level
-            and forms_equal(premise.subject, cert.subject)
+            and _is_int(from_level)
+            and from_level == premise.level
         )
-    if cert.rule == "R-PFISTER":
-        if len(cert.premises) != 1 or cert.status is not Status.ANISOTROPIC:
-            return False
-        premise = cert.premises[0]
-        if (
-            premise.status is not Status.ANISOTROPIC
-            or premise.level != cert.level - 1
-            or not forms_equal(premise.subject, cert.subject)
-        ):
-            return False
-        n = cert.param("exponent")
-        adjoined = form_from_json(cert.param("adjoined"))
-        if not _is_int(n) or cert.subject.dim != 2**n:
-            return False
-        if form_pfister_exponent(cert.subject) != n:
-            return False
-        if adjoined.dim != 2**n:
-            return False
-        stored_sd = disc_from_json(cert.param("subject_disc"))
-        stored_ad = disc_from_json(cert.param("adjoined_disc"))
-        if cert.subject.signed_disc() != stored_sd or adjoined.signed_disc() != stored_ad:
-            return False
-        raw_ctx = cert.param("disc_context")
-        if not isinstance(raw_ctx, list) or not all(map(_is_int, raw_ctx)):
-            return False
-        trivialized = tuple(raw_ctx)
-        if context is not None and context.adjunctions is not None:
-            if trivialized != context.trivialized_below(cert.level):
-                return False
-            if cert.level > len(context.adjunctions) or not forms_equal(
-                context.adjunctions[cert.level - 1], adjoined
-            ):
-                return False
-        return disc_mismatch(stored_sd, stored_ad, trivialized)
-    if cert.rule == "R-HOFFMANN":
-        if len(cert.premises) != 1 or cert.status is not Status.ANISOTROPIC:
-            return False
-        premise = cert.premises[0]
-        if (
-            premise.status is not Status.ANISOTROPIC
-            or premise.level != cert.level - 1
-            or not forms_equal(premise.subject, cert.subject)
-        ):
-            return False
-        n = cert.param("exponent")
-        adjoined = form_from_json(cert.param("adjoined"))
-        if not _is_int(n) or n < 0:
-            return False
-        if context is not None and context.adjunctions is not None:
-            if cert.level > len(context.adjunctions) or not forms_equal(
-                context.adjunctions[cert.level - 1], adjoined
-            ):
-                return False
-        return cert.subject.dim <= 2**n < adjoined.dim
+    premise = _sole_premise(cert, Status.ANISOTROPIC)
+    if premise is None:
+        return False
     if cert.rule == "R-CHAIN":
-        if len(cert.premises) != 1 or cert.status is not Status.ANISOTROPIC:
+        levels = cert.param("levels")
+        return premise.level == cert.level and _is_int(levels) and levels == cert.level
+    # R-PFISTER and R-HOFFMANN carry the premise up one level, across the adjunction
+    n = cert.param("exponent")
+    adjoined = _adjoined(cert, context)
+    if premise.level != cert.level - 1 or adjoined is None or not _is_int(n):
+        return False
+    if cert.rule == "R-HOFFMANN":
+        # 2**n < adjoined.dim implies n < adjoined.dim, so n is bounded before the power
+        return 0 <= n < adjoined.dim and cert.subject.dim <= 2**n < adjoined.dim
+    # R-PFISTER; the subject's own Pfister exponent bounds n before the power
+    if form_pfister_exponent(cert.subject) != n:
+        return False
+    if adjoined.dim != 2**n:
+        return False
+    stored_sd = disc_from_json(cert.param("subject_disc"))
+    stored_ad = disc_from_json(cert.param("adjoined_disc"))
+    if cert.subject.signed_disc() != stored_sd or adjoined.signed_disc() != stored_ad:
+        return False
+    raw_ctx = cert.param("disc_context")
+    if not isinstance(raw_ctx, list) or not all(map(_is_int, raw_ctx)):
+        return False
+    trivialized = tuple(raw_ctx)
+    if context is not None and context.adjunctions is not None:
+        if trivialized != context.trivialized_below(cert.level):
             return False
-        premise = cert.premises[0]
-        return (
-            premise.status is Status.ANISOTROPIC
-            and premise.level == cert.level
-            and _is_int(cert.param("levels"))
-            and cert.param("levels") == cert.level
-            and forms_equal(premise.subject, cert.subject)
-        )
-    return False
+    return disc_mismatch(stored_sd, stored_ad, trivialized)
 
 
 def iter_certificates(cert: Certificate):

@@ -383,18 +383,7 @@ SUITES = {
     "certificates": run_certificates,
 }
 
-_DEFAULT_TRIALS = {
-    "product-formula": 1000,
-    "isotropy-oracle": 0,
-    "linkage-q": 200,
-    "genus-q": 200,
-    "certificates": 100,
-}
-
 
 def run_suite(name: str, trials: int | None = None, seed: int = 0) -> SuiteResult:
-    if name not in SUITES:
-        raise KeyError(name)
-    if trials is None:
-        trials = _DEFAULT_TRIALS[name]
-    return SUITES[name](trials, seed)
+    suite = SUITES[name]  # KeyError on an unknown name
+    return suite(seed=seed) if trials is None else suite(trials, seed)

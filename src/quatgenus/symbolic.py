@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InputError
+from .errors import InputError, _is_int
 
 
 @dataclass(frozen=True)
@@ -54,7 +54,9 @@ class SymbolicClass:
         if (
             not isinstance(data, dict)
             or set(data) != {"sign", "symbols"}
+            or not _is_int(data["sign"])
             or not isinstance(data["symbols"], list)
+            or not all(isinstance(s, str) for s in data["symbols"])
         ):
             raise InputError(f"not a symbolic class: {data!r}")
         return cls(data["sign"], tuple(sorted(data["symbols"])))
@@ -105,7 +107,11 @@ class SymbolicForm:
 
     @classmethod
     def from_json(cls, data: object) -> "SymbolicForm":
-        if not isinstance(data, dict) or set(data) != {"symbolic"}:
+        if (
+            not isinstance(data, dict)
+            or set(data) != {"symbolic"}
+            or not isinstance(data["symbolic"], list)
+        ):
             raise InputError(f"not a symbolic form: {data!r}")
         return cls(tuple(SymbolicClass.from_json(c) for c in data["symbolic"]))
 

@@ -1,0 +1,274 @@
+"""Certificate checking: malformed nodes get False in bounded work, and the
+discriminant span test agrees with the explicit span."""
+
+from dataclasses import replace
+from functools import lru_cache
+from math import prod
+
+import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
+
+from quatgenus import certificates
+from quatgenus.arith import squarefree_part
+from quatgenus.certificates import (
+    RULES,
+    Certificate,
+    ReplayContext,
+    base_certificate,
+    check_node,
+    disc_mismatch,
+    generic_certificate,
+    hoffmann_certificate,
+    iter_certificates,
+    pfister_certificate,
+    replay,
+)
+from quatgenus.errors import InputError
+from quatgenus.forms import DiagonalForm
+from quatgenus.runner import RunConfig, context_from_report, run_script_data
+from quatgenus.symbolic import SymbolicForm
+
+QUAD = DiagonalForm((1, 1, 1, 1))
+
+
+def _lifted(rule: str, level: int) -> tuple[Certificate, DiagonalForm]:
+    """An R-PFISTER or R-HOFFMANN node over <1,1,1,1> at the level, and its adjoined form."""
+    premise = base_certificate(QUAD)
+    premise = replace(premise, level=level - 1)
+    if rule == "R-PFISTER":
+        adjoined = DiagonalForm((-2, 1, 3, 3))
+        return pfister_certificate(premise, adjoined, level, 2, ()), adjoined
+    adjoined = DiagonalForm((1, 1, 1, 1, 1))
+    return hoffmann_certificate(premise, adjoined, level, 2), adjoined
+
+
+@pytest.mark.parametrize("rule", ["R-PFISTER", "R-HOFFMANN"])
+def test_a_lift_needs_a_level_of_the_tower(rule):
+    cert, adjoined = _lifted(rule, 1)
+    assert check_node(cert) and check_node(cert, ReplayContext(adjunctions=(adjoined,)))
+    assert not check_node(cert, ReplayContext(adjunctions=()))
+    low, adjoined = _lifted(rule, 0)
+    for context in (None, ReplayContext(adjunctions=(adjoined,)), ReplayContext(adjunctions=())):
+        assert check_node(low, context) is False
+
+
+class _NoPower(int):
+    """An exponent that must be bounded before it is raised as a power of 2."""
+
+    def __rpow__(self, base):
+        raise RuntimeError("raised as a power before it was bounded")
+
+
+@pytest.mark.parametrize("rule", ["R-PFISTER", "R-HOFFMANN"])
+def test_no_stored_exponent_is_raised_before_it_is_bounded(rule):
+    cert, adjoined = _lifted(rule, 1)
+    huge = replace(cert, parameters=tuple(
+        (k, _NoPower(30_000_000) if k == "exponent" else v) for k, v in cert.parameters
+    ))
+    assert check_node(huge) is False
+    assert check_node(huge, ReplayContext(adjunctions=(adjoined,))) is False
+
+
+def test_a_list_valued_rule_gets_false():
+    data = base_certificate(DiagonalForm((1, -1))).to_json()
+    assert replay(Certificate.from_json(data))
+    cert = Certificate.from_json({**data, "rule": ["R-BASE"]})
+    assert check_node(cert) is False and replay(cert) is False
+
+
+def test_a_coefficient_the_checker_cannot_factor_gets_false():
+    # two large prime factors: factoring gives up after its rho budget
+    hard = (2**89 - 1) * (2**107 - 1)
+    generic = generic_certificate(QUAD, QUAD, 1)
+    cert = replace(generic, parameters=(("adjoined", [1, -hard]),))
+    assert check_node(cert) is False and replay(cert) is False
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"symbolic": 5},
+        {"symbolic": [{"sign": 1, "symbols": [1, "a"]}]},
+        {"symbolic": [{"sign": True, "symbols": ["a"]}]},
+        {"symbolic": [{"sign": 1.0, "symbols": ["a"]}]},
+    ],
+)
+def test_symbolic_json_of_the_wrong_types_is_an_input_error(bad):
+    with pytest.raises(InputError):
+        SymbolicForm.from_json(bad)
+    generic = generic_certificate(QUAD, QUAD, 1)
+    cert = replace(generic, parameters=(("adjoined", bad),))
+    assert check_node(cert) is False
+
+
+def _explicit_span(classes: tuple[int, ...]) -> set[int]:
+    """All products of the classes, modulo squares: the reference, 2^k of them."""
+    span = {1}
+    for t in classes:
+        span |= {squarefree_part(x * t) for x in span}
+    return span
+
+
+_CLASS = st.lists(st.sampled_from([-1, 2, 3, 5, 7, 4, 9]), min_size=1, max_size=4).map(prod)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.one_of(_CLASS, st.integers(-500, 500).filter(bool)), max_size=7),
+    _CLASS,
+    _CLASS,
+)
+def test_disc_mismatch_agrees_with_the_explicit_span(classes, d1, d2):
+    classes = tuple(classes)
+    expected = squarefree_part(d1 * d2) not in _explicit_span(classes)
+    assert disc_mismatch(d1, d2, classes) is expected
+
+
+def test_disc_mismatch_factors_each_killed_class_once(monkeypatch):
+    primes = [p for p in range(2, 200) if all(p % q for q in range(2, p))]  # 46 primes
+    killed = tuple(-p for p in primes)
+    calls = []
+    real = certificates.factor
+    monkeypatch.setattr(certificates, "factor", lambda n: calls.append(n) or real(n))
+    certificates._square_class.cache_clear()
+    # -2 * -3 * -5 is in the span; -1 is not, since every class brings one prime
+    assert not disc_mismatch(-30, 1, killed)
+    assert disc_mismatch(-1, 1, killed)
+    assert sorted(calls) == sorted([*killed, -30, -1])
+
+
+# Certificate JSON that is mostly well formed, so the checks past the first
+# few are reached: each field is plausible for the node's rule, or now and
+# then junk, and a premise mostly copies its parent's subject and status one
+# level down. Integers stay within trial division.
+_INT = st.integers(-(10**6), 10**6)
+_JUNK = st.one_of(
+    st.none(), st.booleans(), _INT, st.text(max_size=3), st.lists(_INT, max_size=2),
+    st.dictionaries(st.text(max_size=2), _INT, max_size=2),
+)
+
+
+@st.composite
+def _mostly(draw, valid, junk=_JUNK, one_in=16):
+    """A value from the valid strategy, or now and then one from junk."""
+    return draw(valid) if draw(st.integers(1, one_in)) > 1 else draw(junk)
+
+
+_SYMBOLIC_CLASS = st.fixed_dictionaries({
+    "sign": _mostly(st.sampled_from([1, -1]), one_in=4),
+    "symbols": _mostly(
+        st.lists(st.sampled_from(["a1", "b1", "a2", "b2"]), unique=True, max_size=3),
+        st.lists(st.sampled_from(["a1", 1, "a1"]), min_size=1, max_size=3),
+        one_in=4,
+    ),
+})
+_SUBJECT = st.one_of(
+    st.sampled_from([
+        [1, 1, 1, 1], [-2, 1, 3, 3], [1, -2], [1, 1, 1, 1, 1], [-1, -1],
+        {"symbolic": [{"sign": 1, "symbols": []}, {"sign": -1, "symbols": ["a1"]}]},
+    ]),
+    st.lists(_INT, min_size=1, max_size=5),
+)
+_FORM = st.one_of(
+    st.fixed_dictionaries({"symbolic": _mostly(st.lists(_SYMBOLIC_CLASS, min_size=1, max_size=4))}),
+    _SUBJECT,
+)
+_LEVEL = st.sampled_from([0, 1, 2, 3, -1])
+_VALUES = {
+    "verdict": st.sampled_from(["isotropic", "anisotropic"]),
+    "failing_place": st.one_of(st.sampled_from(["inf", 2, 3, 5, 7]), _INT),
+    "assumption_id": st.sampled_from(["norms-1", "link-12", "x"]),
+    "adjoined": _FORM,
+    "from_level": _LEVEL,
+    "levels": _LEVEL,
+    "exponent": st.one_of(st.integers(-1, 4), _INT),
+    "subject_disc": st.one_of(_INT, _SYMBOLIC_CLASS),
+    "adjoined_disc": st.one_of(_INT, _SYMBOLIC_CLASS),
+    "disc_context": st.lists(_INT, max_size=3),
+}
+# each rule's parameter keys, status and premise count, as the engine writes them
+_SHAPES = {
+    "R-BASE": (("verdict", "failing_place"), None, 0),
+    "R-ASSUME": (("assumption_id",), "anisotropic", 0),
+    "R-GENERIC": (("adjoined",), "isotropic", 0),
+    "R-MONOTONE": (("from_level",), "isotropic", 1),
+    "R-PFISTER": (
+        ("exponent", "adjoined", "subject_disc", "adjoined_disc", "disc_context"), "anisotropic", 1
+    ),
+    "R-HOFFMANN": (("exponent", "adjoined"), "anisotropic", 1),
+    "R-CHAIN": (("levels",), "anisotropic", 1),
+}
+_STATUS = st.sampled_from(["anisotropic", "isotropic", "unknown"])
+
+
+@st.composite
+def _certificate_json(draw, parent: dict | None = None, depth: int = 0) -> object:
+    rule = draw(_mostly(st.sampled_from(RULES)))
+    keys, status, count = _SHAPES.get(rule, ((), None, 0)) if isinstance(rule, str) else ((), None, 0)
+    node = {"rule": rule, "status": status or draw(_STATUS), "subject": draw(_mostly(_SUBJECT)),
+            "level": draw(_LEVEL)}
+    if parent is not None and draw(st.integers(1, 5)) > 1:
+        node["subject"], node["status"] = parent["subject"], parent["status"]
+        node["level"] = parent["level"] - draw(st.sampled_from([1, 1, 1, 0]))
+    if draw(st.integers(1, 16)) == 1:
+        node["status"] = draw(_mostly(_STATUS))
+    node["parameters"] = draw(_mostly(st.just(
+        {key: draw(_mostly(_VALUES[key], one_in=4)) for key in keys if draw(st.integers(1, 10)) > 1}
+    )))
+    if depth == 3 or draw(st.integers(1, 16)) == 1:
+        count = draw(st.integers(0, 2 if depth < 3 else 0))
+    node["premises"] = [draw(_certificate_json(node, depth + 1)) for _ in range(count)]
+    if draw(st.integers(1, 32)) == 1:
+        del node[draw(st.sampled_from(sorted(node)))]
+    return node
+
+
+_REAL_SCRIPTS = (
+    {"base": "rationals", "algebras": [],
+     "steps": [{"kind": "adjoin", "form": [1, -p]} for p in (2, 3, 5)]},
+    {"base": {"abstract": {"symbols": ["a1", "b1", "a2", "b2"], "assumptions": [
+        {"id": "norms-1", "anisotropic": {"norm_of": 0}},
+        {"id": "norms-2", "anisotropic": {"norm_of": 1}},
+        {"id": "link-12", "anisotropic": {"albert_of": [0, 1]}},
+    ]}},
+     "algebras": [{"symbols": ["a1", "b1"]}, {"symbols": ["a2", "b2"]}],
+     "steps": [{"kind": "linking"}]},
+)
+
+
+@lru_cache(maxsize=None)
+def _real_contexts() -> tuple[ReplayContext, ...]:
+    return tuple(context_from_report(run_script_data(s, RunConfig())[0]) for s in _REAL_SCRIPTS)
+
+
+def test_the_real_contexts_have_adjunctions_and_a_ledger():
+    rationals, abstract = _real_contexts()
+    assert rationals.adjunctions and rationals.trivialized_below(len(rationals.adjunctions))
+    assert abstract.adjunctions and abstract.assumptions
+
+
+_QUAD_LEAF = {"rule": "R-BASE", "status": "anisotropic", "subject": [1, 1, 1, 1], "level": -1,
+              "parameters": {}, "premises": []}
+
+
+@settings(max_examples=500, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_certificate_json())
+# a lift to level 0 over a premise at level -1: there is no adjunction to compare
+@example({"rule": "R-HOFFMANN", "status": "anisotropic", "subject": [1, 1, 1, 1], "level": 0,
+          "parameters": {"exponent": 2, "adjoined": [1, 1, 1, 1, 1]}, "premises": [_QUAD_LEAF]})
+# symbolic forms whose symbols or list are of the wrong type
+@example({"rule": "R-GENERIC", "status": "isotropic", "subject": [1, -1], "level": 1,
+          "parameters": {"adjoined": {"symbolic": [{"sign": 1, "symbols": [1, "a"]}]}}})
+@example({"rule": "R-GENERIC", "status": "isotropic", "subject": [1, -1], "level": 1,
+          "parameters": {"adjoined": {"symbolic": 5}}})
+def test_any_certificate_json_is_refused_or_checked_to_a_bool(data):
+    try:
+        cert = Certificate.from_json(data)
+    except InputError:
+        return
+    # fresh copies: the memo of nodes that passed stays per example
+    contexts = [replace(c) for c in _real_contexts()] + [ReplayContext(adjunctions=()), None]
+    for context in contexts:
+        for node in iter_certificates(cert):
+            assert isinstance(check_node(node, context), bool)
+        assert isinstance(replay(cert, context), bool)

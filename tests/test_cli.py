@@ -7,7 +7,7 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quatgenus import cli, runner
+from quatgenus import cli, runner, selftest
 from quatgenus.certificates import MAX_DEPTH, base_certificate, hoffmann_certificate
 from quatgenus.cli import main
 from quatgenus.forms import DiagonalForm
@@ -167,6 +167,24 @@ def test_tower_run_isotropic_adjoin_is_input_error(tmp_path, capsys):
     assert "isotropic" in err
 
 
+@pytest.mark.parametrize(
+    "script",
+    [
+        {"base": "rationals", "algebras": [],
+         "steps": [{"kind": "adjoin", "form": {"symbolic": [{"sign": 1, "symbols": [1, "a"]}]}}]},
+        {"base": {"abstract": {"symbols": ["a", "b"], "assumptions": [
+            {"id": "x", "anisotropic": {"symbolic": [{"sign": 1, "symbols": [2, "a"]}]}}]}},
+         "algebras": [{"symbols": ["a", "b"]}], "steps": []},
+    ],
+)
+def test_tower_run_symbolic_class_of_the_wrong_types_is_input_error(tmp_path, capsys, script):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(script))
+    code, out, err = run_cli(capsys, "tower", "run", str(path))
+    assert (code, out) == (2, "")
+    assert "not a symbolic class" in err
+
+
 def test_tower_run_unknown_gate_is_truncation(tmp_path, capsys):
     script = tmp_path / "stuck.json"
     script.write_text(
@@ -324,6 +342,14 @@ def test_selftest_command(capsys):
     assert lines[0] == "suite: product-formula"
     assert lines[1] == "result: PASS"
     assert "seconds" not in out
+
+
+def test_selftest_without_trials_uses_the_suite_s_own_default(monkeypatch):
+    calls = []
+    monkeypatch.setitem(selftest.SUITES, "probe", lambda trials=7, seed=0: calls.append((trials, seed)))
+    selftest.run_suite("probe", seed=3)
+    selftest.run_suite("probe", 2, 3)
+    assert calls == [(7, 3), (2, 3)]
 
 
 def test_selftest_rejects_unknown_suite(capsys):
