@@ -246,7 +246,7 @@ class Certificate:
             "status": self.status.value,
             "subject": self.subject.to_json(),
             "level": self.level,
-            "parameters": {k: v for k, v in self.parameters},
+            "parameters": {k: _json_copy(v) for k, v in self.parameters},
             "premises": [],
         }
 
@@ -294,6 +294,15 @@ class Certificate:
         except (KeyError, ValueError, TypeError) as exc:
             raise InputError(f"malformed certificate: {exc}") from exc
         return (rule, status, subject, level, params), iter(raw_premises)
+
+
+def _json_copy(value: object) -> object:
+    """A parameter value with fresh lists and dicts, so a caller's edit cannot reach the node."""
+    if isinstance(value, list):
+        return [_json_copy(x) for x in value]
+    if isinstance(value, dict):
+        return {k: _json_copy(x) for k, x in value.items()}
+    return value
 
 
 def _params(**kwargs: object) -> tuple[tuple[str, object], ...]:

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
 from typing import Iterable, Sequence
 
 from .arith import Rational, squarefree_part
@@ -246,74 +245,37 @@ def _peel_invariants(inv: FormInvariants) -> FormInvariants:
 
 
 def _split_hyperbolic(q: DiagonalForm, vec: tuple[int, ...]) -> DiagonalForm | None:
-    """Split off the hyperbolic plane through an isotropic vector; diagonalize the rest."""
-    n = q.dim
+    """Split off the hyperbolic plane through an isotropic vector; diagonalize the rest.
+
+    With i < k the first two nonzero coordinates of v, the vectors
+    e_f - (a_f v_f)/(a_k v_k) e_k for f != i, k (ascending) span the plane's
+    complement, so its Gram matrix is diag(a_f) + u u^T/(a_k v_k^2) with
+    u_f = a_f v_f (Lam, Ch. I). The complement of a hyperbolic plane in a
+    regular form is regular, so every pivot below is nonzero and a fold always
+    finds a nonzero entry. None when the plane is the whole form.
+    """
     a = q.coefficients
-    v = [Fraction(x) for x in vec]
-    # partner with b(v, w) != 0 exists because q is regular and v nonzero
-    w = None
-    for i in range(n):
-        if a[i] * vec[i] != 0:
-            w = [Fraction(1) if j == i else Fraction(0) for j in range(n)]
-            break
-    assert w is not None
-    # complement basis: solve b(v, x) = 0 = b(w, x) by Gaussian elimination
-    rows = [
-        [Fraction(a[j]) * v[j] for j in range(n)],
-        [Fraction(a[j]) * w[j] for j in range(n)],
-    ]
-    pivots: list[int] = []
-    r = 0
-    for col in range(n):
-        pr = next((i for i in range(r, len(rows)) if rows[i][col] != 0), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        rows[r] = [x / rows[r][col] for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][col] != 0:
-                rows[i] = [x - rows[i][col] * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(col)
-        r += 1
-        if r == len(rows):
-            break
-    free_cols = [c for c in range(n) if c not in pivots]
-    basis: list[list[Fraction]] = []
-    for fc in free_cols:
-        x = [Fraction(0)] * n
-        x[fc] = Fraction(1)
-        for ri, pc in enumerate(pivots):
-            x[pc] = -rows[ri][fc]
-        basis.append(x)
-    if len(basis) != n - 2:
+    lead = [j for j, x in enumerate(vec) if x][:2]
+    free = [f for f in range(q.dim) if f not in lead]
+    if not free:
         return None
-    # Gram matrix of the complement from integer numerators: basis vector i is
-    # nums[i] / dens[i], so each entry is one integer sum over dens[i] * dens[j]
-    k = n - 2
-    dens = [lcm(*(x.denominator for x in u)) for u in basis]
-    nums = [[x.numerator * (d // x.denominator) for x in u] for u, d in zip(basis, dens)]
+    u = [a[f] * vec[f] for f in free]
+    norm = a[lead[1]] * vec[lead[1]] ** 2
     gram = [
-        [
-            Fraction(sum(c * s * t for c, s, t in zip(a, nu, nt)), du * dt)
-            for nt, dt in zip(nums, dens)
-        ]
-        for nu, du in zip(nums, dens)
+        [Fraction(s * t, norm) + (a[f] if r == c else 0) for c, t in enumerate(u)]
+        for r, (f, s) in enumerate(zip(free, u))
     ]
+    m = len(free)
     diag: list[Fraction] = []
-    idx = list(range(k))
+    idx = list(range(m))
     while idx:
         pivot = next((i for i in idx if gram[i][i] != 0), None)
         if pivot is None:
-            # find an off-diagonal entry and fold it onto the diagonal
-            pair = next(
-                ((i, j) for i in idx for j in idx if i != j and gram[i][j] != 0), None
-            )
-            if pair is None:
-                return None  # complement degenerate; cannot happen for regular q
-            i, j = pair
-            for t in range(k):
+            # every diagonal entry left is zero: fold an off-diagonal one onto it
+            i, j = next((i, j) for i in idx for j in idx if i != j and gram[i][j] != 0)
+            for t in range(m):
                 gram[i][t] += gram[j][t]
-            for t in range(k):
+            for t in range(m):
                 gram[t][i] += gram[t][j]
             continue
         d = gram[pivot][pivot]
@@ -322,15 +284,11 @@ def _split_hyperbolic(q: DiagonalForm, vec: tuple[int, ...]) -> DiagonalForm | N
         for i in others:
             if gram[i][pivot] != 0:
                 factor = gram[i][pivot] / d
-                for t in range(k):
+                for t in range(m):
                     gram[i][t] -= factor * gram[pivot][t]
-                for t in range(k):
+                for t in range(m):
                     gram[t][i] -= factor * gram[t][pivot]
         idx = others
-    if len(diag) != k or any(d == 0 for d in diag):
-        return None
-    if not diag:
-        return None  # the plane was the whole form; nothing remains
     return DiagonalForm.of(diag)
 
 
@@ -391,12 +349,8 @@ def witt_decompose(q: DiagonalForm) -> WittDecomposition:
         if vec is None:
             current = None
             break
-        rest = _split_hyperbolic(current, vec)
-        if rest is None and current.dim > 2:
-            current = None
-            break
         witnesses.append(vec)
-        current = rest
+        current = _split_hyperbolic(current, vec)
     part: DiagonalForm | None
     if target.dimension == 0:
         part = None

@@ -10,6 +10,7 @@ stay separate.
 from __future__ import annotations
 
 from .arith import squarefree_part
+from .errors import InputError
 from .symbols import Place
 
 
@@ -74,7 +75,8 @@ def _solvable_with_unit_level(unit_coeffs: list[int], next_coeffs: list[int], p:
 def local_isotropic_search(coefficients: tuple[int, ...], place: Place) -> bool:
     """Local isotropy by residue search; coefficients must be square-free."""
     for c in coefficients:
-        assert c != 0 and squarefree_part(c) == c
+        if c == 0 or squarefree_part(c) != c:
+            raise InputError(f"coefficient {c} is not a nonzero square-free integer")
     if len(coefficients) < 2:
         return False
     if place.is_infinite():

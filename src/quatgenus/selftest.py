@@ -17,7 +17,7 @@ from itertools import combinations_with_replacement
 
 from .arith import squarefree_part, witness_sequence
 from .certificates import RULES, Certificate, check_node, iter_certificates, tamper
-from .errors import TruncationError
+from .errors import InputError, TruncationError
 from .forms import (
     DiagonalForm,
     is_isotropic,
@@ -386,4 +386,6 @@ SUITES = {
 
 def run_suite(name: str, trials: int | None = None, seed: int = 0) -> SuiteResult:
     suite = SUITES[name]  # KeyError on an unknown name
+    if trials is not None and trials < 0:
+        raise InputError(f"trials must be nonnegative: {trials}")
     return suite(seed=seed) if trials is None else suite(trials, seed)

@@ -52,6 +52,14 @@ def test_a_lift_needs_a_level_of_the_tower(rule):
         assert check_node(low, context) is False
 
 
+def test_editing_to_json_output_leaves_the_certificate_unchanged():
+    cert, adjoined = _lifted("R-PFISTER", 1)
+    assert replay(cert)
+    cert.to_json()["parameters"]["adjoined"].append(7)
+    assert replay(cert)
+    assert cert.param("adjoined") == adjoined.to_json()
+
+
 class _NoPower(int):
     """An exponent that must be bounded before it is raised as a power of 2."""
 

@@ -352,6 +352,12 @@ def test_selftest_without_trials_uses_the_suite_s_own_default(monkeypatch):
     assert calls == [(7, 3), (2, 3)]
 
 
+def test_selftest_refuses_negative_trials(capsys):
+    code, out, err = run_cli(capsys, "selftest", "product-formula", "--trials", "-5")
+    assert code == 2
+    assert "PASS" not in out and "trials" in err
+
+
 def test_selftest_rejects_unknown_suite(capsys):
     code, _out, _err = run_cli(capsys, "selftest", "nonsense")
     assert code == 2

@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from quatgenus.arith import squarefree_part
 from quatgenus.errors import InputError
@@ -126,6 +126,13 @@ def test_local_verdicts_match_residue_search(coefficients):
         assert is_isotropic_local(q, place) == local_isotropic_search(q.coefficients, place)
 
 
+@pytest.mark.parametrize("coefficients", [(25, -5, -3), (1, 0, -1), (1, -12)])
+def test_residue_search_refuses_a_coefficient_that_is_not_square_free(coefficients):
+    # <1,-5,-3> is anisotropic at 5; an unchecked 25 read as a unit said isotropic
+    with pytest.raises(InputError):
+        local_isotropic_search(coefficients, finite_place(5))
+
+
 def test_witt_decompose_worked_value():
     d = witt_decompose(DiagonalForm((1, 1, 1, 1, -1, -1, -3, -3)))
     assert d.witt_index == 2
@@ -240,12 +247,21 @@ squarefree_upto_30 = st.sampled_from([c for c in range(-30, 31) if c and squaref
 
 
 @given(
-    st.lists(squarefree_upto_30, min_size=2, max_size=8), st.integers(min_value=0, max_value=6)
+    st.lists(squarefree_upto_30, min_size=2, max_size=8),
+    st.integers(min_value=0, max_value=6),
+    st.lists(squarefree_upto_30, max_size=2),
+    st.lists(st.sampled_from([1, -1]), min_size=8, max_size=8),
+    st.none(),
 )
+# every diagonal entry of the complement's Gram matrix is zero, so the split folds
+@example([1, 1, -1, -1], 0, [], [1] * 8, (1, 1, 1, 1))
+@example([1, 1, -1, -1], 0, [3], [1, -1] * 4, (1, 1, 1, 1))
+@example([2, 1, -1, -1, -1], 0, [-5, 7], [-1, 1] * 4, (1, 1, 1, 1, 1))
 @settings(max_examples=200, deadline=None)
-def test_integer_gram_split_matches_fraction_reference(coefficients, at):
+def test_integer_gram_split_matches_fraction_reference(coefficients, at, lead, signs, vec):
     q = DiagonalForm(tuple(coefficients))
-    vec = isotropic_vector(q, 3)
+    if vec is None:
+        vec = isotropic_vector(q, 3)
     if vec is None:
         # no small zero: plant a hyperbolic pair so the draw is still used
         at %= len(coefficients) - 1
@@ -253,6 +269,10 @@ def test_integer_gram_split_matches_fraction_reference(coefficients, at):
         q = DiagonalForm(tuple(coefficients))
         vec = isotropic_vector(q, 3)
     assert vec is not None
+    # leading zero coordinates and mixed signs keep the vector isotropic
+    q = DiagonalForm(tuple(lead) + q.coefficients)
+    vec = (0,) * len(lead) + tuple(s * x for s, x in zip(signs, vec))
+    assert q.evaluate(vec) == 0
     assert _split_hyperbolic(q, vec) == _split_hyperbolic_reference(q, vec)
 
 
