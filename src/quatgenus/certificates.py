@@ -77,6 +77,9 @@ RULES = (
 # nesting level, though from_json, to_json and rendering do not.
 MAX_LEVELS = 256
 MAX_DEPTH = MAX_LEVELS + 2
+# Parameter values are small JSON (a form, a place, a list of classes) that
+# nest a few levels at most; deeper nesting is refused, see _json_copy.
+MAX_PARAM_NESTING = 32
 
 
 class Status(Enum):
@@ -246,7 +249,9 @@ class Certificate:
             "status": self.status.value,
             "subject": self.subject.to_json(),
             "level": self.level,
-            "parameters": {k: _json_copy(v) for k, v in self.parameters},
+            "parameters": {
+                k: _json_copy(v) if isinstance(v, _CONTAINERS) else v for k, v in self.parameters
+            },
             "premises": [],
         }
 
@@ -287,7 +292,11 @@ class Certificate:
                 raise InputError(f"certificate level must be an integer: {level!r}")
             if not isinstance(raw_params, dict):
                 raise InputError(f"certificate parameters must be an object: {raw_params!r}")
-            params = tuple(sorted(raw_params.items()))
+            copied = [
+                (k, _json_copy(v) if isinstance(v, _CONTAINERS) else v)
+                for k, v in raw_params.items()
+            ]
+            params = tuple(sorted(copied))
             raw_premises = data.get("premises", [])
             if not isinstance(raw_premises, list):
                 raise InputError(f"certificate premises must be a list: {raw_premises!r}")
@@ -296,13 +305,24 @@ class Certificate:
         return (rule, status, subject, level, params), iter(raw_premises)
 
 
-def _json_copy(value: object) -> object:
-    """A parameter value with fresh lists and dicts, so a caller's edit cannot reach the node."""
+_CONTAINERS = (list, dict)
+
+
+def _json_copy(value: list | dict, depth: int = 1) -> list | dict:
+    """A list or dict parameter value with fresh lists and dicts all the way down,
+    so a caller's edit cannot reach the node.
+
+    Nesting past MAX_PARAM_NESTING is an InputError, so a copy of untrusted
+    JSON recurses a bounded number of frames. Callers copy only containers:
+    a call per scalar would make parsing a report measurably slower.
+    """
+    if depth > MAX_PARAM_NESTING:
+        raise InputError(f"certificate parameter nests deeper than {MAX_PARAM_NESTING} levels")
     if isinstance(value, list):
-        return [_json_copy(x) for x in value]
-    if isinstance(value, dict):
-        return {k: _json_copy(x) for k, x in value.items()}
-    return value
+        return [_json_copy(x, depth + 1) if isinstance(x, _CONTAINERS) else x for x in value]
+    return {
+        k: _json_copy(x, depth + 1) if isinstance(x, _CONTAINERS) else x for k, x in value.items()
+    }
 
 
 def _params(**kwargs: object) -> tuple[tuple[str, object], ...]:

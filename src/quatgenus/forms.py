@@ -76,13 +76,20 @@ class DiagonalForm:
     def from_json(cls, data: object) -> "DiagonalForm":
         if not isinstance(data, list) or not all(map(_is_int, data)):
             raise InputError(f"not a diagonal form: {data!r}")
-        return cls.of(data)
+        return _form_of_ints(tuple(data))
 
     def __str__(self) -> str:
         return "<" + ",".join(str(c) for c in self.coefficients) + ">"
 
 
 HYPERBOLIC_PLANE = DiagonalForm((1, -1))
+
+
+# keyed by value once from_json has refused bools: the certificates of one
+# report repeat a few subjects and adjoined forms at every node
+@lru_cache(maxsize=1024)
+def _form_of_ints(values: tuple[int, ...]) -> DiagonalForm:
+    return DiagonalForm.of(values)
 
 
 # keyed by value: equal forms built apart (from JSON, by represents) share one entry

@@ -60,6 +60,31 @@ def test_editing_to_json_output_leaves_the_certificate_unchanged():
     assert cert.param("adjoined") == adjoined.to_json()
 
 
+def test_editing_from_json_input_leaves_the_certificate_unchanged():
+    cert, adjoined = _lifted("R-PFISTER", 1)
+    data = cert.to_json()
+    parsed = Certificate.from_json(data)
+    assert replay(parsed)
+    data["parameters"]["adjoined"].append(7)
+    data["parameters"]["disc_context"].append(3)
+    assert replay(parsed)
+    assert parsed == cert and parsed.param("adjoined") == adjoined.to_json()
+
+
+def test_a_deeply_nested_parameter_is_an_input_error():
+    data = base_certificate(QUAD).to_json()
+    deep: list = []
+    for _ in range(10**5):
+        deep = [deep]
+    with pytest.raises(InputError):
+        Certificate.from_json({**data, "parameters": {"verdict": deep}})
+    nested: list = []
+    for _ in range(certificates.MAX_PARAM_NESTING - 1):
+        nested = [nested]
+    cert = Certificate.from_json({**data, "parameters": {"verdict": nested}})
+    assert cert.param("verdict") == nested and check_node(cert) is False
+
+
 class _NoPower(int):
     """An exponent that must be bounded before it is raised as a power of 2."""
 

@@ -53,6 +53,17 @@ def test_non_rational_input_is_refused():
         DiagonalForm.from_json([True, True, True, True, True])
 
 
+def test_forms_from_equal_json_lists_are_one_form():
+    data = [4, -18, 3]
+    q = DiagonalForm.from_json(data)
+    assert q.coefficients == (1, -2, 3)
+    data.append(5)
+    assert DiagonalForm.from_json([4, -18, 3]) is q and q.coefficients == (1, -2, 3)
+    for bad in ([1, True], [1, 0], [1, 2.0], (1, 2)):
+        with pytest.raises(InputError):
+            DiagonalForm.from_json(bad)
+
+
 def test_invariants_worked_values():
     q = DiagonalForm((-2, 1, 3, 3))
     inv = invariants(q)
