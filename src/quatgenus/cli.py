@@ -32,13 +32,9 @@ from .quaternion import (
     is_linked,
     ramification,
 )
-from .runner import RunConfig, render_report, run_script_data, summarize_report
+from .runner import RunConfig, iter_report, run_script_data, summarize_report
 from .selftest import SUITES, run_suite
 from .symbols import hilbert_symbol, parse_place
-
-# characters per write to --out: a text file encodes each write as a whole, so
-# slicing keeps the encoded copy of a large report to one slice
-_OUT_SLICE = 1 << 20
 
 
 def _parse_form(text: str) -> DiagonalForm:
@@ -56,7 +52,18 @@ def _parse_algebra(text: str) -> QuaternionAlgebra:
 
 
 def _emit_json(payload: dict) -> None:
-    sys.stdout.write(render_report(payload))
+    sys.stdout.writelines(iter_report(payload))
+
+
+def _written(pieces, path: str):
+    """Write each piece to path, then hand it on; only the file's errors become input errors."""
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            for piece in pieces:
+                handle.write(piece)
+                yield piece
+    except OSError as error:
+        raise InputError(f"cannot write report: {error}") from error
 
 
 def cmd_symbol(args: argparse.Namespace) -> int:
@@ -204,17 +211,11 @@ def cmd_tower(args: argparse.Namespace) -> int:
         raise InputError("script nests too deeply to parse") from error
     config = RunConfig(witness_window=args.witness_window, max_levels=args.max_levels)
     report, code = run_script_data(data, config)
-    rendered = render_report(report)
-    if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8") as handle:
-                for start in range(0, len(rendered), _OUT_SLICE):
-                    handle.write(rendered[start : start + _OUT_SLICE])
-        except OSError as error:
-            raise InputError(f"cannot write report: {error}") from error
-    if args.output == "json":
-        sys.stdout.write(rendered)
-    else:
+    pieces = iter_report(report) if args.out or args.output == "json" else ()
+    for piece in _written(pieces, args.out) if args.out else pieces:
+        if args.output == "json":
+            sys.stdout.write(piece)
+    if args.output == "text":
         sys.stdout.write(summarize_report(report))
     return code
 

@@ -293,7 +293,7 @@ def report_exit_code(report: dict) -> int:
     return 0
 
 
-_BATCH = 4096  # pieces joined at a time, so no list holds every token
+_BATCH = 4096  # parts joined into one piece, so no list holds every token
 _int_repr = int.__repr__  # as json does: an IntEnum renders as its number
 _END = object()
 _STR = repeat(str)  # all(map(isinstance, d, _STR)): every key of d is a str
@@ -329,7 +329,12 @@ def _shared_containers(value: object) -> set[int]:
 
 
 def render_report(report: dict) -> str:
-    """Canonical byte-stable JSON: json.dumps(report, indent=2, sort_keys=True) + "\\n".
+    """The pieces of iter_report joined: json.dumps(report, indent=2, sort_keys=True) + "\\n"."""
+    return "".join(iter_report(report))
+
+
+def iter_report(report: dict):
+    """Canonical byte-stable JSON in pieces, so a writer need not hold it whole.
 
     With indent set, json.dumps runs a pure-Python encoder that nests one
     generator per container level, so every chunk is resumed through every
@@ -351,7 +356,6 @@ def render_report(report: dict) -> str:
     captures: list[tuple[int, int]] = []  # (id, index in parts) per open shared container
     newlines = ["\n"]  # newlines[d] == "\n" + "  " * d, grown on demand
     separators: dict[int, str] = {}  # "," + newlines[d], for containers of 2+ items
-    batches: list[str] = []
     parts: list[str] = []
     append = parts.append
     encode = encode_basestring_ascii
@@ -363,7 +367,7 @@ def render_report(report: dict) -> str:
     value: object = report
     while True:
         if len(parts) >= _BATCH and not captures:
-            batches.append("".join(parts))
+            yield "".join(parts)
             parts.clear()
         if isinstance(value, str):
             append(encode(value))
@@ -383,8 +387,10 @@ def render_report(report: dict) -> str:
             if not value:
                 append("{}" if is_dict else "[]")
             elif ident in written:
-                text = written[ident]
-                append(text.replace("\n", newlines[depth]) if depth else text)
+                append(written[ident].replace("\n", newlines[depth]))  # depth >= 1: not the root
+                if not captures:  # a reused text can be megabytes: it ends its piece
+                    yield "".join(parts)
+                    parts.clear()
             else:
                 if ident in open_ids:
                     raise ValueError("Circular reference detected")
@@ -435,8 +441,8 @@ def render_report(report: dict) -> str:
                 written[ident] = text.replace(newlines[depth], "\n") if depth else text
         else:
             append("\n")
-            batches.append("".join(parts))
-            return "".join(batches)
+            yield "".join(parts)
+            return
 
 
 def summarize_report(report: dict) -> str:

@@ -134,21 +134,56 @@ def test_tower_run_json_and_exit_codes(tmp_path, capsys):
     assert out_path.read_text() == out
 
 
-def test_tower_run_out_is_written_in_slices(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(cli, "_OUT_SLICE", 1000)
-    data = {
-        "base": "rationals",
-        "algebras": [[-1, -1], [-1, -3]],
-        "steps": [{"kind": "pushing", "classes": [-2]}],
-    }
+WORKED_PUSHING = {
+    "base": "rationals",
+    "algebras": [[-1, -1], [-1, -3]],
+    "steps": [{"kind": "pushing", "classes": [-2]}],
+}
+
+
+def _counted_renders(monkeypatch):
+    """Route the CLI's renders through a wrapper; returns the list of reports rendered."""
+    rendered = []
+
+    def counted(report):
+        rendered.append(report)
+        return runner.iter_report(report)
+
+    monkeypatch.setattr(cli, "iter_report", counted)
+    return rendered
+
+
+def test_tower_run_streams_one_render_to_out_and_stdout(tmp_path, capsys, monkeypatch):
+    rendered = _counted_renders(monkeypatch)
     out_path = tmp_path / "report.json"
-    argv = ("tower", "run", _write_script(tmp_path, data), "--out", str(out_path))
-    code, _out, _ = run_cli(capsys, *argv, "--output", "text")
+    argv = ("tower", "run", _write_script(tmp_path, WORKED_PUSHING), "--out", str(out_path))
+    code, out, _ = run_cli(capsys, *argv)
     assert code == 0
-    report, _code = runner.run_script_data(data, runner.RunConfig())
-    rendered = runner.render_report(report)
-    assert len(rendered) > 3 * cli._OUT_SLICE
-    assert out_path.read_bytes() == rendered.encode()
+    report, _code = runner.run_script_data(WORKED_PUSHING, runner.RunConfig())
+    assert out_path.read_bytes() == out.encode() == runner.render_report(report).encode()
+    assert len(rendered) == 1
+    # with a text summary on stdout, the one render goes to --out alone
+    out_path.unlink()
+    code, text, _ = run_cli(capsys, *argv, "--output", "text")
+    assert code == 0 and text.startswith("base: rationals\n")
+    assert out_path.read_text() == out
+    assert len(rendered) == 2
+
+
+class _FailingStdout(io.StringIO):
+    def write(self, text):
+        raise OSError(28, "No space left on device")
+
+
+def test_tower_run_stdout_error_is_not_an_out_error(tmp_path, capsys, monkeypatch):
+    out_path = tmp_path / "report.json"
+    argv = ["tower", "run", _write_script(tmp_path, WORKED_PUSHING), "--out", str(out_path)]
+    monkeypatch.setattr("sys.stdout", _FailingStdout())
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 70
+    assert err.startswith("error: internal: OSError(28, ")
+    assert "cannot write report" not in err
 
 
 def test_tower_run_isotropic_adjoin_is_input_error(tmp_path, capsys):
@@ -249,12 +284,12 @@ def test_tower_run_renders_a_report_at_the_depth_limit(tmp_path, capsys, monkeyp
         return report, 0
 
     def render_and_parse(report):
-        rendered = runner.render_report(report)
-        assert json.loads(rendered) == report
-        return rendered
+        pieces = list(runner.iter_report(report))
+        assert json.loads("".join(pieces)) == report
+        return iter(pieces)
 
     monkeypatch.setattr(cli, "run_script_data", run_deep)
-    monkeypatch.setattr(cli, "render_report", render_and_parse)
+    monkeypatch.setattr(cli, "iter_report", render_and_parse)
     code, out, err = run_cli(capsys, "tower", "run", _write_script(tmp_path, {}))
     assert (code, err) == (0, "")
     assert out.count('"rule": "R-HOFFMANN"') == MAX_DEPTH - 1
@@ -280,8 +315,8 @@ def test_tower_run_unwritable_out_is_input_error(tmp_path, capsys):
     script = tmp_path / "worked.json"
     script.write_text(json.dumps({"base": "rationals", "algebras": [[-1, -1]], "steps": []}))
     for out_path in (tmp_path / "missing" / "report.json", tmp_path):
-        code, _out, err = run_cli(capsys, "tower", "run", str(script), "--out", str(out_path))
-        assert code == 2
+        code, out, err = run_cli(capsys, "tower", "run", str(script), "--out", str(out_path))
+        assert (code, out) == (2, "")
         assert err.startswith("error: cannot write report: ")
 
 
@@ -318,7 +353,8 @@ def test_tower_run_too_deeply_nested_script_is_input_error(tmp_path, capsys):
     assert "nests too deeply" in err
 
 
-def test_tower_text_summary(tmp_path, capsys):
+def test_tower_text_summary(tmp_path, capsys, monkeypatch):
+    rendered = _counted_renders(monkeypatch)
     script = tmp_path / "worked.json"
     script.write_text(
         json.dumps(
@@ -333,6 +369,7 @@ def test_tower_text_summary(tmp_path, capsys):
     assert code == 0
     assert "replay: 17/17" in out
     assert "unknown required claims: 0" in out
+    assert rendered == []  # no JSON is rendered when nothing reads it
 
 
 def test_selftest_command(capsys):

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from quatgenus.runner import RunConfig, render_report, run_script_data
+from quatgenus.runner import RunConfig, iter_report, render_report, run_script_data
 
 DATA = Path(__file__).parent / "data"
 
@@ -50,6 +50,13 @@ def _outcome(render, value):
 
 def _reference(value) -> str:
     return json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+
+def _streamed(value) -> str:
+    return "".join(iter_report(value))
+
+
+RENDERERS = (render_report, _streamed)
 
 
 def _reference_digest(value) -> str:
@@ -94,7 +101,9 @@ values = st.recursive(
 @example({2: "two", 10: "ten", -1: {"k": (1, 2)}})
 @example({"": "", "\\": '"', "é": "\x00", "{[,:]}": " "})
 def test_render_matches_json_dumps(value):
-    assert _outcome(render_report, value) == _outcome(_reference, value)
+    expected = _outcome(_reference, value)
+    for render in RENDERERS:
+        assert _outcome(render, value) == expected
 
 
 # small scalars and keys keep generation fast; test_render_matches_json_dumps
@@ -174,7 +183,19 @@ def _cycle_through_shared():
 @example(_shared_sortable_non_str_keys())
 @example(_cycle_through_shared())
 def test_render_matches_json_dumps_on_shared_values(value):
-    assert _outcome(render_report, value) == _outcome(_reference, value)
+    expected = _outcome(_reference, value)
+    for render in RENDERERS:
+        assert _outcome(render, value) == expected
+
+
+def test_no_piece_holds_many_copies_of_a_reused_text():
+    # a reused text ends its piece; a batch of 4,096 parts could join as many copies
+    shared = {"k": list(range(100)), "s": "x" * 1000}
+    value = {"a": [shared] * 10_000, "b": [[shared, 1]] * 3}
+    copy = len(_reference([shared]))  # the text at depth 1, with its brackets
+    pieces = list(iter_report(value))
+    assert max(map(len, pieces)) <= 3 * copy
+    assert "".join(pieces) == _reference(value)
 
 
 def test_reports_render_byte_identically():
@@ -191,10 +212,11 @@ def test_reports_render_byte_identically():
 def test_render_keeps_the_errors_of_json_dumps():
     cycle: list = [1]
     cycle.append({"inner": [cycle]})
-    with pytest.raises(ValueError, match="Circular reference detected"):
-        render_report({"report": cycle})
-    with pytest.raises(TypeError, match="not JSON serializable"):
-        render_report({"a": [1, object()]})
+    for render in RENDERERS:
+        with pytest.raises(ValueError, match="Circular reference detected"):
+            render({"report": cycle})
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            render({"a": [1, object()]})
 
 
 def test_render_does_not_recurse_on_deep_nesting():
