@@ -48,9 +48,9 @@ from .arith import factor, squarefree_part
 from .errors import InputError, SearchExhausted, _is_int
 from .forms import (
     DiagonalForm,
+    invariants,
     is_isotropic,
     is_isotropic_local,
-    isometric,
     isotropy_failure,
     pfister_exponent,
 )
@@ -110,13 +110,9 @@ def forms_equal(f1: FormLike, f2: FormLike) -> bool:
     return type(f1) is type(f2) and f1 == f2
 
 
-def forms_match(f1: FormLike, f2: FormLike) -> bool:
-    """Syntactic equality, or isometry over Q for concrete forms."""
-    if forms_equal(f1, f2):
-        return True
-    if isinstance(f1, DiagonalForm) and isinstance(f2, DiagonalForm):
-        return isometric(f1, f2)
-    return False
+def match_key(form: FormLike) -> object:
+    """What R-GENERIC matches: a concrete form's isometry class over Q, a symbolic form itself."""
+    return invariants(form).key if isinstance(form, DiagonalForm) else form
 
 
 def form_pfister_exponent(form: FormLike) -> int | None:
@@ -300,7 +296,7 @@ class Certificate:
             raw_premises = data.get("premises", [])
             if not isinstance(raw_premises, list):
                 raise InputError(f"certificate premises must be a list: {raw_premises!r}")
-        except (KeyError, ValueError, TypeError) as exc:
+        except (KeyError, ValueError, TypeError, SearchExhausted) as exc:
             raise InputError(f"malformed certificate: {exc}") from exc
         return (rule, status, subject, level, params), iter(raw_premises)
 
@@ -553,7 +549,7 @@ def _check_node(cert: Certificate, context: ReplayContext | None) -> bool:
         if cert.premises or cert.status is not Status.ISOTROPIC:
             return False
         adjoined = _adjoined(cert, context)
-        return adjoined is not None and forms_match(cert.subject, adjoined)
+        return adjoined is not None and match_key(cert.subject) == match_key(adjoined)
     if cert.rule == "R-MONOTONE":
         premise = _sole_premise(cert, Status.ISOTROPIC)
         from_level = cert.param("from_level")

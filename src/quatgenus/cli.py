@@ -3,13 +3,14 @@
 Output is deterministic: identical invocations print identical bytes. Exit
 codes: 0 success, 1 property failure, 2 malformed input, 3 unmet
 precondition, 4 truncation left a required claim unknown, 70 internal error
-(a bug: any other exception).
+(a bug: any other exception), 141 stdout closed by its reader.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 
@@ -306,6 +307,11 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader closed stdout (`| head`): send what is still buffered, and
+        # the flush at exit, to devnull, as the signal module's docs advise
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141  # 128 + SIGPIPE, the shell's code for a closed pipe
     except Exception as error:
         # a bug, not a verdict: exit 1 is reserved for a failed replay
         print(f"error: internal: {error!r}", file=sys.stderr)

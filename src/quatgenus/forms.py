@@ -10,11 +10,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from itertools import chain, islice, product
 from typing import Iterable, Sequence
 
-from .arith import Rational, squarefree_part
-from .errors import InputError, _crosscheck, _is_int
+from .arith import Rational, iter_witnesses, squarefree_part
+from .errors import InputError, SearchExhausted, _crosscheck, _is_int
 from .search import isotropic_vector_search
 from .symbols import Place, hasse_invariants, hilbert_symbol, local_is_square
 
@@ -125,11 +126,15 @@ class FormInvariants:
     hasse: tuple[tuple[Place, int], ...]
     signature: tuple[int, int]
 
+    @cached_property
+    def key(self) -> tuple[int, int, tuple[int, int], frozenset[Place]]:
+        """Equal exactly for isometric forms (Hasse-Minkowski): dimension, determinant,
+        signature and the places where the Hasse symbol is -1."""
+        return (self.dimension, self.determinant, self.signature,
+                frozenset(v for v, e in self.hasse if e == -1))
+
     def hasse_at(self, place: Place) -> int:
-        for v, e in self.hasse:
-            if v == place:
-                return e
-        return 1
+        return -1 if place in self.key[3] else 1
 
     def places(self) -> tuple[Place, ...]:
         return tuple(v for v, _ in self.hasse)
@@ -216,7 +221,7 @@ def isotropic_vector(q: DiagonalForm, bound: int) -> tuple[int, ...] | None:
 
 def isometric(q1: DiagonalForm, q2: DiagonalForm) -> bool:
     """Isometry over Q: equal dimension, determinant class, signature, all Hasse symbols."""
-    return _same_invariants(invariants(q1), invariants(q2))
+    return invariants(q1).key == invariants(q2).key
 
 
 @dataclass(frozen=True)
@@ -299,29 +304,22 @@ def _split_hyperbolic(q: DiagonalForm, vec: tuple[int, ...]) -> DiagonalForm | N
     return DiagonalForm.of(diag)
 
 
-def _same_invariants(i1: FormInvariants, i2: FormInvariants) -> bool:
-    if (
-        i1.dimension != i2.dimension
-        or i1.determinant != i2.determinant
-        or i1.signature != i2.signature
-    ):
-        return False
-    places = sorted(set(i1.places()) | set(i2.places()))
-    return all(i1.hasse_at(v) == i2.hasse_at(v) for v in places)
+_SYNTH_BUDGET = 1 << 16  # candidate forms _synthesize tries before SearchExhausted
 
 
 def _synthesize(target: FormInvariants, q: DiagonalForm) -> DiagonalForm | None:
-    """Search small diagonal forms realizing the target invariants."""
-    from itertools import product as iproduct
-
-    from .arith import squarefree_classes
-
+    """Search small diagonal forms realizing the target invariants, in lexicographic
+    order over squarefree_classes(limit), listed lazily as far as the budget reaches."""
     if target.dimension == 0:
         return None
-    pool = squarefree_classes(max(64, max(abs(x) for x in q.coefficients) * 4))
-    for combo in iproduct(pool, repeat=target.dimension):
-        cand = DiagonalForm(tuple(combo))
-        if _same_invariants(invariants(cand), target):
+    limit = max(64, max(abs(x) for x in q.coefficients) * 4)
+    # one class past the budget: a longer pool must end in SearchExhausted, not run out
+    pool = list(islice(chain((1,), iter_witnesses(limit)), _SYNTH_BUDGET + 1))
+    for tried, combo in enumerate(product(pool, repeat=target.dimension)):
+        if tried == _SYNTH_BUDGET:
+            raise SearchExhausted(f"no anisotropic part of {q} among {tried} candidate forms")
+        cand = DiagonalForm(combo)
+        if invariants(cand).key == target.key:
             return cand
     return None
 
@@ -364,7 +362,7 @@ def witt_decompose(q: DiagonalForm) -> WittDecomposition:
     elif current is not None and current.dim == target.dimension:
         part = current
         _crosscheck(
-            _same_invariants(invariants(part), target),
+            invariants(part).key == target.key,
             "the split-off kernel has the anisotropic part's invariants",
         )
     else:

@@ -33,9 +33,9 @@ from .certificates import (
     disc_mismatch,
     form_pfister_exponent,
     forms_equal,
-    forms_match,
     generic_certificate,
     hoffmann_certificate,
+    match_key,
     monotone_certificate,
     pfister_certificate,
 )
@@ -116,6 +116,14 @@ class TowerState:
     def trivialized_below(self, level: int) -> tuple[int, ...]:
         return self._replay_context.trivialized_below(level)
 
+    @cached_property
+    def _first_levels(self) -> dict[object, int]:
+        """match_key -> the first level that adjoins a form with that key."""
+        first: dict[object, int] = {}
+        for level, phi in enumerate(self.adjunctions, start=1):
+            first.setdefault(match_key(phi), level)
+        return first
+
     def statement(self, subject: FormLike) -> "TrackedStatement":
         """The subject's status at this state, derived on the first request."""
         stmt = self._statements.get(subject)
@@ -175,12 +183,11 @@ def _hoffmann_exponent(dim_subject: int, dim_adjoined: int) -> int | None:
 
 
 def derive_status(state: TowerState, subject: FormLike) -> TrackedStatement:
-    """Walk the tower from the base, applying the certificate rules in order.
-
-    Levels above an UNKNOWN are still scanned for generic-isotropy matches:
-    the adjoined form is isotropic over its own function field no matter
-    what happened below.
-    """
+    """Apply the certificate rules from the base up: R-PFISTER or R-HOFFMANN
+    carry an anisotropic start until a level neither covers, and R-GENERIC fires
+    at the first level whose adjoined form matches the subject (one lookup by
+    match_key), whatever happened below: that form is isotropic over its own
+    function field."""
     top = state.top_level
     cert: Certificate | None = None
     blocked: tuple[int, FormLike | None] | None = None
@@ -199,22 +206,17 @@ def derive_status(state: TowerState, subject: FormLike) -> TrackedStatement:
         else:
             status = Status.UNKNOWN
             blocked = (0, None)
+    match = None if status is Status.ISOTROPIC else state._first_levels.get(match_key(subject))
     # only an anisotropic start ever reaches the Pfister rule
     n = (
         form_pfister_exponent(subject)
         if status is Status.ANISOTROPIC and state.adjunctions
         else None
     )
-    for level, phi in enumerate(state.adjunctions, start=1):
-        if status is Status.ISOTROPIC:
-            continue
-        if forms_match(subject, phi):
-            cert = generic_certificate(subject, phi, level)
-            status = Status.ISOTROPIC
-            blocked = None
-            continue
-        if status is Status.UNKNOWN:
-            continue
+    below = top if match is None else match - 1
+    for level, phi in enumerate(state.adjunctions[:below], start=1):
+        if status is not Status.ANISOTROPIC:
+            break
         assert cert is not None
         trivialized = state.trivialized_below(level)
         if (
@@ -231,6 +233,10 @@ def derive_status(state: TowerState, subject: FormLike) -> TrackedStatement:
         status = Status.UNKNOWN
         blocked = (level, phi)
         cert = None
+    if match is not None:
+        cert = generic_certificate(subject, state.adjunctions[match - 1], match)
+        status = Status.ISOTROPIC
+        blocked = None
     if status is Status.ISOTROPIC and cert is not None and cert.level < top:
         cert = monotone_certificate(cert, top)
     return TrackedStatement(subject, top, status, cert, blocked)

@@ -294,6 +294,9 @@ _QUAD_LEAF = {"rule": "R-BASE", "status": "anisotropic", "subject": [1, 1, 1, 1]
           "parameters": {"adjoined": {"symbolic": [{"sign": 1, "symbols": [1, "a"]}]}}})
 @example({"rule": "R-GENERIC", "status": "isotropic", "subject": [1, -1], "level": 1,
           "parameters": {"adjoined": {"symbolic": 5}}})
+# a subject coefficient that factoring gives up on: refused, not a SearchExhausted
+@example({"rule": "R-BASE", "status": "anisotropic", "subject": [1, (2**89 - 1) * (2**107 - 1), -3],
+          "level": 0, "parameters": {"verdict": "anisotropic", "failing_place": 2}, "premises": []})
 def test_any_certificate_json_is_refused_or_checked_to_a_bool(data):
     try:
         cert = Certificate.from_json(data)

@@ -2,7 +2,12 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -61,6 +66,18 @@ def test_form_witt_text(capsys):
     lines = out.splitlines()
     assert lines[0] == "witt index: 2"
     assert lines[1] == "anisotropic part: <1,1,-3,-3>"
+
+
+def test_form_witt_kernel_search_is_bounded(capsys):
+    # the kernel <1000033> lies past the candidate budget: the search gives up, typed
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "form", "witt", "1,1,-1000033")
+    assert time.perf_counter() - start < 5
+    assert (code, out) == (3, "")
+    assert err.startswith("error: no anisotropic part of <1,1,-1000033> among 65536 ")
+    # a pool of 418 classes runs out before the budget: still an input refusal
+    code, _out, err = run_cli(capsys, "form", "witt", "61,-22,-73,86,-1")
+    assert code == 2 and "could not realize the anisotropic part" in err
 
 
 def test_form_rejects_zero_coefficient(capsys):
@@ -303,6 +320,23 @@ def test_internal_error_exits_70(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "symbol", "1", "7", "3")
     assert (code, out) == (70, "")
     assert err == "error: internal: RuntimeError('boom\\nsecond line')\n"
+
+
+def test_tower_run_into_a_closed_pipe_exits_141(tmp_path):
+    script = {"base": "rationals", "algebras": [[-1, -1], [-1, -3], [-2, -5], [-1, -7]],
+              "steps": [{"kind": "alternate", "rounds": 1, "max_rounds": 1, "window": 10}]}
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    # the report runs to 861,244 bytes, far past a pipe's buffer: the reader leaves first
+    with subprocess.Popen(
+        [sys.executable, "-m", "quatgenus", "tower", "run", _write_script(tmp_path, script)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    ) as child:
+        assert len(child.stdout.read(50)) == 50
+        child.stdout.close()
+        assert child.wait(timeout=60) == 141
+        err = child.stderr.read().decode()
+    assert "internal" not in err and "Traceback" not in err
 
 
 def test_tower_run_missing_file(tmp_path, capsys):

@@ -293,6 +293,53 @@ def test_isometry_distinguishes_hasse():
     assert not isometric(DiagonalForm((1, 1, 1, 1)), DiagonalForm((1, 1, 3, 3)))
 
 
+def _same_invariants(i1, i2):
+    """Isometry as a pairwise comparison over the union of both forms' places,
+    reading each Hasse symbol from the stored table: the reference for the key."""
+    if (i1.dimension, i1.determinant, i1.signature) != (i2.dimension, i2.determinant, i2.signature):
+        return False
+    places = sorted(set(i1.places()) | set(i2.places()))
+    return all(dict(i1.hasse).get(v, 1) == dict(i2.hasse).get(v, 1) for v in places)
+
+
+@st.composite
+def _form_pairs(draw):
+    """A form and another of its dimension, reached by moves that keep the
+    isometry class, <a,b> -> <c,abc> with c = ax^2 + by^2, or that keep the
+    dimension, determinant and signature but may flip Hasse symbols,
+    <a,b> -> <pa,pb>; or, now and then, any form of that dimension."""
+    first = draw(st.lists(coefficient, min_size=1, max_size=5))
+    second = list(first)
+    for _ in range(draw(st.integers(0, 3)) if len(first) > 1 else 0):
+        i, j = draw(st.permutations(range(len(second))))[:2]
+        a, b = second[i], second[j]
+        if draw(st.booleans()):
+            c = a * draw(st.integers(0, 3)) ** 2 + b * draw(st.integers(1, 3)) ** 2
+            if c:
+                second[i], second[j] = c, a * b * c
+        else:
+            p = draw(st.sampled_from([3, 5, 7, 11, 13]))
+            second[i], second[j] = p * a, p * b
+    if draw(st.integers(1, 8)) == 1:
+        second = draw(st.lists(coefficient, min_size=len(first), max_size=len(first)))
+    return DiagonalForm.of(first), DiagonalForm.of(draw(st.permutations(second)))
+
+
+@given(_form_pairs())
+# isometric (5 = 1 + 4) over different sets of places: {inf, 2} and {inf, 2, 5}
+@example((DiagonalForm((1, 1)), DiagonalForm((5, 5))))
+# one dimension, determinant and signature; the Hasse symbols differ at the odd place 3 (and at 2)
+@example((DiagonalForm((1, 1, 1)), DiagonalForm((1, 3, 3))))
+@settings(max_examples=300, deadline=None)
+def test_isometry_key_agrees_with_the_pairwise_comparison(pair):
+    q1, q2 = pair
+    i1, i2 = invariants(q1), invariants(q2)
+    assert (i1.key == i2.key) is _same_invariants(i1, i2) is isometric(q1, q2)
+    for inv in (i1, i2):
+        for v in (*i1.places(), *i2.places(), finite_place(11)):
+            assert inv.hasse_at(v) == dict(inv.hasse).get(v, 1)
+
+
 def test_pfister_construction_and_exponent():
     assert pfister([-1, -3]) == DiagonalForm((1, -1, -3, 3))
     assert pfister_exponent(DiagonalForm((1, -1, -3, 3))) == 2

@@ -10,7 +10,7 @@ from functools import lru_cache
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from quatgenus import certificates, runner, tower
 from quatgenus.arith import squarefree_part, witness_sequence
@@ -20,19 +20,25 @@ from quatgenus.certificates import (
     Certificate,
     ReplayContext,
     Status,
+    assume_certificate,
     base_certificate,
     chain_certificate,
     check_node,
     disc_from_json,
+    disc_mismatch,
+    form_pfister_exponent,
+    forms_equal,
+    generic_certificate,
     hoffmann_certificate,
     iter_certificates,
     monotone_certificate,
+    pfister_certificate,
     replay,
     shared_json,
     tamper,
 )
 from quatgenus.errors import InputError, PreconditionError, TruncationError
-from quatgenus.forms import DiagonalForm
+from quatgenus.forms import DiagonalForm, isometric
 from quatgenus.quaternion import QuaternionAlgebra, connecting_algebra
 from quatgenus.runner import (
     _MAX_WINDOW,
@@ -43,7 +49,7 @@ from quatgenus.runner import (
     render_report,
     run_script_data,
 )
-from quatgenus.symbolic import SymbolicAlgebra, SymbolicClass
+from quatgenus.symbolic import SymbolicAlgebra, SymbolicClass, SymbolicForm
 from quatgenus.tower import (
     AbstractBase,
     Assumption,
@@ -139,6 +145,118 @@ def test_hoffmann_applies_across_larger_adjunction():
     assert stmt.status is Status.ANISOTROPIC
     assert stmt.certificate.rule == "R-HOFFMANN"
     assert stmt.certificate.param("exponent") == 2
+
+
+def _scan_from_base(state, subject):
+    """derive_status as a walk over every level from the base, with a pairwise
+    match test at each: the reference for the lookup of the first match."""
+    cert = blocked = None
+    if isinstance(state.base, RationalBase):
+        if isinstance(subject, DiagonalForm):
+            cert = base_certificate(subject)
+            status = cert.status
+        else:
+            status, blocked = Status.UNKNOWN, (0, None)
+    elif (found := state.base.find(subject)) is not None:
+        cert, status = assume_certificate(subject, found.ident), Status.ANISOTROPIC
+    else:
+        status, blocked = Status.UNKNOWN, (0, None)
+    n = form_pfister_exponent(subject) if status is Status.ANISOTROPIC and state.adjunctions else None
+    for level, phi in enumerate(state.adjunctions, start=1):
+        if status is Status.ISOTROPIC:
+            continue
+        if forms_equal(subject, phi) or (
+            isinstance(subject, DiagonalForm) and isinstance(phi, DiagonalForm) and isometric(subject, phi)
+        ):
+            cert, status, blocked = generic_certificate(subject, phi, level), Status.ISOTROPIC, None
+            continue
+        if status is Status.UNKNOWN:
+            continue
+        trivialized = state.trivialized_below(level)
+        if (
+            n is not None
+            and phi.dim == 2**n
+            and disc_mismatch(subject.signed_disc(), phi.signed_disc(), trivialized)
+        ):
+            cert = pfister_certificate(cert, phi, level, n, trivialized)
+            continue
+        nh = tower._hoffmann_exponent(subject.dim, phi.dim)
+        if nh is not None:
+            cert = hoffmann_certificate(cert, phi, level, nh)
+            continue
+        status, blocked, cert = Status.UNKNOWN, (level, phi), None
+    if status is Status.ISOTROPIC and cert is not None and cert.level < state.top_level:
+        cert = monotone_certificate(cert, state.top_level)
+    return status, blocked, cert
+
+
+_CONCRETE = st.lists(st.sampled_from([1, -1, 2, -2, 3, -3, 5, -5, 7, -7]), min_size=2, max_size=4)
+_SYMBOLIC = st.lists(
+    st.builds(SymbolicClass, st.sampled_from([1, -1]), st.sampled_from([(), ("a",), ("b",), ("a", "b")])),
+    min_size=2, max_size=4,
+)
+
+
+@st.composite
+def _towers(draw):
+    """A tower state of a few 2- to 4-dimensional adjunctions over Q or over an
+    abstract base (mostly symbolic forms there), and subjects to derive over it:
+    some adjoined forms, their repeats and, for concrete ones, isometric but
+    unequal variants, <a,b,...> -> <c,abc,...> with c = ax^2 + by^2."""
+    abstract = draw(st.booleans())
+    forms = st.one_of(
+        _SYMBOLIC.map(lambda cs: SymbolicForm(tuple(cs))), _CONCRETE.map(DiagonalForm.of)
+    ) if abstract else _CONCRETE.map(DiagonalForm.of)
+
+    def variant(q):
+        moved = list(draw(st.permutations(q.coefficients)))
+        if isinstance(q, DiagonalForm):
+            a, b = moved[:2]
+            c = a * draw(st.integers(1, 3)) ** 2 + b * draw(st.integers(0, 3)) ** 2
+            if c:
+                moved[:2] = [c, a * b * c]
+            return DiagonalForm.of(moved)
+        return SymbolicForm(tuple(moved))
+
+    def repeat_or_variant(q):
+        return q if draw(st.booleans()) else variant(q)
+
+    levels = draw(st.lists(forms, max_size=6))
+    for _ in range(draw(st.integers(0, 2))):
+        if levels:  # further up than the level it repeats
+            at = draw(st.integers(0, len(levels) - 1))
+            levels.insert(draw(st.integers(at + 1, len(levels))), repeat_or_variant(levels[at]))
+    subjects = [
+        repeat_or_variant(draw(st.sampled_from(levels))) if levels and draw(st.booleans()) else draw(forms)
+        for _ in range(draw(st.integers(1, 4)))
+    ]
+    base = RationalBase()
+    if abstract:
+        ledger = [q for q in subjects if draw(st.booleans())]
+        base = AbstractBase(("a", "b"), tuple(Assumption(f"h{i}", q) for i, q in enumerate(ledger)))
+    return TowerState(base, tuple(levels)), subjects
+
+
+_FOUR_SQUARES = DiagonalForm((1, 1, 1, 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_towers())
+# no rule carries <1,1,1,1> across <1,1,3>; <2,2,2,2> then adjoins it up to isometry
+@example((TowerState(RationalBase(), (DiagonalForm((1, 1, 3)), DiagonalForm((2, 2, 2, 2)))),
+          [_FOUR_SQUARES, DiagonalForm((1, -1))]))
+# the same over a ledger, where only an equal form matches
+@example((TowerState(
+    AbstractBase(("a",), (Assumption("h0", SymbolicForm((SymbolicClass.one(),) * 4)),)),
+    (SymbolicForm((SymbolicClass.one(),) * 3), _FOUR_SQUARES, SymbolicForm((SymbolicClass.one(),) * 4)),
+), [SymbolicForm((SymbolicClass.one(),) * 4), _FOUR_SQUARES]))
+def test_derive_status_agrees_with_the_scan_from_the_base(tower_and_subjects):
+    state, subjects = tower_and_subjects
+    for subject in subjects:
+        stmt = derive_status(state, subject)
+        status, blocked, cert = _scan_from_base(state, subject)
+        assert (stmt.status, stmt.level, stmt.blocked) == (status, state.top_level, blocked)
+        assert (stmt.certificate and stmt.certificate.to_json()) == (cert and cert.to_json())
 
 
 def test_pushing_step_worked_instance():
