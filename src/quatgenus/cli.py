@@ -15,7 +15,7 @@ import re
 import sys
 
 from .arith import parse_rational
-from .errors import InputError, PreconditionError, TruncationError
+from .errors import InputError, PreconditionError, SearchExhausted, TruncationError
 from .forms import (
     DiagonalForm,
     invariants,
@@ -112,7 +112,15 @@ def cmd_form(args: argparse.Namespace) -> int:
             else:
                 print(f"anisotropic (fails at {failing})")
             return 0
-        vector = isotropic_vector(q, args.bound)
+        try:
+            vector = isotropic_vector(q, args.bound)
+        except SearchExhausted as exhausted:
+            # the verdict stands; only the witness search ran out
+            if args.json:
+                _emit_json({"isotropic": True, "witness": None, "search": str(exhausted)})
+            else:
+                print(f"isotropic ({exhausted})")
+            return 0
         if args.json:
             _emit_json({"isotropic": True, "witness": None if vector is None else list(vector)})
         elif vector is None:

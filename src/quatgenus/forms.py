@@ -205,7 +205,10 @@ def represents(q: DiagonalForm, c: int | Rational) -> bool:
 
 
 def isotropic_vector(q: DiagonalForm, bound: int) -> tuple[int, ...] | None:
-    """Enumeration-order-minimal integer zero with max-norm <= bound, or None."""
+    """Enumeration-order-minimal integer zero with max-norm <= bound, or None.
+
+    SearchExhausted when the search's table budget ends it before the bound.
+    """
     if bound < 1:
         raise InputError("search bound must be positive")
     if q.dim < 2:
@@ -215,7 +218,10 @@ def isotropic_vector(q: DiagonalForm, bound: int) -> tuple[int, ...] | None:
         return None
     vec = isotropic_vector_search(q.coefficients, bound)
     if vec is not None:
-        _crosscheck(q.evaluate(vec) == 0, "the search returns a zero of the form")
+        _crosscheck(
+            sum(c * x * x for c, x in zip(q.coefficients, vec)) == 0,
+            "the search returns a zero of the form",
+        )
     return vec
 
 

@@ -5,23 +5,39 @@ Enumeration contract: candidate vectors are ordered by max-norm shell, then
 lexicographically by the per-coordinate rank sequence 0, 1, -1, 2, -2, ...;
 the first zero of the form wins.
 
-The search is meet-in-the-middle: the coordinate block is split into a
-most-significant left prefix and a right suffix; value tables keyed by the
-partial sums hold the minimal-rank tuple per value, and each shell only
-touches its own surface, so exhausting a bound costs on the order of the
-final cube rather than cube times shells.
-
 Orthant lemma: flipping a negative coordinate v to -v lowers its rank from
-2|v| to 2|v| - 1 and keeps both c*v^2 and the max-norm shell. So within a
-shell, the minimal-rank tuple of each half for each value, and with it the
-first zero in enumeration order, has nonnegative coordinates. The search
-therefore enumerates the nonnegative orthant only: (m+1)^k - m^k tuples per
-half on shell m instead of (2m+1)^k - (2m-1)^k.
+2|v| to 2|v| - 1 and keeps both c*v^2 and the max-norm shell, so the first
+zero has nonnegative coordinates. On nonnegative values the rank order is
+the order of the values (v has rank 2v - 1), so within a shell the
+enumeration order of the orthant is plain lexicographic order. The search
+enumerates the orthant only: (m+1)^k - m^k tuples per half of k coordinates
+on shell m.
+
+The search meets in the middle: the coordinates are split into a left
+prefix and a right suffix, and the right coefficients are negated, so a zero
+of the form is a left and a right tuple with the same value. Each half keeps
+only the set of values its tuples reach; a shell adds its surface values,
+and two disjointness tests (new left against every right, older left against
+new right) tell whether the shell holds a zero, all in C. Exhausting a bound
+costs on the order of the final cube rather than cube times shells.
+
+At the first shell m with a zero, each half's cube 0..m is listed in
+lexicographic order, and each shared value v gives the candidate (first left
+tuple of value v, first right tuple of value v). Its max-norm is m: two
+tuples below m would have made a zero on an earlier shell. Only the all-zero
+pair, both halves at value 0, is not a vector, so for v = 0 one of the two
+must be nonzero. The least candidate is the first zero.
+
+The values built are budgeted: a search that would generate more than
+_TABLE_BUDGET surface values in all raises SearchExhausted instead of
+building them, so every input ends in bounded work.
 """
 
 from __future__ import annotations
 
-from .errors import InputError
+from .errors import InputError, SearchExhausted
+
+_TABLE_BUDGET = 1 << 20  # surface values a search may generate, both halves together
 
 
 def backend_name() -> str:
@@ -29,32 +45,58 @@ def backend_name() -> str:
     return "pure"
 
 
-def _rank_value(r: int) -> int:
-    # rank sequence 0, 1, -1, 2, -2, ...
-    if r == 0:
-        return 0
-    return (r + 1) // 2 if r % 2 else -(r // 2)
+def _surface(tables: list[list[int]], m: int) -> list[int]:
+    """Values of the nonnegative tuples of max-norm exactly m.
 
-
-def _surface(tables: list[list[tuple[int, int]]], m: int) -> list[tuple[int, int]]:
-    """(value, ordinal) over the nonnegative tuples of max-norm exactly m.
-
-    tables[i][v] is (c_i * v^2, rank(v) * pw_i) for v = 0..m. The surface is
-    split by the first coordinate j equal to m, so each tuple appears once:
-    coordinates before j range over 0..m-1, those after j over 0..m.
+    tables[i][v] is c_i * v^2 for v = 0..m. The surface is split by the
+    first coordinate j equal to m, so each tuple appears once: coordinates
+    before j range over 0..m-1, those after j over 0..m.
     """
-    out: list[tuple[int, int]] = []
+    out: list[int] = []
     for j in range(len(tables)):
-        part = [(0, 0)]
-        for i, table in enumerate(tables):
-            column = table[:m] if i < j else table[m : m + 1] if i == j else table
-            part = [(a + b, o + p) for a, o in part for b, p in column]
+        columns = [table[:m] for table in tables[:j]] + [tables[j][m:]] + tables[j + 1 :]
+        part = columns[0]
+        for column in columns[1:]:
+            part = [a + b for a in part for b in column]
         out += part
     return out
 
 
-def _decode(ordinal: int, k: int, base: int, pw: list[int]) -> list[int]:
-    return [_rank_value((ordinal // pw[i]) % base) for i in range(k)]
+def _cube(tables: list[list[int]]) -> list[int]:
+    """Values of every tuple of the cube, in lexicographic order."""
+    values = tables[0]
+    for table in tables[1:]:
+        values = [a + b for a in values for b in table]
+    return values
+
+
+def _digits(index: int, k: int, base: int) -> list[int]:
+    """The tuple at position index of the lexicographic k-cube 0..base-1."""
+    out = [0] * k
+    for i in range(k - 1, -1, -1):
+        index, out[i] = divmod(index, base)
+    return out
+
+
+def _first_zero(
+    tables_l: list[list[int]], tables_r: list[list[int]], hits: set[int]
+) -> tuple[int, ...]:
+    """Lexicographically first (left, right) pair sharing a value in hits."""
+    cube_l, cube_r = _cube(tables_l), _cube(tables_r)
+
+    def first_pair(v: int) -> tuple[int, int]:
+        if v:
+            return cube_l.index(v), cube_r.index(v)
+        # the all-zero pair is not a vector: the left zero tuple, which comes
+        # first, with a nonzero right one if there is one
+        try:
+            return 0, cube_r.index(0, 1)
+        except ValueError:
+            return cube_l.index(0, 1), 0
+
+    i_l, i_r = min(map(first_pair, hits))
+    base = len(tables_l[0])
+    return tuple(_digits(i_l, len(tables_l), base) + _digits(i_r, len(tables_r), base))
 
 
 def isotropic_vector_search(coefficients: tuple[int, ...], bound: int) -> tuple[int, ...] | None:
@@ -68,50 +110,32 @@ def isotropic_vector_search(coefficients: tuple[int, ...], bound: int) -> tuple[
         return None
     k_right = n // 2
     k_left = n - k_right
-    base = 2 * bound + 1
-    pw_l = [base ** (k_left - 1 - i) for i in range(k_left)]
-    pw_r = [base ** (k_right - 1 - i) for i in range(k_right)]
-    # per coordinate, (c * v^2, rank(v) * pw) for v = 0..m, grown one entry a shell
-    tables_l = [[(0, 0)] for _ in range(k_left)]
-    tables_r = [[(0, 0)] for _ in range(k_right)]
-    # value -> minimal ordinal over the cube searched so far; the all-zero
-    # tuple (value 0, ordinal 0) seeds both sides
-    left_all: dict[int, int] = {0: 0}
-    right_all: dict[int, int] = {0: 0}
+    # per coordinate, c * v^2 for v = 0..m, grown one entry a shell; the right
+    # half negated, so a zero is a value both halves reach
+    tables_l = [[0] for _ in range(k_left)]
+    tables_r = [[0] for _ in range(k_right)]
+    signed = coefficients[:k_left] + tuple(-c for c in coefficients[k_left:])
+    # the values reached on the cube searched so far, seeded by the all-zero tuple
+    left_vals = {0}
+    right_vals = {0}
+    built = 0
     for m in range(1, bound + 1):
-        for table, c, w in zip(tables_l + tables_r, coefficients, pw_l + pw_r):
-            table.append((c * m * m, (2 * m - 1) * w))
+        built += (m + 1) ** k_left - m**k_left + (m + 1) ** k_right - m**k_right
+        if built > _TABLE_BUDGET:
+            raise SearchExhausted(
+                f"no isotropic vector with max-norm <= {m - 1} "
+                f"within the search budget of {_TABLE_BUDGET} table entries"
+            )
+        for table, c in zip(tables_l + tables_r, signed):
+            table.append(c * m * m)
         surf_l = _surface(tables_l, m)
         surf_r = _surface(tables_r, m)
-        right_new: dict[int, int] = {}
-        for val, o in surf_r:
-            prev = right_new.get(val)
-            if prev is None or o < prev:
-                right_new[val] = o
-        best: tuple[int, int] | None = None
-        # new left against any right seen up to this shell
-        for val, o in surf_l:
-            need = -val
-            r1 = right_all.get(need)
-            r2 = right_new.get(need)
-            ro = r1 if r2 is None else r2 if r1 is None else min(r1, r2)
-            if ro is not None and (best is None or (o, ro) < best):
-                best = (o, ro)
-        # new right against strictly older lefts
-        for val, o in right_new.items():
-            lo = left_all.get(-val)
-            if lo is not None and (best is None or (lo, o) < best):
-                best = (lo, o)
-        if best is not None:
-            lo, ro = best
-            vec = _decode(lo, k_left, base, pw_l) + _decode(ro, k_right, base, pw_r)
-            return tuple(vec)
-        for val, o in surf_l:
-            prev = left_all.get(val)
-            if prev is None or o < prev:
-                left_all[val] = o
-        for val, o in surf_r:
-            prev = right_all.get(val)
-            if prev is None or o < prev:
-                right_all[val] = o
+        # older left against new right, then new left against every right
+        hit = not left_vals.isdisjoint(surf_r)
+        right_vals.update(surf_r)
+        if hit or not right_vals.isdisjoint(surf_l):
+            hits = left_vals.intersection(surf_r)
+            hits.update(right_vals.intersection(surf_l))
+            return _first_zero(tables_l, tables_r, hits)
+        left_vals.update(surf_l)
     return None

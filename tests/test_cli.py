@@ -49,6 +49,30 @@ def test_form_isotropic_text(capsys):
     assert out == "isotropic (witness [1, 1, 1])\n"
 
 
+def test_form_isotropic_witness_search_is_bounded(capsys):
+    # isotropic by the invariants, but the first zero lies past the table budget
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "form", "isotropic", "1,1,1,1,-999999937")
+    assert time.perf_counter() - start < 2
+    assert (code, err) == (0, "")
+    assert out == (
+        "isotropic (no isotropic vector with max-norm <= 100 "
+        "within the search budget of 1048576 table entries)\n"
+    )
+    code, out, _ = run_cli(capsys, "form", "isotropic", "1,1,1,1,-999999937", "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["isotropic"], payload["witness"]) == (True, None)
+    assert "search budget of 1048576 table entries" in payload["search"]
+
+
+def test_form_witt_split_search_is_bounded(capsys):
+    # the split needs the same out-of-budget vector: a typed precondition failure
+    code, out, err = run_cli(capsys, "form", "witt", "1,1,1,1,-999999937")
+    assert (code, out) == (3, "")
+    assert err.startswith("error: no isotropic vector with max-norm <= 100 within the search budget")
+
+
 def test_form_analyze_json(capsys):
     code, out, _ = run_cli(capsys, "form", "analyze", "-2,1,3,3", "--json")
     assert code == 0

@@ -5,8 +5,8 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quatgenus.errors import InputError
-from quatgenus.search import backend_name, isotropic_vector_search
+from quatgenus.errors import InputError, SearchExhausted
+from quatgenus.search import _TABLE_BUDGET, backend_name, isotropic_vector_search
 
 coefficient = st.sampled_from([1, -1, 2, -2, 3, -3, 5, -5, 6, -6, 7, -7, 10, -10, 15, -15])
 # any nonzero |c| <= 100, square-free or not
@@ -49,6 +49,29 @@ def test_positive_representative_of_mirror_pair():
     assert vec == (1, 1)  # not (-1, 1) or (1, -1): minimal rank tuple is all-positive
 
 
+@pytest.mark.parametrize(
+    "coefficients, vector",
+    [
+        ((6, -83, -57, -53, -85), (25, 2, 5, 6, 1)),
+        ((-73, 2, -61, -61), (0, 61, 1, 11)),
+        ((-7, -26, 65, -35), (65, 35, 42, 39)),
+        ((83, 30, 43, 42, -1), (1, 1, 1, 2, 18)),
+        ((-126071, 384807, -3477), None),
+    ],
+)
+def test_pinned_vectors_at_bound_200(coefficients, vector):
+    # recorded from the rank-ordinal kernel that the value-set kernel replaced
+    assert isotropic_vector_search(coefficients, 200) == vector
+
+
+def test_table_budget_ends_the_search():
+    # left cubes of three coordinates: shell 101 would pass 2**20 surface values
+    assert _TABLE_BUDGET == 1 << 20
+    assert isotropic_vector_search((1, 1, 1, 1, -999999937), 100) is None
+    with pytest.raises(SearchExhausted, match="max-norm <= 100 within the search budget"):
+        isotropic_vector_search((1, 1, 1, 1, -999999937), 101)
+
+
 def test_bound_validation():
     with pytest.raises(InputError):
         isotropic_vector_search((1, -1), 0)
@@ -68,9 +91,15 @@ def test_bound_validation():
             st.lists(coefficient, min_size=6, max_size=6), st.integers(min_value=1, max_value=2)
         ),
         st.tuples(st.lists(coefficient, min_size=7, max_size=8), st.just(1)),
+        # zeros met at one shell both as a new left against an older right and
+        # as an older left against a new right
+        st.tuples(
+            st.lists(st.integers(min_value=-40, max_value=40).filter(bool), min_size=3, max_size=4),
+            st.integers(min_value=4, max_value=8),
+        ),
     )
 )
-@settings(max_examples=320, deadline=None)
+@settings(max_examples=400, deadline=None)
 def test_search_matches_brute_reference(case):
     coefficients, bound = tuple(case[0]), case[1]
     assert isotropic_vector_search(coefficients, bound) == _brute_minimum(
