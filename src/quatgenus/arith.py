@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .errors import InputError, SearchExhausted
 
@@ -222,6 +222,17 @@ def _squarefree_int(n: int) -> int:
     for p, e in f.prime_powers:
         if e % 2 == 1:
             out *= p
+    return out
+
+
+def squarefree_product(classes: Iterable[int]) -> int:
+    """The square-free part of a product of square-free integers. Common factors
+    cancel by gcd, so nothing is factored: the product may hold the square of a
+    prime too large for rho."""
+    out = 1
+    for c in classes:
+        g = gcd(out, c)
+        out = (out // g) * (c // g)
     return out
 
 

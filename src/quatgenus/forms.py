@@ -3,7 +3,8 @@
 Coefficients are stored as square-free integers (the square class of each
 diagonal entry), so isometry invariants read off arithmetically. Global
 isotropy is decided place by place over the relevant places; witnesses
-come from the bounded enumeration search.
+come from the bounded enumeration search, and Witt decomposition builds the
+splitting vectors the search cannot reach.
 """
 
 from __future__ import annotations
@@ -11,11 +12,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import chain, islice, product
+from itertools import chain, count, islice, product
+from math import gcd
 from typing import Iterable, Sequence
 
-from .arith import Rational, iter_witnesses, squarefree_part
+from .arith import Rational, is_prime, iter_witnesses, squarefree_part, squarefree_product
 from .errors import InputError, SearchExhausted, _crosscheck, _is_int
+from .legendre import ternary_zero
 from .search import isotropic_vector_search
 from .symbols import Place, hasse_invariants, hilbert_symbol, local_is_square
 
@@ -97,10 +100,7 @@ def _form_of_ints(values: tuple[int, ...]) -> DiagonalForm:
 @lru_cache(maxsize=1024)
 def _invariants_of(coefficients: tuple[int, ...]) -> "FormInvariants":
     n = len(coefficients)
-    prod = 1
-    for c in coefficients:
-        prod *= c
-    det = squarefree_part(prod)
+    det = squarefree_product(coefficients)
     pos = sum(1 for c in coefficients if c > 0)
     return FormInvariants(
         dimension=n,
@@ -330,7 +330,104 @@ def _synthesize(target: FormInvariants, q: DiagonalForm) -> DiagonalForm | None:
     return None
 
 
-_SPLIT_BOUND = 200  # max-norm of the isotropic vectors witt_decompose splits off
+_SPLIT_BOUND = 200  # max-norm of the isotropic vectors witt_decompose searches for
+_PIVOT_TRIES = 1 << 12  # members of the progression _split_value tries before SearchExhausted
+
+
+def _class_reps(place: Place) -> tuple[int, ...]:
+    """Square-free representatives of the square classes at a place."""
+    if place.is_infinite():
+        return (1, -1)
+    p = place.prime
+    assert p is not None
+    if p == 2:
+        return (1, -1, 5, -5, 2, -2, 10, -10)
+    # the least non-residue is prime, so square-free
+    n = next(m for m in count(2) if pow(m, (p - 1) // 2, p) == p - 1)
+    return (1, n, p, n * p)
+
+
+def _square_class(t: int, place: Place) -> tuple[int, int]:
+    """(valuation parity, unit class) of a square-free t at a place: the unit
+    class is the sign at the real place, the unit mod 8 at 2, and the Legendre
+    symbol at an odd prime."""
+    if place.is_infinite():
+        return (0, 1 if t > 0 else -1)
+    p = place.prime
+    assert p is not None
+    e = 1 if t % p == 0 else 0
+    u = t // p if e else t
+    if p == 2:
+        return (e, u % 8)
+    return (e, 1 if pow(u, (p - 1) // 2, p) == 1 else -1)
+
+
+def _split_value(head: tuple[int, ...], rest: tuple[int, ...]) -> int:
+    """A square-free t with <head,-t> and rest + <t> isotropic, for an isotropic
+    head + rest with two coefficients in head.
+
+    At each relevant place some square classes of t work locally. t = s q: s
+    holds the sign and the primes at which no working class is a unit, and q
+    is 1 or a prime off the relevant places giving s q working unit classes:
+    the least below 2**14, else the first in the progression that fixes q's
+    residue at each relevant prime (it holds primes, by Dirichlet's theorem).
+    Off those places and q both forms have unit coefficients, so are
+    isotropic; at q a ternary form is isotropic too, being anisotropic at an
+    even number of places, and a larger one has three unit coefficients.
+    """
+    places = relevant_places(DiagonalForm(head + rest))
+    allowed = {
+        v: {
+            _square_class(c, v)
+            for c in _class_reps(v)
+            if is_isotropic_local(DiagonalForm(head + (-c,)), v)
+            and is_isotropic_local(DiagonalForm(rest + (c,)), v)
+        }
+        for v in places
+    }
+    s = 1 if (0, 1) in allowed[places[0]] else -1
+    for v in places[1:]:
+        if all(e for e, _ in allowed[v]):
+            s *= v.prime
+    r, m = 0, 1  # q = r mod m, by the Chinese remainder theorem
+    for v in places[1:]:
+        p = v.prime
+        assert p is not None
+        mod = 8 if p == 2 else p
+        u = next(u for u in range(1, mod) if u % p and _square_class(s * u, v) in allowed[v])
+        r += m * ((u - r) * pow(m, -1, mod) % mod)
+        m *= mod
+    bad = {v.prime for v in places}
+    small = (q for q in range(3, 1 << 14, 2) if q not in bad)
+    for q in chain((1,), small, islice(count(r, m), _PIVOT_TRIES)):
+        if (q == 1 or is_prime(q)) and all(_square_class(s * q, v) in allowed[v] for v in places):
+            return s * q
+    raise SearchExhausted(f"no value splits <{head + rest}> among {_PIVOT_TRIES} candidates")
+
+
+def _constructed_vector(coefficients: tuple[int, ...]) -> tuple[int, ...]:
+    """An isotropic vector of an isotropic form of dimension 3 or more, built.
+
+    Three variables: Legendre's descent. More: head <a1,a2> and the rest are
+    split through a value t from _split_value, and zeros
+    a1 x1^2 + a2 x2^2 = t z^2 and rest(y) = -t w^2 give (w x1, w x2, z y).
+    """
+    if len(coefficients) == 3:
+        found = ternary_zero(*coefficients)
+        _crosscheck(found is not None, "an isotropic ternary form has a zero")
+        assert found is not None
+        return found
+    head, rest = coefficients[:2], coefficients[2:]
+    t = _split_value(head, rest)
+    x1, x2, z = _constructed_vector(head + (-t,))
+    *y, w = _constructed_vector(rest + (t,))
+    if z == 0:  # <a1,a2> is itself isotropic
+        return (x1, x2) + (0,) * len(rest)
+    if w == 0:
+        return (0, 0) + tuple(y)
+    vec = (w * x1, w * x2, *(z * v for v in y))
+    k = gcd(*vec)
+    return tuple(v // k for v in vec)
 
 
 def _peel(q: DiagonalForm) -> tuple[int, FormInvariants]:
@@ -354,18 +451,39 @@ def witt_decompose(q: DiagonalForm) -> WittDecomposition:
     # explicit splitting builds a concrete anisotropic part alongside the count
     current: DiagonalForm | None = q
     witnesses: list[tuple[int, ...]] = []
-    for _ in range(index):
+    built = False
+    for i in range(index):
         assert current is not None
-        vec = isotropic_vector(current, _SPLIT_BOUND)
+        try:
+            vec = isotropic_vector(current, _SPLIT_BOUND)
+        except SearchExhausted:  # the table budget ended the search first
+            vec = None
         if vec is None:
+            # the remainder's coefficients grow with each split, past the search's reach
+            try:
+                vec = _constructed_vector(current.coefficients)
+            except SearchExhausted:
+                current = None
+                break
+            _crosscheck(
+                sum(c * x * x for c, x in zip(current.coefficients, vec)) == 0,
+                "the constructed vector is a zero of the form",
+            )
+            built = True
+        witnesses.append(vec)
+        if built and i == index - 1:
+            break  # the kernel comes from _synthesize below; its large complement is not needed
+        try:
+            current = _split_hyperbolic(current, vec)
+        except SearchExhausted:  # factoring the complement of a built vector
             current = None
             break
-        witnesses.append(vec)
-        current = _split_hyperbolic(current, vec)
     part: DiagonalForm | None
     if target.dimension == 0:
         part = None
-    elif current is not None and current.dim == target.dimension:
+    # a built vector is large, and so are the coefficients of what it splits off;
+    # the kernel shown is then the small form _synthesize finds, as without it
+    elif current is not None and current.dim == target.dimension and not built:
         part = current
         _crosscheck(
             invariants(part).key == target.key,

@@ -15,6 +15,7 @@ from quatgenus.arith import (
     parse_rational,
     squarefree_classes,
     squarefree_part,
+    squarefree_product,
     witness_sequence,
 )
 from quatgenus.errors import InputError, SearchExhausted
@@ -144,3 +145,20 @@ def test_parse_rational():
         parse_rational("x")
     with pytest.raises(InputError):
         parse_rational("1/0")
+
+
+@given(st.lists(st.integers(-10**6, 10**6).filter(bool).map(squarefree_part), min_size=1, max_size=6))
+@settings(max_examples=200, deadline=None)
+def test_squarefree_product_is_the_square_class_of_the_product(classes):
+    product = 1
+    for c in classes:
+        product *= c
+    assert squarefree_product(classes) == squarefree_part(product)
+
+
+def test_squarefree_product_factors_nothing():
+    # the square of the Mersenne prime 2^61 - 1 is past rho's budget; gcd cancels it
+    p = 2**61 - 1
+    assert squarefree_product([p, -3 * p, 5]) == -15
+    with pytest.raises(SearchExhausted):
+        squarefree_part(p * p * -15)

@@ -67,10 +67,13 @@ def test_form_isotropic_witness_search_is_bounded(capsys):
 
 
 def test_form_witt_split_search_is_bounded(capsys):
-    # the split needs the same out-of-budget vector: a typed precondition failure
+    # the split search runs out of its table budget and the splitting vector is
+    # built; the three-dimensional kernel lies past the candidate budget: a typed failure
+    start = time.perf_counter()
     code, out, err = run_cli(capsys, "form", "witt", "1,1,1,1,-999999937")
+    assert time.perf_counter() - start < 10
     assert (code, out) == (3, "")
-    assert err.startswith("error: no isotropic vector with max-norm <= 100 within the search budget")
+    assert err.startswith("error: no anisotropic part of <1,1,1,1,-999999937> among 65536 ")
 
 
 def test_form_analyze_json(capsys):
@@ -90,6 +93,19 @@ def test_form_witt_text(capsys):
     lines = out.splitlines()
     assert lines[0] == "witt index: 2"
     assert lines[1] == "anisotropic part: <1,1,-3,-3>"
+
+
+def test_form_witt_prints_a_witness_per_plane(capsys):
+    # the last remainder, <3,-4515,1290>, has no zero of max-norm <= 200: that witness is built
+    code, out, _ = run_cli(capsys, "form", "witt", "2,3,3,-7,-15,-2,10")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[:2] == ["witt index: 3", "anisotropic part: <42>"]
+    witnesses = [json.loads(line.split(": ", 1)[1]) for line in lines[2:]]
+    assert len(witnesses) == 3
+    assert witnesses[:2] == [[1, 0, 0, 0, 0, 1, 0], [0, 1, 2, 1, 2]]
+    x, y, z = witnesses[2]
+    assert 3 * x * x - 4515 * y * y + 1290 * z * z == 0 and max(witnesses[2]) > 200
 
 
 def test_form_witt_kernel_search_is_bounded(capsys):

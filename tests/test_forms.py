@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from quatgenus.arith import squarefree_part
 from quatgenus.errors import InputError
@@ -20,6 +20,7 @@ from quatgenus.forms import (
     pfister_exponent,
     relevant_places,
     represents,
+    _constructed_vector,
     _split_hyperbolic,
     witt_decompose,
     witt_index,
@@ -177,11 +178,50 @@ def test_witt_decomposition_invariants(coefficients):
 
 
 @given(st.lists(coefficient, min_size=1, max_size=8))
+# forms whose last split needs a vector the bounded search cannot reach: a
+# remainder of dimension 3 (<3,-4515,1290>) or 4 (<6,-11685,-1330,-4305>)
+@example([6, -5, 6, -10, -5, 6, -5, -5])
+@example([3, -6, 7, 10, 10, -15])
+@example([1, -6, 7, -15, -15, -15])
+@example([2, 3, 3, -7, -15, -2, 10])
+@example([1, -2, 3, -15, -2, -15, 7, 7])
+@example([1, -10, 15, 2, 2, 2, -10, -1])
+@example([-6, 1, -6, -6, 7, 7, 7])
+@example([1, -3, 7, 7, 7, -10])
+# the remainder <165,35805,-71610,165> splits through t = 139965 = 15 * 9331
+@example([-15, -15, -15, 3, 2, 5, 1, 1])
+# the complement of the built vector holds a product rho cannot split
+@example([-7, 1, -15, -6, 7, 10, -6, -5])
 @settings(max_examples=100, deadline=None)
 def test_witt_index_counts_the_planes_split_off(coefficients):
     # the index comes from invariants alone; the explicit split finds as many planes
     q = DiagonalForm(tuple(coefficients))
     assert witt_index(q) == len(witt_decompose(q).witnesses)
+
+
+@st.composite
+def _isotropic_coefficients(draw):
+    """Coefficients of an isotropic form of dimension 3 to 6: the last one is
+    the square class of -(a_1 x_1^2 + ... ) for a drawn vector x."""
+    n = draw(st.integers(3, 6))
+    head = draw(st.lists(st.integers(-10**4, 10**4).filter(bool), min_size=n - 1, max_size=n - 1))
+    x = draw(st.lists(st.integers(0, 100), min_size=n - 1, max_size=n - 1))
+    value = -sum(a * v * v for a, v in zip(head, x))
+    assume(value != 0)
+    return [squarefree_part(a) for a in head] + [squarefree_part(value)]
+
+
+@given(_isotropic_coefficients())
+# split values 1 and 139965 = 15 * 9331, the prime 9331 found by search
+@example([1, 1, -1, -1])
+@example([165, 35805, -71610, 165])
+@settings(max_examples=150, deadline=None)
+def test_constructed_vector_is_a_zero(coefficients):
+    q = DiagonalForm(tuple(coefficients))
+    assert is_isotropic(q)
+    vec = _constructed_vector(q.coefficients)
+    assert len(vec) == q.dim and any(vec)
+    assert sum(c * x * x for c, x in zip(q.coefficients, vec)) == 0
 
 
 def _split_hyperbolic_reference(q, vec):
@@ -330,6 +370,8 @@ def _form_pairs(draw):
 @example((DiagonalForm((1, 1)), DiagonalForm((5, 5))))
 # one dimension, determinant and signature; the Hasse symbols differ at the odd place 3 (and at 2)
 @example((DiagonalForm((1, 1, 1)), DiagonalForm((1, 3, 3))))
+# the product of the second form's coefficients is 20 p^2, p = 23619600001, a square rho cannot split
+@example((DiagonalForm((2, 10, 1, 1)), DiagonalForm((2, 23_619_600_001, 236_196_000_010, 1))))
 @settings(max_examples=300, deadline=None)
 def test_isometry_key_agrees_with_the_pairwise_comparison(pair):
     q1, q2 = pair
