@@ -17,41 +17,63 @@ from math import gcd
 from typing import Iterable, Sequence
 
 from .arith import Rational, is_prime, iter_witnesses, squarefree_part, squarefree_product
-from .errors import InputError, SearchExhausted, _crosscheck, _is_int
+from .errors import InputError, SearchExhausted, _crosscheck
 from .legendre import ternary_zero
 from .search import isotropic_vector_search
-from .symbols import Place, hasse_invariants, hilbert_symbol, local_is_square
+from .symbols import Place, _hasse_of_classes, hilbert_symbol, local_is_square
 
 
-@dataclass(frozen=True)
+_INT = {int}
+
+
+@dataclass(frozen=True, init=False)
 class DiagonalForm:
-    """<a_1, ..., a_n> with square-free nonzero integer entries."""
+    """<a_1, ..., a_n> with square-free nonzero integer entries; _form_of_ints builds each."""
 
     coefficients: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if not self.coefficients:
-            raise InputError("a form needs at least one coefficient")
-        for c in self.coefficients:
-            if c == 0 or squarefree_part(c) != c:
-                raise InputError(f"coefficient {c} is not a nonzero square-free integer")
+    def __new__(cls, coefficients: tuple[int, ...]) -> "DiagonalForm":
+        # the type test comes first: True == 1 and 2.0 == 2 would find an int's entry
+        if type(coefficients) is not tuple or not set(map(type, coefficients)) <= _INT:
+            raise InputError(f"not a tuple of integer coefficients: {coefficients!r}")
+        form = _form_of_ints(coefficients)
+        if form.coefficients != coefficients:
+            c = next(c for c, r in zip(coefficients, form.coefficients) if c != r)
+            raise InputError(f"coefficient {c} is not a nonzero square-free integer")
+        return form
+
+    def __reduce__(self):  # copy and pickle rebuild through __new__, which needs the entries
+        return (DiagonalForm, (self.coefficients,))
 
     @classmethod
     def of(cls, values: Iterable[int | Rational]) -> "DiagonalForm":
+        values = tuple(values)
+        if set(map(type, values)) <= _INT:
+            return _form_of_ints(values)
         reduced = []
         for v in values:
             if v == 0:
                 raise InputError("zero coefficient makes the form degenerate")
             reduced.append(squarefree_part(v))
-        return cls(tuple(reduced))
+        return _form_of_ints(tuple(reduced))
 
     @property
     def dim(self) -> int:
         return len(self.coefficients)
 
-    @property
+    @cached_property
     def _invariants(self) -> "FormInvariants":
-        return _invariants_of(self.coefficients)
+        coefficients = self.coefficients
+        n = len(coefficients)
+        det = squarefree_product(coefficients)
+        pos = sum(1 for c in coefficients if c > 0)
+        return FormInvariants(
+            dimension=n,
+            determinant=det,
+            signed_discriminant=_disc_sign(n) * det,
+            hasse=_hasse_of_classes(coefficients),
+            signature=(pos, n - pos),
+        )
 
     def det(self) -> int:
         return self._invariants.determinant
@@ -78,7 +100,7 @@ class DiagonalForm:
 
     @classmethod
     def from_json(cls, data: object) -> "DiagonalForm":
-        if not isinstance(data, list) or not all(map(_is_int, data)):
+        if not isinstance(data, list) or not set(map(type, data)) <= _INT:
             raise InputError(f"not a diagonal form: {data!r}")
         return _form_of_ints(tuple(data))
 
@@ -86,29 +108,23 @@ class DiagonalForm:
         return "<" + ",".join(str(c) for c in self.coefficients) + ">"
 
 
-HYPERBOLIC_PLANE = DiagonalForm((1, -1))
-
-
-# keyed by value once from_json has refused bools: the certificates of one
-# report repeat a few subjects and adjoined forms at every node
+# The one table of forms, keyed by exact ints (callers test the type): a tuple and its
+# reduction give one object. Reports repeat forms at every node, represents its q + <-c>.
 @lru_cache(maxsize=1024)
 def _form_of_ints(values: tuple[int, ...]) -> DiagonalForm:
-    return DiagonalForm.of(values)
+    if not values:
+        raise InputError("a form needs at least one coefficient")
+    if 0 in values:
+        raise InputError("zero coefficient makes the form degenerate")
+    reduced = tuple(map(squarefree_part, values))
+    if reduced != values:
+        return _form_of_ints(reduced)
+    form = object.__new__(DiagonalForm)
+    object.__setattr__(form, "coefficients", values)
+    return form
 
 
-# keyed by value: equal forms built apart (from JSON, by represents) share one entry
-@lru_cache(maxsize=1024)
-def _invariants_of(coefficients: tuple[int, ...]) -> "FormInvariants":
-    n = len(coefficients)
-    det = squarefree_product(coefficients)
-    pos = sum(1 for c in coefficients if c > 0)
-    return FormInvariants(
-        dimension=n,
-        determinant=det,
-        signed_discriminant=_disc_sign(n) * det,
-        hasse=hasse_invariants(coefficients),
-        signature=(pos, n - pos),
-    )
+HYPERBOLIC_PLANE = DiagonalForm((1, -1))
 
 
 def _disc_sign(n: int) -> int:
@@ -155,7 +171,7 @@ def relevant_places(q: DiagonalForm) -> list[Place]:
 
 
 def invariants(q: DiagonalForm) -> FormInvariants:
-    """The form's classifying data, computed once per distinct coefficient tuple."""
+    """The form's classifying data, computed once per form object."""
     return q._invariants
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from itertools import chain, islice
 from math import prod
 
-from .arith import Rational, is_prime, is_squarefree, iter_witnesses, squarefree_part
+from .arith import Rational, is_prime, iter_witnesses, squarefree_part
 from .errors import PreconditionError, SearchExhausted, _crosscheck
 from .forms import DiagonalForm, is_isotropic, isometric, represents, witt_index
 from .symbols import INFINITE_PLACE, Place, hasse_invariants
@@ -136,14 +136,8 @@ def distinguishing_witness(
 
 def _pair_candidates(limit_rank: int):
     """Symbol pairs (a,b) in shell order by max rank, then lex by (rank a, rank b)."""
-    seq: list[int] = []
-    v = 1
-    while len(seq) < limit_rank + 1:
-        if is_squarefree(v):
-            seq.append(v)
-            seq.append(-v)
-        v += 1
-    seq = seq[: limit_rank + 1]
+    # at least limit_rank + 1 classes have |c| <= limit_rank
+    seq = list(islice(chain((1,), iter_witnesses(limit_rank)), limit_rank + 1))
     for shell in range(1, len(seq)):
         for i in range(shell):
             yield seq[i], seq[shell]

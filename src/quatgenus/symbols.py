@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .arith import Rational, _factor_positive, is_prime, legendre, squarefree_part
 from .errors import InputError, _is_int
@@ -122,7 +122,7 @@ def local_is_square(a: int | Rational, place: Place) -> bool:
     return legendre(s, p) == 1
 
 
-def _places_of_classes(classes: list[int]) -> list[Place]:
+def _places_of_classes(classes: Sequence[int]) -> list[Place]:
     """The relevant places of square classes; primes from factoring need no second test."""
     primes = {2}
     for s in classes:
@@ -135,7 +135,7 @@ def relevant_places_of(values: Iterable[int | Rational]) -> list[Place]:
     return _places_of_classes([squarefree_part(v) for v in values])
 
 
-def _hasse_squarefree(coeffs: list[int], prime: int | None) -> int:
+def _hasse_squarefree(coeffs: Sequence[int], prime: int | None) -> int:
     """The product of _hilbert_squarefree(a_i, a_j, prime) over i < j, in one pass.
 
     With a_i = p^alpha_i * u_i and k = sum(alpha_i), bilinearity gives
@@ -178,8 +178,12 @@ def _hasse_squarefree(coeffs: list[int], prime: int | None) -> int:
 def hasse_invariants(coefficients: Iterable[int | Rational]) -> tuple[tuple[Place, int], ...]:
     """(place, product of hilbert_symbol(a_i, a_j) over i < j) at each relevant place of a
     diagonal form, real place first; the Hasse symbol is 1 at every place not listed."""
-    coeffs = [squarefree_part(c) for c in coefficients]
-    return tuple((v, _hasse_squarefree(coeffs, v.prime)) for v in _places_of_classes(coeffs))
+    return _hasse_of_classes([squarefree_part(c) for c in coefficients])
+
+
+def _hasse_of_classes(classes: Sequence[int]) -> tuple[tuple[Place, int], ...]:
+    """hasse_invariants of square-free entries, which are not reduced again."""
+    return tuple((v, _hasse_squarefree(classes, v.prime)) for v in _places_of_classes(classes))
 
 
 def hasse_invariant(coefficients: Iterable[int | Rational], place: Place) -> int:

@@ -524,3 +524,27 @@ def test_cli_answers_or_refuses_every_form_and_symbol_argv(argv):
     with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()) as err:
         code = main(argv)
     assert code in (0, 2, 3), (argv, code, err.getvalue())
+
+
+_NEW_MODULES = """
+import sys
+before = set(sys.modules)
+import quatgenus, quatgenus.cli
+print("\\n".join(sorted(set(sys.modules) - before)))
+"""
+
+
+def test_the_package_imports_nothing_outside_the_standard_library():
+    # pyproject.toml declares dependencies = []
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    child = subprocess.run(
+        [sys.executable, "-c", _NEW_MODULES], capture_output=True, text=True, env=env, check=True,
+    )
+    loaded = child.stdout.split()
+    assert "quatgenus.cli" in loaded
+    outside = [
+        name for name in loaded
+        if name.partition(".")[0] not in sys.stdlib_module_names and name.partition(".")[0] != "quatgenus"
+    ]
+    assert outside == []

@@ -1,10 +1,13 @@
 """Diagonal forms: invariants, isotropy, representation, Witt decomposition."""
 
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from quatgenus import forms
 from quatgenus.arith import squarefree_part
 from quatgenus.errors import InputError
 from quatgenus.forms import (
@@ -46,6 +49,10 @@ def test_non_rational_input_is_refused():
     for value in (2.0, 2.5):
         with pytest.raises(InputError):
             DiagonalForm.of([value, -1])
+    # a bool or a Fraction entry would give a form that to_json or json.dumps cannot write
+    for entries in ((True, 2), (Fraction(3),), (2.0, -1)):
+        with pytest.raises(InputError):
+            DiagonalForm(entries)
     with pytest.raises(InputError):
         represents(DiagonalForm((1, 1)), 2.5)
     with pytest.raises(InputError):
@@ -60,9 +67,47 @@ def test_forms_from_equal_json_lists_are_one_form():
     assert q.coefficients == (1, -2, 3)
     data.append(5)
     assert DiagonalForm.from_json([4, -18, 3]) is q and q.coefficients == (1, -2, 3)
+    # every route reads one table while it holds the form
+    assert DiagonalForm.of([4, -18, 3]) is q
+    assert DiagonalForm((1, -2, 3)) is q
+    assert DiagonalForm.from_json([1, -2, 3]) is q
+    assert DiagonalForm((1, -2)).perp(DiagonalForm((3,))) is q
+    assert DiagonalForm((-1, 2, -3)).negated() is q
     for bad in ([1, True], [1, 0], [1, 2.0], (1, 2)):
         with pytest.raises(InputError):
             DiagonalForm.from_json(bad)
+
+
+def test_invariants_are_computed_once_per_distinct_tuple(monkeypatch):
+    computed = []
+
+    def hasse(classes):
+        computed.append(tuple(classes))
+        return original(classes)
+
+    original = forms._hasse_of_classes
+    monkeypatch.setattr(forms, "_hasse_of_classes", hasse)
+    forms._form_of_ints.cache_clear()  # no form an earlier test built
+    routes = [
+        DiagonalForm((7, -11, 13, -17)),
+        DiagonalForm.of([28, -99, 13, -17]),
+        DiagonalForm.from_json([7, -11, 13, -17]),
+        DiagonalForm((7, -11)).perp(DiagonalForm((13, -17))),
+    ]
+    for q in routes:
+        assert q == routes[0]
+        invariants(q)
+        is_isotropic(q)
+        q.det()
+        represents(q, 2)
+    assert computed == [(7, -11, 13, -17), (7, -11, 13, -17, -2)]
+
+
+def test_forms_survive_copy_and_pickle():
+    q = DiagonalForm((1, -2, 3))
+    assert copy.copy(q) == q
+    assert copy.deepcopy(q) == q
+    assert pickle.loads(pickle.dumps(q)) == q
 
 
 def test_invariants_worked_values():

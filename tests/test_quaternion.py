@@ -12,7 +12,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import quatgenus
-from quatgenus import forms
+from quatgenus import arith, forms
 from quatgenus.errors import InputError, PreconditionError, SearchExhausted
 from quatgenus.forms import DiagonalForm, is_isotropic, isometric, witt_decompose, witt_index
 from quatgenus import quaternion
@@ -197,7 +197,7 @@ def _cubic_pair_candidates(limit_rank):
     seq = []
     v = 1
     while len(seq) < limit_rank + 1:
-        if quaternion.is_squarefree(v):
+        if arith.is_squarefree(v):
             seq.extend((v, -v))
         v += 1
     seq = seq[: limit_rank + 1]
