@@ -1,188 +1,51 @@
 """Exact arithmetic for quadratic forms and quaternion algebras over the
 rationals, plus a certified engine for finite function-field tower
-constructions."""
+constructions.
 
-from .arith import (
-    Factorization,
-    factor,
-    is_prime,
-    is_squarefree,
-    legendre,
-    parse_rational,
-    squarefree_classes,
-    squarefree_part,
-    witness_sequence,
-)
-from .certificates import (
-    RULES,
-    Certificate,
-    ReplayContext,
-    Status,
-    check_node,
-    iter_certificates,
-    replay,
-    tamper,
-)
-from .errors import (
-    InputError,
-    PreconditionError,
-    QuatGenusError,
-    SearchExhausted,
-    TruncationError,
-)
-from .forms import (
-    HYPERBOLIC_PLANE,
-    DiagonalForm,
-    FormInvariants,
-    WittDecomposition,
-    invariants,
-    is_isotropic,
-    is_isotropic_local,
-    isometric,
-    isotropic_vector,
-    isotropy_failure,
-    pfister,
-    pfister_exponent,
-    relevant_places,
-    represents,
-    witt_decompose,
-    witt_index,
-)
-from .quaternion import (
-    GenusEntry,
-    GenusReport,
-    QuaternionAlgebra,
-    albert_form,
-    common_subfield_witness,
-    connecting_algebra,
-    contains_subfield,
-    distinguishing_witness,
-    genus_report,
-    is_division,
-    is_isomorphic,
-    is_linked,
-    ramification,
-)
-from .runner import RunConfig, parse_script, render_report, run_script_data
-from .search import backend_name, isotropic_vector_search
-from .selftest import SUITES, SuiteResult, run_suite
-from .symbolic import SymbolicAlgebra, SymbolicClass, SymbolicForm, symbolic_albert_form
-from .symbols import (
-    INFINITE_PLACE,
-    Place,
-    finite_place,
-    hasse_invariant,
-    hasse_invariants,
-    hilbert_symbol,
-    local_is_square,
-    parse_place,
-    relevant_places_of,
-)
-from .tower import (
-    AbstractBase,
-    Assumption,
-    Family,
-    RationalBase,
-    TowerState,
-    TrackedStatement,
-    adjoin,
-    compute_window,
-    derive_status,
-    iterate_pushing,
-    membership_form,
-    run_alternating_truncation,
-    step_linking_extension,
-    step_pushing_extension,
-)
+The namespace is lazy (PEP 562): `import quatgenus` loads no submodule, and
+a public name loads its defining module on first use.
+"""
+
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AbstractBase",
-    "Assumption",
-    "Certificate",
-    "DiagonalForm",
-    "Factorization",
-    "Family",
-    "FormInvariants",
-    "GenusEntry",
-    "GenusReport",
-    "HYPERBOLIC_PLANE",
-    "INFINITE_PLACE",
-    "InputError",
-    "Place",
-    "PreconditionError",
-    "QuatGenusError",
-    "QuaternionAlgebra",
-    "RULES",
-    "RationalBase",
-    "ReplayContext",
-    "RunConfig",
-    "SUITES",
-    "SearchExhausted",
-    "Status",
-    "SuiteResult",
-    "SymbolicAlgebra",
-    "SymbolicClass",
-    "SymbolicForm",
-    "TowerState",
-    "TrackedStatement",
-    "TruncationError",
-    "WittDecomposition",
-    "adjoin",
-    "albert_form",
-    "backend_name",
-    "check_node",
-    "common_subfield_witness",
-    "compute_window",
-    "connecting_algebra",
-    "contains_subfield",
-    "derive_status",
-    "distinguishing_witness",
-    "factor",
-    "finite_place",
-    "genus_report",
-    "hasse_invariant",
-    "hasse_invariants",
-    "hilbert_symbol",
-    "invariants",
-    "is_division",
-    "is_isomorphic",
-    "is_isotropic",
-    "is_isotropic_local",
-    "is_linked",
-    "is_prime",
-    "is_squarefree",
-    "isometric",
-    "isotropic_vector",
-    "isotropic_vector_search",
-    "isotropy_failure",
-    "iter_certificates",
-    "iterate_pushing",
-    "legendre",
-    "local_is_square",
-    "membership_form",
-    "parse_place",
-    "parse_rational",
-    "parse_script",
-    "pfister",
-    "pfister_exponent",
-    "ramification",
-    "relevant_places",
-    "relevant_places_of",
-    "render_report",
-    "replay",
-    "represents",
-    "run_alternating_truncation",
-    "run_script_data",
-    "run_suite",
-    "squarefree_classes",
-    "squarefree_part",
-    "step_linking_extension",
-    "step_pushing_extension",
-    "symbolic_albert_form",
-    "tamper",
-    "witness_sequence",
-    "witt_decompose",
-    "witt_index",
-]
+# defining module -> the public names it exports, each written here once
+_EXPORTS = {
+    "arith": "Factorization factor is_prime is_squarefree legendre parse_rational "
+    "squarefree_classes squarefree_part witness_sequence",
+    "certificates": "RULES Certificate ReplayContext Status check_node iter_certificates "
+    "replay tamper",
+    "errors": "InputError PreconditionError QuatGenusError SearchExhausted TruncationError",
+    "forms": "HYPERBOLIC_PLANE DiagonalForm FormInvariants WittDecomposition invariants "
+    "is_isotropic is_isotropic_local isometric isotropic_vector isotropy_failure pfister "
+    "pfister_exponent relevant_places represents witt_decompose witt_index",
+    "quaternion": "GenusEntry GenusReport QuaternionAlgebra albert_form "
+    "common_subfield_witness connecting_algebra contains_subfield distinguishing_witness "
+    "genus_report is_division is_isomorphic is_linked ramification",
+    "runner": "RunConfig parse_script render_report run_script_data",
+    "search": "backend_name isotropic_vector_search",
+    "selftest": "SUITES SuiteResult run_suite",
+    "symbolic": "SymbolicAlgebra SymbolicClass SymbolicForm symbolic_albert_form",
+    "symbols": "INFINITE_PLACE Place finite_place hasse_invariant hasse_invariants "
+    "hilbert_symbol local_is_square parse_place relevant_places_of",
+    "tower": "AbstractBase Assumption Family RationalBase TowerState TrackedStatement adjoin "
+    "compute_window derive_status iterate_pushing membership_form run_alternating_truncation "
+    "step_linking_extension step_pushing_extension",
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str) -> object:
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value  # later lookups find it without this hook
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | _MODULE_OF.keys())

@@ -202,7 +202,7 @@ def factor(n: int) -> Factorization:
 
 def squarefree_part(x: int | Rational) -> int:
     """The square-free integer in the square class of a nonzero int or Fraction; nothing else."""
-    if isinstance(x, int):  # first: a Fraction test goes through ABCMeta
+    if type(x) is int:  # first: a Fraction test goes through ABCMeta; exact: a bool is an int
         n = x
     elif isinstance(x, Fraction):
         n = x.numerator * x.denominator

@@ -26,6 +26,9 @@ that context: a node whose whole subtree has passed is not walked again. That
 relies on certificates being frozen: a node's JSON-valued parameters must not
 be mutated in place after a replay.
 
+context_from_report() and certificates_in_report() read what replay needs from
+a report's JSON, so a report is re-verified without the engine that wrote it.
+
 Certificates share premises: a statement's certificate is built on its
 premises' objects, so one run's certificates form a DAG. Inside a
 shared_json() block, to_json() returns the same dict for the same node
@@ -460,6 +463,48 @@ class ReplayContext:
             return ()
         prefixes = self._killed_prefixes
         return prefixes[min(max(level - 1, 0), len(prefixes) - 1)]
+
+
+_ABSENT = object()
+
+
+def _member(data: object, key: str, kind: type = object) -> object:
+    """data[key]; InputError unless data is a dict holding a value of type kind under key."""
+    value = data.get(key, _ABSENT) if isinstance(data, dict) else _ABSENT
+    if value is _ABSENT or not isinstance(value, kind):
+        raise InputError(f"malformed report: no {kind.__name__} at {key!r}")
+    return value
+
+
+def context_from_report(report: object) -> ReplayContext:
+    """Rebuild the replay surroundings from a report alone; InputError if it is malformed."""
+    base = _member(report, "base")
+    assumptions: tuple[tuple[str, FormLike], ...] = ()
+    if isinstance(base, dict):
+        assumptions = tuple(
+            (_member(a, "id", str), form_from_json(_member(a, "anisotropic")))
+            for a in _member(base, "assumptions", list)
+        )
+    levels = _member(_member(report, "final_state", dict), "levels", list)
+    adjunctions = tuple(form_from_json(_member(level, "form")) for level in levels)
+    return ReplayContext(assumptions=assumptions, adjunctions=adjunctions)
+
+
+def certificates_in_report(report: dict):
+    """Yield every top-level certificate JSON object embedded in a report."""
+
+    def walk(node: object):
+        if isinstance(node, dict):
+            if "rule" in node and "status" in node and "subject" in node:
+                yield node
+            else:
+                for value in node.values():
+                    yield from walk(value)
+        elif isinstance(node, list):
+            for value in node:
+                yield from walk(value)
+
+    yield from walk(report)
 
 
 def replay(cert: Certificate, context: ReplayContext | None = None) -> bool:

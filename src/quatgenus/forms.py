@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 
 from .arith import Rational, is_prime, iter_witnesses, squarefree_part, squarefree_product
 from .errors import InputError, SearchExhausted, _crosscheck
-from .legendre import ternary_zero
+from .conics import ternary_zero
 from .search import isotropic_vector_search
 from .symbols import Place, _hasse_of_classes, hilbert_symbol, local_is_square
 

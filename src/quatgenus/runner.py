@@ -22,12 +22,15 @@ from itertools import repeat
 from json.encoder import encode_basestring_ascii
 
 from .arith import witness_sequence
+# certificates_in_report and context_from_report live with the checker; they
+# stay importable from here as well
 from .certificates import (
     Certificate,
     FormLike,
-    ReplayContext,
     Status,
+    certificates_in_report,
     check_node,
+    context_from_report,
     form_from_json,
     iter_certificates,
     shared_json,
@@ -477,34 +480,3 @@ def run_script_data(data: object, config: RunConfig) -> tuple[dict, int]:
     script = parse_script(data)
     report = execute_script(script, config)
     return report, report_exit_code(report)
-
-
-def context_from_report(report: dict) -> ReplayContext:
-    """Rebuild the replay surroundings from a report alone."""
-    base = report["base"]
-    assumptions: tuple[tuple[str, FormLike], ...] = ()
-    if isinstance(base, dict):
-        assumptions = tuple(
-            (a["id"], form_from_json(a["anisotropic"])) for a in base["assumptions"]
-        )
-    adjunctions = tuple(
-        form_from_json(level["form"]) for level in report["final_state"]["levels"]
-    )
-    return ReplayContext(assumptions=assumptions, adjunctions=adjunctions)
-
-
-def certificates_in_report(report: dict):
-    """Yield every top-level certificate JSON object embedded in a report."""
-
-    def walk(node: object):
-        if isinstance(node, dict):
-            if "rule" in node and "status" in node and "subject" in node:
-                yield node
-            else:
-                for value in node.values():
-                    yield from walk(value)
-        elif isinstance(node, list):
-            for value in node:
-                yield from walk(value)
-
-    yield from walk(report)

@@ -19,6 +19,8 @@ from quatgenus.arith import (
     witness_sequence,
 )
 from quatgenus.errors import InputError, SearchExhausted
+from quatgenus.forms import DiagonalForm
+from quatgenus.quaternion import QuaternionAlgebra
 
 SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
 
@@ -91,6 +93,17 @@ def test_squarefree_part_rejects_non_rational_input():
     for value in (2.0, 2.5, 3.0, "6", None):
         with pytest.raises(InputError):
             squarefree_part(value)
+
+
+def test_bools_are_not_rationals():
+    # True == 1 and hashes like it: a bool must be refused before any int path or table
+    for build in (
+        lambda: squarefree_part(True),
+        lambda: DiagonalForm.of([True, 2]),
+        lambda: QuaternionAlgebra.of(True, -1),
+    ):
+        with pytest.raises(InputError):
+            build()
 
 
 @given(st.integers(min_value=1, max_value=10**6))

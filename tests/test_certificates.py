@@ -16,6 +16,7 @@ from quatgenus.certificates import (
     ReplayContext,
     base_certificate,
     check_node,
+    context_from_report,
     disc_mismatch,
     generic_certificate,
     hoffmann_certificate,
@@ -25,7 +26,7 @@ from quatgenus.certificates import (
 )
 from quatgenus.errors import InputError
 from quatgenus.forms import DiagonalForm
-from quatgenus.runner import RunConfig, context_from_report, run_script_data
+from quatgenus.runner import RunConfig, run_script_data
 from quatgenus.symbolic import SymbolicForm
 
 QUAD = DiagonalForm((1, 1, 1, 1))
@@ -278,6 +279,22 @@ def test_the_real_contexts_have_adjunctions_and_a_ledger():
     rationals, abstract = _real_contexts()
     assert rationals.adjunctions and rationals.trivialized_below(len(rationals.adjunctions))
     assert abstract.adjunctions and abstract.assumptions
+
+
+@pytest.mark.parametrize(
+    "report",
+    [
+        [],
+        {"base": {"assumptions": 5}, "final_state": {"levels": []}},
+        {"base": "rationals"},
+        {"final_state": {"levels": []}},
+        {"base": "rationals", "final_state": {"levels": [{"index": 1}]}},
+        {"base": {"assumptions": [{"anisotropic": [1, 1]}]}, "final_state": {"levels": []}},
+    ],
+)
+def test_a_malformed_report_has_no_context(report):
+    with pytest.raises(InputError):
+        context_from_report(report)
 
 
 _QUAD_LEAF = {"rule": "R-BASE", "status": "anisotropic", "subject": [1, 1, 1, 1], "level": -1,

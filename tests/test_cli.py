@@ -198,26 +198,34 @@ WORKED_PUSHING = {
 }
 
 
+_ITER_REPORT = runner.iter_report
+
+
 def _counted_renders(monkeypatch):
-    """Route the CLI's renders through a wrapper; returns the list of reports rendered."""
+    """Route the renders through a wrapper; returns the list of reports rendered.
+
+    cmd_tower imports iter_report from the runner when it runs, so the wrapper
+    goes in the runner's binding, where render_report reads it too.
+    """
     rendered = []
 
     def counted(report):
         rendered.append(report)
-        return runner.iter_report(report)
+        return _ITER_REPORT(report)
 
-    monkeypatch.setattr(cli, "iter_report", counted)
+    monkeypatch.setattr(runner, "iter_report", counted)
     return rendered
 
 
 def test_tower_run_streams_one_render_to_out_and_stdout(tmp_path, capsys, monkeypatch):
+    report, _code = runner.run_script_data(WORKED_PUSHING, runner.RunConfig())
+    expected = runner.render_report(report)  # rendered before the count starts
     rendered = _counted_renders(monkeypatch)
     out_path = tmp_path / "report.json"
     argv = ("tower", "run", _write_script(tmp_path, WORKED_PUSHING), "--out", str(out_path))
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
-    report, _code = runner.run_script_data(WORKED_PUSHING, runner.RunConfig())
-    assert out_path.read_bytes() == out.encode() == runner.render_report(report).encode()
+    assert out_path.read_bytes() == out.encode() == expected.encode()
     assert len(rendered) == 1
     # with a text summary on stdout, the one render goes to --out alone
     out_path.unlink()
@@ -341,12 +349,12 @@ def test_tower_run_renders_a_report_at_the_depth_limit(tmp_path, capsys, monkeyp
         return report, 0
 
     def render_and_parse(report):
-        pieces = list(runner.iter_report(report))
+        pieces = list(_ITER_REPORT(report))
         assert json.loads("".join(pieces)) == report
         return iter(pieces)
 
-    monkeypatch.setattr(cli, "run_script_data", run_deep)
-    monkeypatch.setattr(cli, "iter_report", render_and_parse)
+    monkeypatch.setattr(runner, "run_script_data", run_deep)
+    monkeypatch.setattr(runner, "iter_report", render_and_parse)
     code, out, err = run_cli(capsys, "tower", "run", _write_script(tmp_path, {}))
     assert (code, err) == (0, "")
     assert out.count('"rule": "R-HOFFMANN"') == MAX_DEPTH - 1
@@ -527,9 +535,11 @@ def test_cli_answers_or_refuses_every_form_and_symbol_argv(argv):
 
 
 _NEW_MODULES = """
-import sys
+import importlib, pkgutil, sys
 before = set(sys.modules)
-import quatgenus, quatgenus.cli
+import quatgenus
+for module in pkgutil.iter_modules(quatgenus.__path__):
+    importlib.import_module("quatgenus." + module.name)
 print("\\n".join(sorted(set(sys.modules) - before)))
 """
 
@@ -542,7 +552,7 @@ def test_the_package_imports_nothing_outside_the_standard_library():
         [sys.executable, "-c", _NEW_MODULES], capture_output=True, text=True, env=env, check=True,
     )
     loaded = child.stdout.split()
-    assert "quatgenus.cli" in loaded
+    assert {"quatgenus.cli", "quatgenus.selftest", "quatgenus.tower"} <= set(loaded)
     outside = [
         name for name in loaded
         if name.partition(".")[0] not in sys.stdlib_module_names and name.partition(".")[0] != "quatgenus"

@@ -6,7 +6,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from quatgenus.arith import squarefree_part
 from quatgenus.forms import DiagonalForm, is_isotropic
-from quatgenus.legendre import ternary_zero
+from quatgenus.conics import ternary_zero
 
 square_class = st.integers(-10**6, 10**6).filter(bool).map(squarefree_part)
 

@@ -1,0 +1,80 @@
+"""The package namespace: each public name from its defining module, loaded on first use."""
+
+import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import quatgenus
+from quatgenus.runner import RunConfig, render_report, run_script_data
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+
+
+def test_every_public_name_is_its_defining_module_s_object():
+    for name in quatgenus.__all__:
+        module = importlib.import_module(f"quatgenus.{quatgenus._MODULE_OF[name]}")
+        assert getattr(quatgenus, name) is getattr(module, name), name
+    assert set(quatgenus.__all__) <= set(dir(quatgenus))
+    with pytest.raises(AttributeError):
+        quatgenus.no_such_name
+
+
+def test_legendre_is_the_symbol_not_a_module():
+    assert quatgenus.legendre is quatgenus.arith.legendre
+    assert quatgenus.legendre(2, 7) == 1
+
+
+def _loaded(*argv: str) -> set[str]:
+    """The quatgenus modules a fresh interpreter imports to run argv (python -X importtime)."""
+    child = subprocess.run(
+        [sys.executable, "-X", "importtime", *argv], capture_output=True, text=True, env=ENV,
+    )
+    assert child.returncode == 0, child.stderr
+    names = [line.rpartition("|")[2].strip() for line in child.stderr.splitlines()]
+    return {name for name in names if name.partition(".")[0] == "quatgenus"}
+
+
+def test_importing_the_package_loads_no_submodule():
+    assert _loaded("-c", "import quatgenus") == {"quatgenus"}
+
+
+def test_the_symbol_command_loads_only_what_it_computes_with():
+    # quatgenus.__main__ runs as __main__, so importtime does not name it
+    modules = {"quatgenus", "quatgenus.cli", "quatgenus.errors", "quatgenus.arith", "quatgenus.symbols"}
+    assert _loaded("-m", "quatgenus", "symbol", "-1", "-1", "2") == modules
+
+
+_VERIFY = """
+import json, sys
+from quatgenus.certificates import Certificate, certificates_in_report, context_from_report, replay
+
+report = json.load(open(sys.argv[1]))
+context = context_from_report(report)
+if not all(replay(Certificate.from_json(c), context) for c in certificates_in_report(report)):
+    sys.exit(1)
+"""
+
+
+def test_replaying_a_report_from_json_loads_no_engine_module(tmp_path):
+    script = {"base": "rationals", "algebras": [[-1, -1], [-1, -3]],
+              "steps": [{"kind": "alternate", "rounds": 1, "max_rounds": 1, "window": 5}]}
+    report, code = run_script_data(script, RunConfig())
+    assert code == 0 and report["final_state"]["levels"]
+    path = tmp_path / "report.json"
+    path.write_text(render_report(report))
+    loaded = _loaded("-c", _VERIFY, str(path))
+    assert "quatgenus.certificates" in loaded
+    engine = {"tower", "runner", "selftest", "quaternion", "oracles", "cli"}
+    assert loaded.isdisjoint(f"quatgenus.{name}" for name in engine)
+    # the same check fails when the tower no longer adjoins what a certificate cites
+    tampered = json.loads(path.read_text())
+    tampered["final_state"]["levels"][0]["form"] = [1, 1]
+    path.write_text(json.dumps(tampered))
+    child = subprocess.run([sys.executable, "-c", _VERIFY, str(path)], env=ENV)
+    assert child.returncode == 1
