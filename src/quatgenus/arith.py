@@ -254,12 +254,7 @@ def legendre(a: int, p: int) -> int:
 
 def squarefree_classes(limit: int) -> list[int]:
     """Square-free integers with |c| <= limit, ordered by |c| ascending, positive first."""
-    out: list[int] = []
-    for m in range(1, limit + 1):
-        if is_squarefree(m):
-            out.append(m)
-            out.append(-m)
-    return out
+    return [1, *iter_witnesses(limit)] if limit >= 1 else []
 
 
 def iter_witnesses(limit: int) -> Iterator[int]:

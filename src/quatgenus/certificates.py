@@ -109,10 +109,6 @@ def disc_from_json(data: object) -> DiscClass:
     return SymbolicClass.from_json(data)
 
 
-def forms_equal(f1: FormLike, f2: FormLike) -> bool:
-    return type(f1) is type(f2) and f1 == f2
-
-
 def match_key(form: FormLike) -> object:
     """What R-GENERIC matches: a concrete form's isometry class over Q, a symbolic form itself."""
     return invariants(form).key if isinstance(form, DiagonalForm) else form
@@ -542,7 +538,7 @@ def _sole_premise(cert: Certificate, status: Status) -> Certificate | None:
     if cert.status is not status or len(cert.premises) != 1:
         return None
     premise = cert.premises[0]
-    if premise.status is not status or not forms_equal(premise.subject, cert.subject):
+    if premise.status is not status or premise.subject != cert.subject:
         return None
     return premise
 
@@ -555,7 +551,7 @@ def _adjoined(cert: Certificate, context: ReplayContext | None) -> FormLike | No
     adjoined = form_from_json(cert.param("adjoined"))
     if context is not None and context.adjunctions is not None:
         tower = context.adjunctions
-        if cert.level > len(tower) or not forms_equal(tower[cert.level - 1], adjoined):
+        if cert.level > len(tower) or tower[cert.level - 1] != adjoined:
             return None
     return adjoined
 
@@ -589,7 +585,7 @@ def _check_node(cert: Certificate, context: ReplayContext | None) -> bool:
         if not isinstance(ident, str) or context is None:
             return False
         declared = context.assumption_subject(ident)
-        return declared is not None and forms_equal(declared, cert.subject)
+        return declared is not None and declared == cert.subject
     if cert.rule == "R-GENERIC":
         if cert.premises or cert.status is not Status.ISOTROPIC:
             return False

@@ -18,8 +18,6 @@ from typing import Iterable, Sequence
 
 from .arith import Rational, is_prime, iter_witnesses, squarefree_part, squarefree_product
 from .errors import InputError, SearchExhausted, _crosscheck
-from .conics import ternary_zero
-from .search import isotropic_vector_search
 from .symbols import Place, _hasse_of_classes, hilbert_symbol, local_is_square
 
 
@@ -232,6 +230,8 @@ def isotropic_vector(q: DiagonalForm, bound: int) -> tuple[int, ...] | None:
     pos, neg = invariants(q).signature
     if pos == 0 or neg == 0:
         return None
+    from .search import isotropic_vector_search
+
     vec = isotropic_vector_search(q.coefficients, bound)
     if vec is not None:
         _crosscheck(
@@ -429,6 +429,8 @@ def _constructed_vector(coefficients: tuple[int, ...]) -> tuple[int, ...]:
     a1 x1^2 + a2 x2^2 = t z^2 and rest(y) = -t w^2 give (w x1, w x2, z y).
     """
     if len(coefficients) == 3:
+        from .conics import ternary_zero
+
         found = ternary_zero(*coefficients)
         _crosscheck(found is not None, "an isotropic ternary form has a zero")
         assert found is not None

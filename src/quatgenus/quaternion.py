@@ -13,7 +13,7 @@ from itertools import chain, islice
 from math import prod
 
 from .arith import Rational, is_prime, iter_witnesses, squarefree_part
-from .errors import PreconditionError, SearchExhausted, _crosscheck
+from .errors import InputError, PreconditionError, SearchExhausted, _crosscheck
 from .forms import DiagonalForm, is_isotropic, isometric, represents, witt_index
 from .symbols import INFINITE_PLACE, Place, hasse_invariants
 
@@ -27,6 +27,9 @@ class QuaternionAlgebra:
 
     @classmethod
     def of(cls, a: int | Rational, b: int | Rational) -> "QuaternionAlgebra":
+        for x in (a, b):  # the type test comes first: False == 0 and 0.0 == 0
+            if type(x) is not int and not isinstance(x, Rational):
+                raise InputError(f"not an integer or a fraction: {x!r}")
         if a == 0 or b == 0:
             raise PreconditionError("quaternion symbols must be nonzero")
         return cls(squarefree_part(a), squarefree_part(b))

@@ -32,7 +32,6 @@ from .certificates import (
     chain_certificate,
     disc_mismatch,
     form_pfister_exponent,
-    forms_equal,
     generic_certificate,
     hoffmann_certificate,
     match_key,
@@ -73,7 +72,7 @@ class AbstractBase:
 
     def find(self, subject: FormLike) -> Assumption | None:
         for a in self.assumptions:
-            if forms_equal(a.subject, subject):
+            if a.subject == subject:
                 return a
         return None
 
@@ -92,8 +91,8 @@ class TowerState:
     base: Base
     adjunctions: tuple[FormLike, ...] = ()
     tracked: tuple[FormLike, ...] = ()
-    # subject -> derive_status(self, subject); a status reads only the base
-    # and the adjunctions, so each one is derived once per state
+    # subject -> derive_status(self, subject); a status reads only the base and
+    # the adjunctions, so each one is derived once, and track shares the table
     _statements: dict[FormLike, "TrackedStatement"] = field(
         default_factory=dict, init=False, compare=False, repr=False, hash=False
     )
@@ -132,12 +131,8 @@ class TowerState:
         return stmt
 
     def track(self, *forms: FormLike) -> "TowerState":
-        new = list(self.tracked)
-        for f in forms:
-            if not any(forms_equal(f, g) for g in new):
-                new.append(f)
-        state = TowerState(self.base, self.adjunctions, tuple(new))
-        state._statements.update(self._statements)  # no status reads `tracked`
+        state = TowerState(self.base, self.adjunctions, tuple(dict.fromkeys(self.tracked + forms)))
+        object.__setattr__(state, "_statements", self._statements)  # no status reads `tracked`
         return state
 
     def to_json(self) -> dict:
@@ -154,18 +149,19 @@ class TowerState:
 class TrackedStatement:
     subject: FormLike
     level: int
-    status: Status
     certificate: Certificate | None
     blocked: tuple[int, FormLike | None] | None
+
+    @property
+    def status(self) -> Status:
+        """The certificate's status; with no certificate, UNKNOWN."""
+        return Status.UNKNOWN if self.certificate is None else self.certificate.status
 
     def to_json(self) -> dict:
         blocked = None
         if self.blocked is not None:
             lvl, phi = self.blocked
-            blocked = {
-                "level": lvl,
-                "adjoined": None if phi is None else phi.to_json(),
-            }
+            blocked = {"level": lvl, "adjoined": None if phi is None else phi.to_json()}
         return {
             "subject": self.subject.to_json(),
             "level": self.level,
@@ -190,34 +186,23 @@ def derive_status(state: TowerState, subject: FormLike) -> TrackedStatement:
     function field."""
     top = state.top_level
     cert: Certificate | None = None
-    blocked: tuple[int, FormLike | None] | None = None
     if isinstance(state.base, RationalBase):
         if isinstance(subject, DiagonalForm):
             cert = base_certificate(subject)
-            status = cert.status
-        else:
-            status = Status.UNKNOWN
-            blocked = (0, None)
-    else:
-        found = state.base.find(subject)
-        if found is not None:
-            cert = assume_certificate(subject, found.ident)
-            status = Status.ANISOTROPIC
-        else:
-            status = Status.UNKNOWN
-            blocked = (0, None)
-    match = None if status is Status.ISOTROPIC else state._first_levels.get(match_key(subject))
+    elif (found := state.base.find(subject)) is not None:
+        cert = assume_certificate(subject, found.ident)
+    blocked: tuple[int, FormLike | None] | None = None if cert is not None else (0, None)
+    match = None
+    if cert is None or cert.status is not Status.ISOTROPIC:
+        match = state._first_levels.get(match_key(subject))
     # only an anisotropic start ever reaches the Pfister rule
-    n = (
-        form_pfister_exponent(subject)
-        if status is Status.ANISOTROPIC and state.adjunctions
-        else None
-    )
+    n = None
+    if cert is not None and cert.status is Status.ANISOTROPIC and state.adjunctions:
+        n = form_pfister_exponent(subject)
     below = top if match is None else match - 1
     for level, phi in enumerate(state.adjunctions[:below], start=1):
-        if status is not Status.ANISOTROPIC:
+        if cert is None or cert.status is not Status.ANISOTROPIC:
             break
-        assert cert is not None
         trivialized = state.trivialized_below(level)
         if (
             n is not None
@@ -230,16 +215,14 @@ def derive_status(state: TowerState, subject: FormLike) -> TrackedStatement:
         if nh is not None:
             cert = hoffmann_certificate(cert, phi, level, nh)
             continue
-        status = Status.UNKNOWN
         blocked = (level, phi)
         cert = None
     if match is not None:
         cert = generic_certificate(subject, state.adjunctions[match - 1], match)
-        status = Status.ISOTROPIC
         blocked = None
-    if status is Status.ISOTROPIC and cert is not None and cert.level < top:
+    if cert is not None and cert.status is Status.ISOTROPIC and cert.level < top:
         cert = monotone_certificate(cert, top)
-    return TrackedStatement(subject, top, status, cert, blocked)
+    return TrackedStatement(subject, top, cert, blocked)
 
 
 def _check_adjunction(state: TowerState, phi: FormLike) -> None:
@@ -564,12 +547,19 @@ def step_linking_extension(
     )
 
 
+_MEMBERSHIP = {Status.ISOTROPIC: "member", Status.ANISOTROPIC: "non-member"}
+
+
 @dataclass(frozen=True)
 class WindowEntry:
     klass: int
     algebra: int
-    status: str  # member | non-member | unresolved
     statement: TrackedStatement
+
+    @property
+    def status(self) -> str:
+        """member | non-member | unresolved, as the statement's status reads."""
+        return _MEMBERSHIP.get(self.statement.status, "unresolved")
 
     def to_json(self) -> dict:
         return {
@@ -590,8 +580,27 @@ class WindowEntry:
 class WindowReport:
     window: tuple[int, ...]
     entries: tuple[WindowEntry, ...]
-    distinguishing: tuple[int, ...]
-    unresolved: tuple[int, ...]
+
+    @cached_property
+    def _splits(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """(distinguishing, unresolved) from one pass over the entries: the classes
+        certified in one algebra and out of another; of the rest, those left UNKNOWN."""
+        seen: dict[int, set[Status]] = {}
+        for e in self.entries:
+            seen.setdefault(e.klass, set()).add(e.statement.status)
+        split = {Status.ISOTROPIC, Status.ANISOTROPIC}
+        return (
+            tuple(c for c, got in seen.items() if split <= got),
+            tuple(c for c, got in seen.items() if Status.UNKNOWN in got and not split <= got),
+        )
+
+    @property
+    def distinguishing(self) -> tuple[int, ...]:
+        return self._splits[0]
+
+    @property
+    def unresolved(self) -> tuple[int, ...]:
+        return self._splits[1]
 
     def to_json(self) -> dict:
         return {
@@ -606,33 +615,13 @@ def compute_window(state: TowerState, family: Family, window: list[int]) -> Wind
     """Certified membership matrix over the window; S = certified splits only."""
     if not isinstance(state.base, RationalBase):
         raise PreconditionError("window membership needs a concrete base")
-    wanted = _validate_classes(window)
-    entries: list[WindowEntry] = []
-    distinguishing: list[int] = []
-    unresolved: list[int] = []
-    for c in wanted:
-        members = 0
-        nonmembers = 0
-        unknown = 0
-        for ai, alg in enumerate(family.algebras):
-            stmt = state.statement(membership_form(c, alg))
-            if stmt.status is Status.ISOTROPIC:
-                token = "member"
-                members += 1
-            elif stmt.status is Status.ANISOTROPIC:
-                token = "non-member"
-                nonmembers += 1
-            else:
-                token = "unresolved"
-                unknown += 1
-            entries.append(WindowEntry(c, ai, token, stmt))
-        if members and nonmembers:
-            distinguishing.append(c)
-        elif unknown:
-            unresolved.append(c)
-    return WindowReport(
-        tuple(wanted), tuple(entries), tuple(distinguishing), tuple(unresolved)
+    wanted = tuple(_validate_classes(window))
+    entries = tuple(
+        WindowEntry(c, ai, state.statement(membership_form(c, alg)))
+        for c in wanted
+        for ai, alg in enumerate(family.algebras)
     )
+    return WindowReport(wanted, entries)
 
 
 @dataclass(frozen=True)
@@ -651,13 +640,28 @@ class IterateRound:
 
 @dataclass(frozen=True)
 class IterateReport:
-    window: tuple[int, ...]
     rounds: tuple[IterateRound, ...]
-    stabilized: bool
     final_window: WindowReport
     final_injectivity: InjectivityBlock
-    chain: tuple[Certificate, ...]
-    notes: tuple[str, ...]
+
+    @property
+    def window(self) -> tuple[int, ...]:
+        return self.final_window.window
+
+    @property
+    def stabilized(self) -> bool:
+        return not self.final_window.distinguishing
+
+    @cached_property
+    def chain(self) -> tuple[Certificate, ...]:
+        """Kept, so that shared_json cites the same certificate objects each time."""
+        return self.final_injectivity.chain()
+
+    @property
+    def notes(self) -> tuple[str, ...]:
+        if self.stabilized:
+            return (_WINDOW_NOTE,)
+        return (_WINDOW_NOTE, "round budget exhausted before stabilization")
 
     def to_json(self) -> dict:
         return {
@@ -697,29 +701,13 @@ def iterate_pushing(
         raise InputError("max_rounds must be nonnegative")
     rounds: list[IterateRound] = []
     current = state
-    stabilized = False
     while True:
         report = compute_window(current, family, window)
-        if not report.distinguishing:
-            stabilized = True
-            break
-        if len(rounds) >= max_rounds:
+        if not report.distinguishing or len(rounds) >= max_rounds:
             break
         current, step = step_pushing_extension(current, family, list(report.distinguishing))
         rounds.append(IterateRound(len(rounds) + 1, report, step))
-    injectivity = _injectivity_block(current, family)
-    notes = [_WINDOW_NOTE]
-    if not stabilized:
-        notes.append("round budget exhausted before stabilization")
-    return current, IterateReport(
-        report.window,
-        tuple(rounds),
-        stabilized,
-        report,
-        injectivity,
-        injectivity.chain(),
-        tuple(notes),
-    )
+    return current, IterateReport(tuple(rounds), report, _injectivity_block(current, family))
 
 
 @dataclass(frozen=True)
@@ -740,8 +728,12 @@ class AlternatingRound:
 class AlternatingReport:
     rounds: tuple[AlternatingRound, ...]
     distinctness: InjectivityBlock
-    chain: tuple[Certificate, ...]
-    notes: tuple[str, ...]
+    notes = (_WINDOW_NOTE,)
+
+    @cached_property
+    def chain(self) -> tuple[Certificate, ...]:
+        """Kept, so that shared_json cites the same certificate objects each time."""
+        return self.distinctness.chain()
 
     def to_json(self) -> dict:
         return {
@@ -783,10 +775,4 @@ def run_alternating_truncation(
         current, link = step_linking_extension(current, family)
         current, push = iterate_pushing(current, family, window, max_rounds_per_iterate)
         out_rounds.append(AlternatingRound(r, link, push))
-    distinctness = _injectivity_block(current, family)
-    return current, AlternatingReport(
-        tuple(out_rounds),
-        distinctness,
-        distinctness.chain(),
-        (_WINDOW_NOTE,),
-    )
+    return current, AlternatingReport(tuple(out_rounds), _injectivity_block(current, family))

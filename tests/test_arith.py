@@ -140,6 +140,7 @@ def test_legendre_multiplicative(a, p):
 
 def test_squarefree_classes_order():
     assert squarefree_classes(7) == [1, -1, 2, -2, 3, -3, 5, -5, 6, -6, 7, -7]
+    assert squarefree_classes(1) == [1, -1] and squarefree_classes(0) == []
 
 
 def test_witness_sequence_skips_one():

@@ -517,6 +517,26 @@ form_argv = st.builds(
     st.sampled_from(["1", "3", "8", "0", "x"]),  # small, so a witness search stays short
     st.sampled_from([[], ["--json"]]),
 )
+# |c| <= 50 and at most four entries: ten-digit entries make Witt kernels that take seconds
+small = st.integers(min_value=-50, max_value=50).map(str)
+witt_argv = st.builds(
+    lambda entries, flags: ["form", "witt", ",".join(entries)] + flags,
+    st.lists(st.one_of(small, st.sampled_from(["1/0", "2.5", "x", ""])), min_size=1, max_size=4),
+    st.sampled_from([[], ["--json"]]),
+)
+algebra = st.one_of(
+    st.builds(lambda a, b: f"{a},{b}", small, small), st.builds(lambda a, b: f"{a},{b}", token, token)
+)
+quat_argv = st.builds(
+    lambda action, first, second, rest, limit, flags: ["quat", action, first, second, *rest,
+                                                       "--limit", limit] + flags,
+    st.sampled_from(["compare", "embeds", "witness", "genus"]),
+    algebra,
+    st.one_of(algebra, small, token),  # embeds reads a class here
+    st.lists(algebra, max_size=2),
+    st.sampled_from(["1", "10", "100"]),
+    st.sampled_from([[], ["--json"]]),
+)
 symbol_argv = st.builds(
     lambda a, b, place: ["symbol", a, b, place],
     token,
@@ -525,10 +545,17 @@ symbol_argv = st.builds(
 )
 
 
-@given(st.one_of(form_argv, symbol_argv))
+@given(st.one_of(form_argv, witt_argv, symbol_argv))
 @settings(max_examples=300, deadline=None)
 def test_cli_answers_or_refuses_every_form_and_symbol_argv(argv):
-    # `form witt` is left out: its kernel synthesis has no bound yet
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()) as err:
+        code = main(argv)
+    assert code in (0, 2, 3), (argv, code, err.getvalue())
+
+
+@given(quat_argv)
+@settings(max_examples=100, deadline=None)
+def test_cli_answers_or_refuses_every_quat_argv(argv):
     with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()) as err:
         code = main(argv)
     assert code in (0, 2, 3), (argv, code, err.getvalue())

@@ -50,6 +50,12 @@ def test_the_symbol_command_loads_only_what_it_computes_with():
     assert _loaded("-m", "quatgenus", "symbol", "-1", "-1", "2") == modules
 
 
+def test_the_form_analyze_command_loads_no_search():
+    modules = {"quatgenus", "quatgenus.cli", "quatgenus.errors", "quatgenus.arith",
+               "quatgenus.symbols", "quatgenus.forms"}
+    assert _loaded("-m", "quatgenus", "form", "analyze", "1,1,1,1") == modules
+
+
 _VERIFY = """
 import json, sys
 from quatgenus.certificates import Certificate, certificates_in_report, context_from_report, replay
@@ -70,7 +76,7 @@ def test_replaying_a_report_from_json_loads_no_engine_module(tmp_path):
     path.write_text(render_report(report))
     loaded = _loaded("-c", _VERIFY, str(path))
     assert "quatgenus.certificates" in loaded
-    engine = {"tower", "runner", "selftest", "quaternion", "oracles", "cli"}
+    engine = {"tower", "runner", "selftest", "quaternion", "oracles", "cli", "search", "conics"}
     assert loaded.isdisjoint(f"quatgenus.{name}" for name in engine)
     # the same check fails when the tower no longer adjoins what a certificate cites
     tampered = json.loads(path.read_text())

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import quatgenus
-from quatgenus import arith, forms
+from quatgenus import arith, forms, search
 from quatgenus.errors import InputError, PreconditionError, SearchExhausted
 from quatgenus.forms import DiagonalForm, is_isotropic, isometric, witt_decompose, witt_index
 from quatgenus import quaternion
@@ -50,6 +50,16 @@ def test_non_rational_input_is_refused():
         QuaternionAlgebra.of(-1.9, -1)
     with pytest.raises(InputError):
         contains_subfield(HAMILTON, 2.5)
+
+
+@pytest.mark.parametrize(
+    "a, error",
+    [(False, InputError), (True, InputError), (2.0, InputError), (0, PreconditionError)],
+)
+def test_symbol_entries_are_type_tested_before_the_zero_test(a, error):
+    # False == 0, yet a bool is no symbol entry; only a true zero is a precondition
+    with pytest.raises(error):
+        QuaternionAlgebra.of(a, -1)
 
 
 def test_norm_and_pure_forms():
@@ -132,9 +142,11 @@ def test_division_pairs_are_always_linked(a, b, c, d):
 )
 def test_is_linked_splits_nothing(monkeypatch, first, second):
     calls = {"isotropic_vector_search": 0, "witt_decompose": 0}
+    # forms imports the search inside isotropic_vector, so the search module holds it
+    modules = {"isotropic_vector_search": search, "witt_decompose": forms}
 
     def counted(name):
-        original = getattr(forms, name)
+        original = getattr(modules[name], name)
 
         def wrapper(*args):
             calls[name] += 1
@@ -143,7 +155,7 @@ def test_is_linked_splits_nothing(monkeypatch, first, second):
         return wrapper
 
     for name in calls:
-        monkeypatch.setattr(forms, name, counted(name))
+        monkeypatch.setattr(modules[name], name, counted(name))
     assert is_linked(first, second)
     assert calls == {"isotropic_vector_search": 0, "witt_decompose": 0}
 
@@ -312,7 +324,7 @@ def test_subfield_membership_is_norm_form_criterion():
 # Each cross-check runs with one route forced to disagree; an assert would vanish under -O.
 _FORCED_DISAGREEMENTS = """
 import sys
-from quatgenus import forms, quaternion
+from quatgenus import forms, quaternion, search
 print("optimize", sys.flags.optimize)
 HAMILTON, D13 = quaternion.QuaternionAlgebra(-1, -1), quaternion.QuaternionAlgebra(-1, -3)
 
@@ -331,7 +343,7 @@ def forced(module, name, value, check):
 # the norm-form route calls every algebra split
 forced(quaternion, "is_isotropic", lambda form: True, lambda: quaternion.is_division(HAMILTON))
 forced(
-    forms, "isotropic_vector_search", lambda coefficients, bound: (1,) * len(coefficients),
+    search, "isotropic_vector_search", lambda coefficients, bound: (1,) * len(coefficients),
     lambda: forms.isotropic_vector(forms.DiagonalForm.of([1, -1, 2]), 3),
 )
 # one ramified place: Hilbert reciprocity says the count is even

@@ -7,6 +7,7 @@ import subprocess
 import sys
 from dataclasses import replace
 from functools import lru_cache
+from itertools import combinations_with_replacement
 from pathlib import Path
 
 import pytest
@@ -27,7 +28,6 @@ from quatgenus.certificates import (
     disc_from_json,
     disc_mismatch,
     form_pfister_exponent,
-    forms_equal,
     generic_certificate,
     hoffmann_certificate,
     iter_certificates,
@@ -165,7 +165,7 @@ def _scan_from_base(state, subject):
     for level, phi in enumerate(state.adjunctions, start=1):
         if status is Status.ISOTROPIC:
             continue
-        if forms_equal(subject, phi) or (
+        if subject == phi or (
             isinstance(subject, DiagonalForm) and isinstance(phi, DiagonalForm) and isometric(subject, phi)
         ):
             cert, status, blocked = generic_certificate(subject, phi, level), Status.ISOTROPIC, None
@@ -1158,3 +1158,106 @@ def test_unknown_and_unhashable_step_kinds_are_input_errors():
         script = {**WORKED_PUSHING, "steps": [{"kind": kind, "classes": [-2]}]}
         with pytest.raises(InputError, match="unknown step kind"):
             run_script_data(script, RunConfig())
+
+
+def _counted_splits(window) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """compute_window's former per-class counting loop: the reference for the
+    distinguishing and unresolved classes a WindowReport derives from its entries."""
+    distinguishing, unresolved = [], []
+    for c in window.window:
+        members = nonmembers = unknown = 0
+        for e in window.entries:
+            if e.klass != c:
+                continue
+            if e.statement.status is Status.ISOTROPIC:
+                members += 1
+            elif e.statement.status is Status.ANISOTROPIC:
+                nonmembers += 1
+            else:
+                unknown += 1
+        if members and nonmembers:
+            distinguishing.append(c)
+        elif unknown:
+            unresolved.append(c)
+    return tuple(distinguishing), tuple(unresolved)
+
+
+def _flagged_stabilization(report, max_rounds: int) -> tuple[bool, tuple[str, ...]]:
+    """iterate_pushing's former stabilized flag and notes list, replayed over the
+    windows it measured: the reference for the fields an IterateReport derives."""
+    stabilized = False
+    for index, window in enumerate([*(r.window for r in report.rounds), report.final_window]):
+        if not _counted_splits(window)[0]:
+            stabilized = True
+            break
+        if index >= max_rounds:
+            break
+    notes = [tower._WINDOW_NOTE]
+    if not stabilized:
+        notes.append("round budget exhausted before stabilization")
+    return stabilized, tuple(notes)
+
+
+@pytest.mark.parametrize(
+    "script",
+    [
+        *(pytest.param(s, id=f"small-{i}") for i, s in enumerate(SMALL_SCRIPTS)),
+        pytest.param(DEEP_SCRIPT, id="tower-deep"),
+        pytest.param(WIDTH_8_SCRIPT, id="width-8"),
+        # no round allowed: the budget ends before stabilization
+        pytest.param(
+            {**DEEP_SCRIPT, "steps": [{"kind": "iterate", "window": 3, "max_rounds": 0}]},
+            id="budget-exhausted",
+        ),
+        # over <1,1> no rule carries a membership form up: classes stay unresolved
+        pytest.param(
+            {**WORKED_PUSHING, "steps": [{"kind": "adjoin", "form": [1, 1]},
+                                         {"kind": "iterate", "window": 5, "max_rounds": 1}]},
+            id="unresolved",
+        ),
+    ],
+)
+def test_derived_tower_facts_agree_with_the_former_bookkeeping(monkeypatch, script):
+    statements, windows, iterates = [], [], []
+
+    def recorded(name, sink, keep_args=False):
+        real = getattr(tower, name)
+
+        def wrapper(*args):
+            result = real(*args)
+            sink.append((args, result) if keep_args else result)
+            return result
+
+        monkeypatch.setattr(tower, name, wrapper)
+
+    recorded("derive_status", statements)
+    recorded("compute_window", windows)
+    recorded("iterate_pushing", iterates, keep_args=True)
+    run_script_data(script, RunConfig())
+    assert statements
+    for stmt in statements:
+        assert (stmt.certificate is None) == (stmt.status is Status.UNKNOWN) == (stmt.blocked is not None)
+    for window in windows:
+        assert (window.distinguishing, window.unresolved) == _counted_splits(window)
+    for (_, _, _, max_rounds), (_, report) in iterates:
+        assert (report.stabilized, report.notes) == _flagged_stabilization(report, max_rounds)
+        assert report.chain is report.chain
+
+
+def test_window_splits_over_every_mix_of_entry_statuses():
+    # no script above yields a class with all three statuses; built entries do
+    iso, aniso = DiagonalForm((1, -1)), DiagonalForm((1, 1))
+    by_status = {
+        Status.ISOTROPIC: tower.TrackedStatement(iso, 0, base_certificate(iso), None),
+        Status.ANISOTROPIC: tower.TrackedStatement(aniso, 0, base_certificate(aniso), None),
+        Status.UNKNOWN: tower.TrackedStatement(aniso, 1, None, (1, iso)),
+    }
+    mixes = [mix for k in range(4) for mix in combinations_with_replacement(by_status, k)]
+    entries = tuple(
+        tower.WindowEntry(c, i, by_status[status])
+        for c, mix in enumerate(mixes, 2)
+        for i, status in enumerate(mix)
+    )
+    window = tower.WindowReport(tuple(range(2, len(mixes) + 2)), entries)
+    assert (window.distinguishing, window.unresolved) == _counted_splits(window)
+    assert window.distinguishing and window.unresolved
