@@ -121,7 +121,7 @@ def form_pfister_exponent(form: FormLike) -> int | None:
 
 
 @lru_cache(maxsize=4096)
-def _square_class(t: int) -> frozenset[int]:
+def _class_vector(t: int) -> frozenset[int]:
     """t's square class as a vector over F_2: its primes of odd exponent, and -1 when t < 0."""
     f = factor(t)
     return frozenset([p for p, e in f.prime_powers if e % 2] + [-1] * (f.sign < 0))
@@ -132,7 +132,7 @@ def _in_int_span(d: int, classes: tuple[int, ...]) -> bool:
     F_2, storing one reduced class per leading (largest) prime."""
     basis: dict[int, frozenset[int]] = {}
     for t in (*classes, d):  # d last: it is in the span when it reduces to nothing
-        v = _square_class(t)
+        v = _class_vector(t)
         while v and (lead := max(v)) in basis:
             v ^= basis[lead]
         if v:

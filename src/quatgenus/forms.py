@@ -18,7 +18,8 @@ from typing import Iterable, Sequence
 
 from .arith import Rational, is_prime, iter_witnesses, squarefree_part, squarefree_product
 from .errors import InputError, SearchExhausted, _crosscheck
-from .symbols import Place, _hasse_of_classes, hilbert_symbol, local_is_square
+from .symbols import Place, _class_reps, _hasse_of_classes, _local_class, hilbert_symbol
+from .symbols import local_is_square
 
 
 _INT = {int}
@@ -350,34 +351,6 @@ _SPLIT_BOUND = 200  # max-norm of the isotropic vectors witt_decompose searches 
 _PIVOT_TRIES = 1 << 12  # members of the progression _split_value tries before SearchExhausted
 
 
-def _class_reps(place: Place) -> tuple[int, ...]:
-    """Square-free representatives of the square classes at a place."""
-    if place.is_infinite():
-        return (1, -1)
-    p = place.prime
-    assert p is not None
-    if p == 2:
-        return (1, -1, 5, -5, 2, -2, 10, -10)
-    # the least non-residue is prime, so square-free
-    n = next(m for m in count(2) if pow(m, (p - 1) // 2, p) == p - 1)
-    return (1, n, p, n * p)
-
-
-def _square_class(t: int, place: Place) -> tuple[int, int]:
-    """(valuation parity, unit class) of a square-free t at a place: the unit
-    class is the sign at the real place, the unit mod 8 at 2, and the Legendre
-    symbol at an odd prime."""
-    if place.is_infinite():
-        return (0, 1 if t > 0 else -1)
-    p = place.prime
-    assert p is not None
-    e = 1 if t % p == 0 else 0
-    u = t // p if e else t
-    if p == 2:
-        return (e, u % 8)
-    return (e, 1 if pow(u, (p - 1) // 2, p) == 1 else -1)
-
-
 def _split_value(head: tuple[int, ...], rest: tuple[int, ...]) -> int:
     """A square-free t with <head,-t> and rest + <t> isotropic, for an isotropic
     head + rest with two coefficients in head.
@@ -394,7 +367,7 @@ def _split_value(head: tuple[int, ...], rest: tuple[int, ...]) -> int:
     places = relevant_places(DiagonalForm(head + rest))
     allowed = {
         v: {
-            _square_class(c, v)
+            _local_class(c, v)
             for c in _class_reps(v)
             if is_isotropic_local(DiagonalForm(head + (-c,)), v)
             and is_isotropic_local(DiagonalForm(rest + (c,)), v)
@@ -410,13 +383,13 @@ def _split_value(head: tuple[int, ...], rest: tuple[int, ...]) -> int:
         p = v.prime
         assert p is not None
         mod = 8 if p == 2 else p
-        u = next(u for u in range(1, mod) if u % p and _square_class(s * u, v) in allowed[v])
+        u = next(u for u in range(1, mod) if u % p and _local_class(s * u, v) in allowed[v])
         r += m * ((u - r) * pow(m, -1, mod) % mod)
         m *= mod
     bad = {v.prime for v in places}
     small = (q for q in range(3, 1 << 14, 2) if q not in bad)
     for q in chain((1,), small, islice(count(r, m), _PIVOT_TRIES)):
-        if (q == 1 or is_prime(q)) and all(_square_class(s * q, v) in allowed[v] for v in places):
+        if (q == 1 or is_prime(q)) and all(_local_class(s * q, v) in allowed[v] for v in places):
             return s * q
     raise SearchExhausted(f"no value splits <{head + rest}> among {_PIVOT_TRIES} candidates")
 

@@ -9,13 +9,14 @@ canonical square-class order so results are reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import chain, count, islice
 from math import prod
 
 from .arith import Rational, is_prime, iter_witnesses, squarefree_part
 from .errors import InputError, PreconditionError, SearchExhausted, _crosscheck
 from .forms import DiagonalForm, is_isotropic, isometric, represents, witt_index
-from .symbols import INFINITE_PLACE, Place, hasse_invariants
+from .symbols import INFINITE_PLACE, Place, _class_reps, _local_class, hasse_invariants
+from .symbols import hilbert_symbol
 
 
 @dataclass(frozen=True)
@@ -152,28 +153,40 @@ _CONNECTING_RANK = 400  # connecting_algebra tries symbol pairs up to this rank
 _CONSTRUCT_TRIES = 1 << 14  # candidates the constructed fallback tries before giving up
 
 
-def _constructed_candidates(odd_primes: list[int]):
-    """(a, q) with a in (P, -P, 2P, -2P) for P the product of the odd primes, for
-    each prime q in ascending order. Every even set of places is the ramification
-    of one of these (Dirichlet's theorem on primes in progressions)."""
-    p = prod(odd_primes)
-    q = 2
-    while True:
-        for a in (p, -p, 2 * p, -2 * p):
-            for b in (q, -q):
-                yield a, b
-        q += 1
-        while not is_prime(q):
-            q += 1
+def _constructed(target: set[Place]) -> tuple[int, int]:
+    """The first (a, b) ramified exactly at the target: q over the primes ascending,
+    a in (P, -P, 2P, -2P) for P the product of the target's odd primes, b in (q, -q).
+
+    Only the real place, 2, P's primes and q can ramify. At all but q, (a, b)_v
+    is -1 exactly on the target when b's square class is allowed; then at q it
+    is 1, by reciprocity. Such a q exists by Dirichlet's theorem.
+    """
+    places = sorted(target | {INFINITE_PLACE, Place(2, 2)})
+    p = prod(v.prime for v in places[2:])
+    wanted = [(v, -1 if v in target else 1) for v in places]
+    allowed = {
+        a: [{_local_class(c, v) for c in _class_reps(v) if hilbert_symbol(a, c, v) == e}
+            for v, e in wanted]
+        for a in (p, -p, 2 * p, -2 * p)
+    }
+    primes = (q for q in count(2) if is_prime(q))
+    candidates = ((a, b) for q in primes for a in allowed for b in (q, -q))
+    for a, b in islice(candidates, _CONSTRUCT_TRIES):
+        if all(_local_class(b, v) in classes for v, classes in zip(places, allowed[a])):
+            return a, b
+    raise SearchExhausted(
+        f"no connecting algebra among the symbol pairs of rank at most {_CONNECTING_RANK}"
+        f" or the first {_CONSTRUCT_TRIES} constructed candidates"
+    )
 
 
 def connecting_algebra(a1: QuaternionAlgebra, a2: QuaternionAlgebra) -> QuaternionAlgebra:
     """The algebra ramified exactly at the symmetric difference of the two sets.
 
     The answer is the first match among the symbol pairs of rank at most
-    _CONNECTING_RANK in shell order; when none matches, the first match among
-    the constructed candidates. Candidates whose real place or odd primes
-    cannot give the target are skipped before their ramification is computed.
+    _CONNECTING_RANK in shell order, skipping pairs whose real place or odd
+    primes cannot give the target before their ramification is computed; when
+    none matches, it is _constructed from the target's local square classes.
     """
     if is_isomorphic(a1, a2):
         raise PreconditionError("isomorphic algebras have no connecting algebra")
@@ -185,18 +198,15 @@ def connecting_algebra(a1: QuaternionAlgebra, a2: QuaternionAlgebra) -> Quaterni
     # (a, b) ramifies at the real place iff a, b < 0, and at an odd prime only if it divides ab
     real = INFINITE_PLACE in target
     odd = sorted(v.prime for v in target if v.prime not in (None, 2))
-    searched = _pair_candidates(_CONNECTING_RANK)
-    constructed = islice(_constructed_candidates(odd), _CONSTRUCT_TRIES)
-    for a, b in chain(searched, constructed):
+    for a, b in _pair_candidates(_CONNECTING_RANK):
         if (a < 0 and b < 0) != real or any(a % p and b % p for p in odd):
             continue
         cand = QuaternionAlgebra.of(a, b)
         if set(ramification(cand)) == target:
             return cand
-    raise SearchExhausted(
-        f"no connecting algebra among the symbol pairs of rank at most {_CONNECTING_RANK}"
-        f" or the first {_CONSTRUCT_TRIES} constructed candidates"
-    )
+    cand = QuaternionAlgebra(*_constructed(target))
+    _crosscheck(set(ramification(cand)) == target, "the constructed algebra ramifies at the target")
+    return cand
 
 
 @dataclass(frozen=True)

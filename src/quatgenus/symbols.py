@@ -8,12 +8,16 @@ formulas at odd primes, and the epsilon/omega unit characters at 2
 at a place is their product over pairs of entries; by bilinearity it is
 read in one pass over the entries (Serre, Ch. IV Sec. 2; Lam,
 Introduction to Quadratic Forms over Fields, Ch. V).
+
+A square-free t's square class at a place is _local_class(t, place), and
+_class_reps(place) lists one representative of each class there.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import count
 from typing import Iterable, Sequence
 
 from .arith import Rational, _factor_positive, is_prime, legendre, squarefree_part
@@ -108,18 +112,31 @@ def hilbert_symbol(a: int | Rational, b: int | Rational, place: Place) -> int:
     return _hilbert_squarefree(squarefree_part(a), squarefree_part(b), place.prime)
 
 
+def _class_reps(place: Place) -> tuple[int, ...]:
+    """Square-free representatives of the square classes at a place, one per class."""
+    p = place.prime
+    if p is None:
+        return (1, -1)
+    if p == 2:
+        return (1, -1, 5, -5, 2, -2, 10, -10)
+    # the least non-residue is prime, so square-free
+    n = next(m for m in count(2) if legendre(m, p) == -1)
+    return (1, n, p, n * p)
+
+
+def _local_class(t: int, place: Place) -> tuple[int, int]:
+    """(valuation parity, unit class) of a square-free t at a place, (0, 1) for squares: the
+    unit class is the sign at the real place, the unit mod 8 at 2, the Legendre symbol at odd p."""
+    p = place.prime
+    if p is None:
+        return (0, 1 if t > 0 else -1)
+    alpha, u = _split_at(t, p)
+    return (alpha, u % 8 if p == 2 else legendre(u, p))
+
+
 def local_is_square(a: int | Rational, place: Place) -> bool:
     """Is a nonzero rational a square in the completion at the given place?"""
-    s = squarefree_part(a)
-    if place.is_infinite():
-        return s > 0
-    p = place.prime
-    assert p is not None
-    if s % p == 0:
-        return False
-    if p == 2:
-        return s % 8 == 1
-    return legendre(s, p) == 1
+    return _local_class(squarefree_part(a), place) == (0, 1)
 
 
 def _places_of_classes(classes: Sequence[int]) -> list[Place]:

@@ -164,7 +164,7 @@ def test_disc_mismatch_factors_each_killed_class_once(monkeypatch):
     calls = []
     real = certificates.factor
     monkeypatch.setattr(certificates, "factor", lambda n: calls.append(n) or real(n))
-    certificates._square_class.cache_clear()
+    certificates._class_vector.cache_clear()
     # -2 * -3 * -5 is in the span; -1 is not, since every class brings one prime
     assert not disc_mismatch(-30, 1, killed)
     assert disc_mismatch(-1, 1, killed)

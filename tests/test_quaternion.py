@@ -5,7 +5,8 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
-from itertools import chain, islice
+from itertools import chain, count, islice
+from math import prod
 from pathlib import Path
 
 import pytest
@@ -229,14 +230,23 @@ def test_pair_candidates_follow_the_cubic_filter():
     assert walks[400] == list(_cubic_pair_candidates(400))
 
 
+def _constructed_candidates(odd_primes):
+    """The fallback's candidates as first written: (a, b) with a in (P, -P, 2P, -2P)
+    for P the product of the odd primes, b in (q, -q), for each prime q ascending."""
+    p = prod(odd_primes)
+    for q in (q for q in count(2) if arith.is_prime(q)):
+        for a in (p, -p, 2 * p, -2 * p):
+            for b in (q, -q):
+                yield a, b
+
+
 def _unpruned_connecting(a1, a2):
     """connecting_algebra's candidate order, computing every candidate's ramification."""
     target = set(ramification(a1)) ^ set(ramification(a2))
     odd = sorted(v.prime for v in target if v.prime not in (None, 2))
-    constructed = quaternion._constructed_candidates(odd)
     for a, b in chain(
         quaternion._pair_candidates(quaternion._CONNECTING_RANK),
-        islice(constructed, quaternion._CONSTRUCT_TRIES),
+        islice(_constructed_candidates(odd), quaternion._CONSTRUCT_TRIES),
     ):
         cand = QuaternionAlgebra.of(a, b)
         if set(ramification(cand)) == target:
@@ -278,6 +288,25 @@ def test_pruning_keeps_the_first_match_on_random_pairs(a, b, c, d):
     d1, d2 = QuaternionAlgebra.of(a, b), QuaternionAlgebra.of(c, d)
     assume(is_division(d1) and is_division(d2) and not is_isomorphic(d1, d2))
     assert connecting_algebra(d1, d2) == _unpruned_connecting(d1, d2)
+
+
+_PRIMES_BELOW_400 = [p for p in range(2, 400) if arith.is_prime(p)]
+# +- products of 1-3 primes below 400: targets that the rank-4 shell walk cannot answer
+wide_symbol = st.builds(
+    lambda sign, primes: sign * prod(primes),
+    st.sampled_from([1, -1]),
+    st.sets(st.sampled_from(_PRIMES_BELOW_400), min_size=1, max_size=3),
+)
+
+
+@given(wide_symbol, wide_symbol, wide_symbol, wide_symbol)
+@settings(max_examples=60, deadline=None)
+def test_constructed_fallback_keeps_the_first_match(a, b, c, d):
+    d1, d2 = QuaternionAlgebra.of(a, b), QuaternionAlgebra.of(c, d)
+    assume(is_division(d1) and is_division(d2) and not is_isomorphic(d1, d2))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(quaternion, "_CONNECTING_RANK", 4)
+        assert connecting_algebra(d1, d2) == _unpruned_connecting(d1, d2)
 
 
 def test_connecting_algebra_beyond_the_walk_is_constructed():
@@ -358,6 +387,11 @@ forced(
     quaternion, "ramification", lambda alg: (quaternion.Place(2, 2),) if alg == HAMILTON else (),
     lambda: quaternion.connecting_algebra(HAMILTON, D13),
 )
+# with no shell walk, the fallback's answer is the split algebra (1, 1)
+forced(quaternion, "_CONNECTING_RANK", 0, lambda: forced(
+    quaternion, "_constructed", lambda target: (1, 1),
+    lambda: quaternion.connecting_algebra(HAMILTON, D13),
+))
 """
 
 
@@ -375,4 +409,5 @@ def test_cross_checks_still_raise_under_python_optimize():
         "cross-check failed: Hilbert reciprocity: an even number of places ramify",
         "cross-check failed: Albert form and norm-form difference agree on linkage",
         "cross-check failed: the connecting algebra ramifies at a nonempty, even set of places",
+        "cross-check failed: the constructed algebra ramifies at the target",
     ]

@@ -7,9 +7,9 @@ from math import prod
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quatgenus import arith, symbols
+from quatgenus import arith, oracles, symbols
 from quatgenus.errors import InputError
-from quatgenus.oracles import hilbert_symbol_search
+from quatgenus.oracles import hilbert_symbol_search, local_isotropic_search
 from quatgenus.symbols import (
     INFINITE_PLACE,
     Place,
@@ -122,6 +122,39 @@ def test_local_is_square():
     assert local_is_square(2, finite_place(7))  # 3^2 = 2 mod 7
     assert not local_is_square(3, finite_place(7))
     assert not local_is_square(7, finite_place(7))
+
+
+CLASS_PLACES = [*PLACES, finite_place(11), finite_place(13), finite_place(23)]
+squarefree = st.integers(min_value=-300, max_value=300).filter(
+    lambda n: n != 0 and arith.squarefree_part(n) == n
+)
+
+
+@given(squarefree, squarefree, st.sampled_from(CLASS_PLACES))
+@settings(max_examples=300, deadline=None)
+def test_local_class_agrees_with_the_residue_search(s, t, place):
+    # s and t share a class exactly when <s, -t> is isotropic, that is when s/t is a square
+    same = symbols._local_class(s, place) == symbols._local_class(t, place)
+    assert same == local_isotropic_search((s, -t), place)
+    assert local_is_square(s, place) == local_isotropic_search((s, -1), place)
+
+
+@pytest.mark.parametrize("place", CLASS_PLACES, ids=str)
+def test_class_reps_list_each_class_once(place):
+    reps = symbols._class_reps(place)
+    assert len(reps) == (2 if place.is_infinite() else 8 if place.prime == 2 else 4)
+    assert len({symbols._local_class(c, place) for c in reps}) == len(reps)
+    for c in reps:
+        assert arith.squarefree_part(c) == c
+        assert [d for d in reps if local_isotropic_search((c, -d), place)] == [c]
+
+
+def test_the_oracle_takes_only_places_from_symbols():
+    borrowed = {
+        name for name, value in vars(oracles).items()
+        if getattr(value, "__module__", None) == symbols.__name__
+    }
+    assert borrowed == {"Place"}
 
 
 def test_relevant_places():
