@@ -245,11 +245,15 @@ def legendre(a: int, p: int) -> int:
     """Legendre symbol (a/p) for an odd prime p: 0, 1, or -1."""
     if p == 2 or not is_prime(p):
         raise InputError(f"modulus must be an odd prime, got {p}")
+    return _euler_criterion(a, p)
+
+
+def _euler_criterion(a: int, p: int) -> int:
+    """(a/p) as a^((p-1)/2) mod p, for a p the caller has found to be an odd prime."""
     a %= p
     if a == 0:
         return 0
-    r = pow(a, (p - 1) // 2, p)
-    return 1 if r == 1 else -1
+    return 1 if pow(a, (p - 1) // 2, p) == 1 else -1
 
 
 def squarefree_classes(limit: int) -> list[int]:

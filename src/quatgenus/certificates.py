@@ -29,6 +29,15 @@ be mutated in place after a replay.
 context_from_report() and certificates_in_report() read what replay needs from
 a report's JSON, so a report is re-verified without the engine that wrote it.
 
+Certificate.from_json() returns shared node objects (hash-consing): node JSON
+equal to JSON parsed before, with identical types and key sets (2 is not 2.0,
+1 is not true, a missing key is not null) and over the same premise objects,
+parses to the node object built then, while anyone holds it. Its own fields
+are validated once. So a from-JSON replay under one ReplayContext checks each
+distinct node once, however often a report repeats it. Input that is not
+exactly JSON (a tuple, a subclass of a JSON type) is validated every time and
+shares no node. A shared node must not be mutated, its parameters included.
+
 Certificates share premises: a statement's certificate is built on its
 premises' objects, so one run's certificates form a DAG. Inside a
 shared_json() block, to_json() returns the same dict for the same node
@@ -39,12 +48,16 @@ often it is cited. Outside such a block every call builds fresh dicts.
 from __future__ import annotations
 
 import copy
+import json
+import marshal
+import weakref
 from bisect import insort
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property, lru_cache
+from operator import is_
 from typing import Iterator, Union
 
 from .arith import factor, squarefree_part
@@ -252,52 +265,180 @@ class Certificate:
 
     @classmethod
     def from_json(cls, data: object) -> "Certificate":
-        # depth first with an explicit stack of open nodes, each with its own
-        # fields, an iterator over its raw premises and the premises built so
-        # far: each node's own fields are validated before its premises, left
-        # to right, so the first error reported is the first in preorder
+        """The certificate a JSON tree encodes, built from the table of parsed nodes.
+
+        Equal node JSON parses to one shared node object: equal own fields,
+        with identical types and key sets, over the same premise objects.
+        """
+        # depth first with an explicit stack of open nodes, each with its
+        # own-fields entry, an iterator over its raw premises and the premises
+        # built so far: each node's own fields are validated (or found valid in
+        # the table) before its premises, left to right, so the first error
+        # reported is the first in preorder
         done = object()  # not None: a JSON null premise is an error, not the end
-        stack = [(*cls._own_from_json(data, 1), [])]
+        stack = [(*_open_node(data, 1), [])]
         while True:
-            fields, pending, premises = stack[-1]
+            entry, pending, premises = stack[-1]
             raw = next(pending, done)
             if raw is not done:
-                stack.append((*cls._own_from_json(raw, len(stack) + 1), []))
+                stack.append((*_open_node(raw, len(stack) + 1), []))
                 continue
             stack.pop()
-            node = cls(*fields, tuple(premises))
+            node = _node_of(entry, tuple(premises))
             if not stack:
                 return node
             stack[-1][2].append(node)
 
-    @staticmethod
-    def _own_from_json(data: object, depth: int) -> tuple[tuple, Iterator[object]]:
-        """A node's own fields and an iterator over its raw premises."""
-        if not isinstance(data, dict):
-            raise InputError(f"not a certificate: {data!r}")
-        if depth > MAX_DEPTH:
-            raise InputError(f"certificate nests deeper than {MAX_DEPTH} nodes")
-        try:
-            rule = data["rule"]
-            status = Status(data["status"])
-            subject = form_from_json(data["subject"])
-            level = data["level"]
-            raw_params = data.get("parameters", {})
-            if not _is_int(level):
-                raise InputError(f"certificate level must be an integer: {level!r}")
-            if not isinstance(raw_params, dict):
-                raise InputError(f"certificate parameters must be an object: {raw_params!r}")
-            copied = [
-                (k, _json_copy(v) if isinstance(v, _CONTAINERS) else v)
-                for k, v in raw_params.items()
-            ]
-            params = tuple(sorted(copied))
-            raw_premises = data.get("premises", [])
-            if not isinstance(raw_premises, list):
-                raise InputError(f"certificate premises must be a list: {raw_premises!r}")
-        except (KeyError, ValueError, TypeError, SearchExhausted) as exc:
-            raise InputError(f"malformed certificate: {exc}") from exc
-        return (rule, status, subject, level, params), iter(raw_premises)
+
+# The tables of parsed nodes (hash-consing: each distinct value is built once,
+# then shared). Their values are weak references to nodes, so an entry goes
+# when no one holds its node.
+#   _PARSED: own-fields code -> a node with those own fields, whose fields need
+#            no second validation, and which is the node they make over its
+#            own premise objects;
+#   _PARSED_BY_PREMISES: (own-fields code, *premise ids) -> the node those
+#            own fields make over other premise objects. A key names premises
+#            by id, safe because its node holds them. No report the engine
+#            writes needs this table, so while it is empty a new node skips it.
+# The own fields are everything but "premises", and their code is their
+# marshal bytes with every dict's keys in sorted order. A code is made only for
+# exactly-JSON fields: dicts with str keys, lists, str, int, float, bool and
+# None, no subclass. marshal tells 2 from 2.0, 1 from true, a missing key from
+# null and a list from a tuple, and refuses subclasses.
+_PARSED: dict[bytes, weakref.ref] = {}
+_PARSED_BY_PREMISES: dict[tuple, weakref.ref] = {}
+_SCALAR_TYPES = frozenset({str, int, float, bool, type(None)})
+_STR = frozenset({str})
+_NODE_KEYS = ["level", "parameters", "rule", "status", "subject"]
+
+
+def _open_node(data: object, depth: int) -> tuple[tuple, Iterator[object]]:
+    """A node's entry and an iterator over its raw premises. The entry is the
+    own-fields code (None for fields that are not exactly JSON), a live node with
+    those own fields or None, and the validated own fields when there is none."""
+    if not isinstance(data, dict):
+        raise InputError(f"not a certificate: {data!r}")
+    if depth > MAX_DEPTH:
+        raise InputError(f"certificate nests deeper than {MAX_DEPTH} nodes")
+    own = data.copy()
+    raw_premises = own.pop("premises", [])
+    try:
+        code = marshal.dumps(own, 2)
+    except ValueError:  # a subclass, an object marshal refuses, or a cycle
+        code = None
+    ref = _PARSED.get(code)
+    known = ref and ref()
+    if known is None:
+        canonical = _canonical_code(own, code)
+        if canonical is not code:
+            code, ref = canonical, _PARSED.get(canonical)
+            known = ref and ref()
+    fields = None if known is not None else _validated_fields(own)
+    if not isinstance(raw_premises, list):
+        raise InputError(
+            f"malformed certificate: certificate premises must be a list: {raw_premises!r}"
+        )
+    return (code, known, fields), iter(raw_premises)
+
+
+def _node_of(entry: tuple, premises: tuple[Certificate, ...]) -> Certificate:
+    """The one node with the entry's own fields over these premise objects."""
+    code, known, fields = entry
+    if code is None:
+        return Certificate(*fields, premises)
+    if known is None:  # one may have been made since, by a premise with these fields
+        ref = _PARSED.get(code)
+        known = ref and ref()
+    if known is not None:
+        if len(known.premises) == len(premises) and all(map(is_, known.premises, premises)):
+            return known
+        fields = (known.rule, known.status, known.subject, known.level, known.parameters)
+    node = None
+    if known is not None or _PARSED_BY_PREMISES:
+        key = (code, *map(id, premises))
+        ref = _PARSED_BY_PREMISES.get(key)
+        node = ref and ref()
+    if node is None:
+        node = Certificate(*fields, premises)
+        if known is not None:
+            _remember(_PARSED_BY_PREMISES, key, node)
+    if known is None:
+        _remember(_PARSED, code, node)
+    return node
+
+
+def _remember(table: dict, key: object, node: Certificate) -> None:
+    def forget(ref: weakref.ref) -> None:  # holds the table: it may run at exit
+        if table.get(key) is ref:
+            table.pop(key, None)
+
+    table[key] = weakref.ref(node, forget)
+
+
+def _canonical_code(own: dict, code: bytes | None) -> bytes | None:
+    """The own fields' marshal bytes with every dict's keys sorted, when the fields
+    are exactly JSON; None when they are not.
+
+    Fields with the engine's keys and a list subject are read in part: the
+    validation that every new node passes types their status, their level and
+    the subject's entries, none of them a subclass since marshal took them.
+    """
+    if code is None:
+        return None
+    if [*own] == _NODE_KEYS and type(own["subject"]) is list:
+        if _json_in_order([own["rule"], own["parameters"]]):
+            return code
+    ordered = _json_in_order([own])
+    if ordered is None:
+        return None
+    if ordered:
+        return code
+    try:
+        return marshal.dumps(json.loads(json.dumps(own, sort_keys=True)), 2)
+    except RecursionError:  # nesting that marshal takes and the json module does not
+        return None
+
+
+def _json_in_order(values: list) -> bool | None:
+    """None unless the values are exactly JSON; else whether every dict's keys
+    are in sorted order. Walked breadth first, without recursing."""
+    ordered = True
+    for value in values:  # the list grows as it is read
+        kind = type(value)
+        if kind is dict:
+            keys = [*value]
+            if not set(map(type, keys)) <= _STR:
+                return None
+            if ordered and keys != sorted(keys):
+                ordered = False
+            values += value.values()
+        elif kind is list:
+            values += value
+        elif kind not in _SCALAR_TYPES:
+            return None
+    return ordered
+
+
+def _validated_fields(own: dict) -> tuple:
+    """A node's own fields, validated: rule, status, subject, level and parameters."""
+    try:
+        rule = own["rule"]
+        status = Status(own["status"])
+        subject = form_from_json(own["subject"])
+        level = own["level"]
+        raw_params = own.get("parameters", {})
+        if not _is_int(level):
+            raise InputError(f"certificate level must be an integer: {level!r}")
+        if not isinstance(raw_params, dict):
+            raise InputError(f"certificate parameters must be an object: {raw_params!r}")
+        copied = [
+            (k, _json_copy(v) if isinstance(v, _CONTAINERS) else v)
+            for k, v in raw_params.items()
+        ]
+        params = tuple(sorted(copied))
+    except (KeyError, ValueError, TypeError, SearchExhausted) as exc:
+        raise InputError(f"malformed certificate: {exc}") from exc
+    return rule, status, subject, level, params
 
 
 _CONTAINERS = (list, dict)
@@ -486,21 +627,19 @@ def context_from_report(report: object) -> ReplayContext:
     return ReplayContext(assumptions=assumptions, adjunctions=adjunctions)
 
 
-def certificates_in_report(report: dict):
-    """Yield every top-level certificate JSON object embedded in a report."""
-
-    def walk(node: object):
+def certificates_in_report(report: object):
+    """Yield every top-level certificate JSON object embedded in a report, in
+    document order. Walked with an explicit stack, so nesting does not recurse."""
+    stack = [report]
+    while stack:
+        node = stack.pop()
         if isinstance(node, dict):
             if "rule" in node and "status" in node and "subject" in node:
                 yield node
             else:
-                for value in node.values():
-                    yield from walk(value)
+                stack += reversed(node.values())
         elif isinstance(node, list):
-            for value in node:
-                yield from walk(value)
-
-    yield from walk(report)
+            stack += reversed(node)
 
 
 def replay(cert: Certificate, context: ReplayContext | None = None) -> bool:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import chain, count, islice, product
 from math import gcd
 from typing import Iterable, Sequence
@@ -23,6 +23,26 @@ from .symbols import local_is_square
 
 
 _INT = {int}
+
+
+class _memo:
+    """A cached_property without the lock that CPython 3.11's takes on every first
+    read: the first read computes the value and stores it in the instance's
+    __dict__ under the property's name, where every later read finds it first.
+    Two threads may both compute it; they store equal values."""
+
+    def __init__(self, compute):
+        self._compute = compute
+        self.__doc__ = compute.__doc__
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self._name = name
+
+    def __get__(self, obj, owner: type | None = None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self._name] = self._compute(obj)
+        return value
 
 
 @dataclass(frozen=True, init=False)
@@ -60,7 +80,7 @@ class DiagonalForm:
     def dim(self) -> int:
         return len(self.coefficients)
 
-    @cached_property
+    @_memo
     def _invariants(self) -> "FormInvariants":
         coefficients = self.coefficients
         n = len(coefficients)
@@ -141,7 +161,7 @@ class FormInvariants:
     hasse: tuple[tuple[Place, int], ...]
     signature: tuple[int, int]
 
-    @cached_property
+    @_memo
     def key(self) -> tuple[int, int, tuple[int, int], frozenset[Place]]:
         """Equal exactly for isometric forms (Hasse-Minkowski): dimension, determinant,
         signature and the places where the Hasse symbol is -1."""

@@ -20,7 +20,7 @@ from functools import lru_cache
 from itertools import count
 from typing import Iterable, Sequence
 
-from .arith import Rational, _factor_positive, is_prime, legendre, squarefree_part
+from .arith import Rational, _euler_criterion, _factor_positive, is_prime, legendre, squarefree_part
 from .errors import InputError, _is_int
 
 
@@ -112,6 +112,15 @@ def hilbert_symbol(a: int | Rational, b: int | Rational, place: Place) -> int:
     return _hilbert_squarefree(squarefree_part(a), squarefree_part(b), place.prime)
 
 
+@lru_cache(maxsize=4096)
+def _check_odd_prime(p: int) -> None:
+    """InputError unless p is an odd prime. A Place is built without this test, so
+    the unit classes at an odd place make it, once per prime: a p that fails is
+    tested again at every call, since errors are not cached."""
+    if p == 2 or not is_prime(p):
+        raise InputError(f"modulus must be an odd prime, got {p}")
+
+
 def _class_reps(place: Place) -> tuple[int, ...]:
     """Square-free representatives of the square classes at a place, one per class."""
     p = place.prime
@@ -119,19 +128,25 @@ def _class_reps(place: Place) -> tuple[int, ...]:
         return (1, -1)
     if p == 2:
         return (1, -1, 5, -5, 2, -2, 10, -10)
+    _check_odd_prime(p)
     # the least non-residue is prime, so square-free
-    n = next(m for m in count(2) if legendre(m, p) == -1)
+    n = next(m for m in count(2) if _euler_criterion(m, p) == -1)
     return (1, n, p, n * p)
 
 
 def _local_class(t: int, place: Place) -> tuple[int, int]:
     """(valuation parity, unit class) of a square-free t at a place, (0, 1) for squares: the
-    unit class is the sign at the real place, the unit mod 8 at 2, the Legendre symbol at odd p."""
+    unit class is the sign at the real place, the unit mod 8 at 2, the Legendre symbol at odd
+    p, by Euler's criterion once p has been found prime."""
     p = place.prime
     if p is None:
         return (0, 1 if t > 0 else -1)
+    if p == 2:
+        alpha, u = _split_at(t, 2)
+        return (alpha, u % 8)
+    _check_odd_prime(p)
     alpha, u = _split_at(t, p)
-    return (alpha, u % 8 if p == 2 else legendre(u, p))
+    return (alpha, _euler_criterion(u, p))
 
 
 def local_is_square(a: int | Rational, place: Place) -> bool:

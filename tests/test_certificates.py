@@ -325,3 +325,143 @@ def test_any_certificate_json_is_refused_or_checked_to_a_bool(data):
         for node in iter_certificates(cert):
             assert isinstance(check_node(node, context), bool)
         assert isinstance(replay(cert, context), bool)
+
+
+_PREMISE = {"rule": "R-BASE", "status": "isotropic", "subject": [1, -1], "level": 0,
+            "parameters": {"verdict": "isotropic"}, "premises": []}
+_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 2), st.floats(allow_nan=False),
+    st.sampled_from(["", "a"]),
+)
+_PARAMETERS = st.dictionaries(
+    st.sampled_from(["a", "b", "c"]),
+    st.recursive(
+        _SCALARS,
+        lambda inner: (
+            st.lists(inner, max_size=3) | st.dictionaries(st.sampled_from(["a", "b"]), inner)
+        ),
+        max_leaves=6,
+    ),
+    max_size=3,
+)
+
+
+@st.composite
+def _look_alike(draw, value: object) -> object:
+    """The value, or a copy with parts swapped for look-alikes: keys in another
+    order, a number of another type, a tuple for a list, a key dropped or null."""
+    if isinstance(value, dict):
+        items = [(k, draw(_look_alike(v))) for k, v in value.items()]
+        if draw(st.booleans()):
+            items.reverse()
+        if items and draw(st.integers(0, 5)) == 0:
+            k, _ = items.pop(draw(st.integers(0, len(items) - 1)))
+            if draw(st.booleans()):
+                items.append((k, None))
+        return dict(items)
+    if isinstance(value, list):
+        items = [draw(_look_alike(v)) for v in value]
+        return tuple(items) if draw(st.integers(0, 5)) == 0 else items
+    if draw(st.integers(0, 3)) == 0:
+        if isinstance(value, bool):
+            return int(value)
+        if isinstance(value, int):
+            return float(value) if draw(st.booleans()) or value not in (0, 1) else bool(value)
+        if isinstance(value, float) and value.is_integer():
+            return int(value)
+    return value
+
+
+@st.composite
+def _parameter_pairs(draw) -> tuple[dict, dict]:
+    first = draw(_PARAMETERS)
+    return first, draw(st.one_of(_look_alike(first), _PARAMETERS))
+
+
+def _typed(value: object) -> object:
+    """Equal for two values exactly when they are equal as JSON with identical types,
+    key sets and number spellings."""
+    if isinstance(value, dict):
+        return dict, frozenset((k, _typed(v)) for k, v in value.items())
+    if isinstance(value, (list, tuple)):
+        return type(value), tuple(map(_typed, value))
+    return type(value), repr(value)
+
+
+def _exactly_json(value: object) -> bool:
+    if type(value) is dict:
+        return all(type(k) is str and _exactly_json(v) for k, v in value.items())
+    if type(value) is list:
+        return all(map(_exactly_json, value))
+    return type(value) in (str, int, float, bool, type(None))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_parameter_pairs())
+@example(({"n": 2}, {"n": 2.0}))
+@example(({"n": 1}, {"n": True}))
+@example(({}, {"n": None}))
+@example(({"n": [1]}, {"n": (1,)}))
+@example(({"n": b"1"}, {"n": bytearray(b"1")}))  # not JSON, and equal bytes to marshal
+@example(({"a": 1, "b": [2]}, {"b": [2], "a": 1}))
+def test_node_json_parses_to_one_object_exactly_when_equal_with_identical_types(pair):
+    first, second = (
+        Certificate.from_json({"rule": "R-MONOTONE", "status": "isotropic", "subject": [1, -1],
+                               "level": 1, "parameters": parameters, "premises": [_PREMISE]})
+        for parameters in pair
+    )
+    equal = _typed(pair[0]) == _typed(pair[1])
+    if _exactly_json(pair[0]) and _exactly_json(pair[1]):
+        assert (first is second) == equal
+    else:  # not JSON: parsed apart, or shared only with its equal
+        assert first is not second or equal
+    assert first.premises[0] is second.premises[0] is Certificate.from_json(_PREMISE)
+
+
+@pytest.mark.parametrize(
+    "one, other",
+    [
+        ({}, {"note": None}),  # a missing key is not null
+        ({"parameters": {}}, {}),  # a missing key is not its default
+        ({"level": 1}, {"level": 1.0}),
+    ],
+)
+def test_node_json_with_other_top_level_keys_parses_apart(one, other):
+    leaf = {"rule": "R-BASE", "status": "isotropic", "subject": [1, -1], "level": 0}
+    first = Certificate.from_json({**leaf, **one})
+    try:
+        second = Certificate.from_json({**leaf, **other})
+    except InputError:
+        return
+    assert first is not second and Certificate.from_json({**leaf, **one}) is first
+
+
+def _recursive_certificates(report: object) -> list:
+    """certificates_in_report as it was first written, recursing once per level."""
+    if isinstance(report, dict):
+        if "rule" in report and "status" in report and "subject" in report:
+            return [report]
+        return [c for value in report.values() for c in _recursive_certificates(value)]
+    if isinstance(report, list):
+        return [c for value in report for c in _recursive_certificates(value)]
+    return []
+
+
+def test_certificates_in_report_yields_the_certificates_in_document_order():
+    report = run_script_data(
+        {"base": "rationals", "algebras": [[-1, -1], [-1, -3]],
+         "steps": [{"kind": "iterate", "window": 10, "max_rounds": 3}]},
+        RunConfig(),
+    )[0]
+    found = list(certificates.certificates_in_report(report))
+    assert len(found) > 10
+    assert [id(c) for c in found] == [id(c) for c in _recursive_certificates(report)]
+
+
+def test_certificates_in_report_walks_deep_nesting_without_recursing():
+    cert = base_certificate(QUAD).to_json()
+    deep: list = [cert]
+    for _ in range(10**5):
+        deep = [deep]
+    found = list(certificates.certificates_in_report({"notes": deep, "after": [cert, 3]}))
+    assert len(found) == 2 and found[0] is found[1] is cert

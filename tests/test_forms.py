@@ -110,6 +110,16 @@ def test_forms_survive_copy_and_pickle():
     assert pickle.loads(pickle.dumps(q)) == q
 
 
+def test_the_invariants_memo_is_per_object_and_never_pickled():
+    q = DiagonalForm((5, -2, 3))
+    bare = pickle.dumps(q)
+    first = invariants(q)
+    assert invariants(q) is first and q._invariants is first and first.key is first.key
+    assert q.__reduce__() == (DiagonalForm, ((5, -2, 3),))
+    assert pickle.dumps(q) == bare and copy.copy(q).__reduce__() == q.__reduce__()
+    assert pickle.loads(pickle.dumps(q)) == q and invariants(copy.deepcopy(q)) == first
+
+
 def test_invariants_worked_values():
     q = DiagonalForm((-2, 1, 3, 3))
     inv = invariants(q)

@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from quatgenus import arith, oracles, symbols
+from quatgenus.arith import squarefree_part
 from quatgenus.errors import InputError
+from quatgenus.forms import DiagonalForm, is_isotropic_local
 from quatgenus.oracles import hilbert_symbol_search, local_isotropic_search
 from quatgenus.symbols import (
     INFINITE_PLACE,
@@ -229,6 +231,30 @@ def test_hasse_invariants_call_no_primality_test_and_no_pair_symbol(monkeypatch)
     with pytest.raises(InputError):
         hilbert_symbol(15, 2, Place(15, 15))
     assert calls == Counter(pair=1, is_prime=1)
+
+
+def test_local_classes_test_each_prime_once_and_refuse_a_composite_place(monkeypatch):
+    calls = Counter()
+
+    def counted(n):
+        calls[n] += 1
+        return arith.is_prime(n)
+
+    symbols._check_odd_prime.cache_clear()
+    monkeypatch.setattr(symbols, "is_prime", counted)
+    for t in range(-30, 31):
+        if t:
+            local_is_square(t, Place(7, 7))
+            symbols._local_class(squarefree_part(t), Place(11, 11))
+    assert calls == Counter({7: 1, 11: 1})
+    for _ in range(2):  # a failed test is not remembered
+        with pytest.raises(InputError):
+            hilbert_symbol(15, 2, Place(15, 15))
+        with pytest.raises(InputError):
+            local_is_square(3, Place(15, 15))
+        with pytest.raises(InputError):
+            is_isotropic_local(DiagonalForm((1, 1)), Place(15, 15))
+    assert calls[15] == 4
 
 
 def test_parse_place():

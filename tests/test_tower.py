@@ -617,6 +617,41 @@ def test_tampering_any_node_of_a_warm_deep_report_fails_replay():
         assert not replay(Certificate.from_json(_tamper_at(trees[index], path)), context), rule
 
 
+def test_a_tampered_copy_of_a_passed_shared_node_fails_replay_with_its_ancestors():
+    data = {
+        "base": "rationals",
+        "algebras": [[-1, -1], [-1, -3]],
+        "steps": [{"kind": "iterate", "window": 10, "max_rounds": 3}],
+    }
+    report, _ = run_script_data(data, RunConfig())
+    context = context_from_report(report)
+    trees = list(certificates_in_report(json.loads(render_report(report))))
+    parsed = [Certificate.from_json(tree) for tree in trees]
+    assert all(replay(cert, context) for cert in parsed)
+    # the deepest node that two trees share, so its object passed and is shared
+    shared = {}
+    for index, tree in enumerate(trees):
+        for path, node in _paths(tree):
+            shared.setdefault(json.dumps(node, sort_keys=True), []).append((index, path))
+    index, path = max(
+        (places[0] for places in shared.values() if len(places) > 1),
+        key=lambda found: len(found[1]),
+    )
+    assert len(path) >= 2
+    original = parsed[index]
+    for i in path:
+        original = original.premises[i]
+    assert id(original) in context._passed
+    tampered = Certificate.from_json(_tamper_at(trees[index], path))
+    chain = [tampered]
+    for i in path:
+        chain.append(chain[-1].premises[i])
+    assert chain[-1] is not original and Certificate.from_json(trees[index]) is parsed[index]
+    for node in chain:  # the tampered node, then each ancestor, bottom up
+        assert not replay(node, context)
+    assert all(replay(cert, context) for cert in parsed)
+
+
 def _paths(tree: dict):
     """(path of premise indices, node) for every node of a certificate JSON tree, preorder."""
     stack = [((), tree)]
@@ -914,12 +949,14 @@ def test_replaying_each_node_under_one_context_checks_each_node_once(monkeypatch
         context = context_from_report(report)
         calls.clear()
         assert all(replay(node, context) for node in nodes)
-        assert len(calls) == len({id(node) for node in calls}) == len(nodes)
+        # equal node JSON parses to one object, and each object is checked once
+        assert len(calls) == len({id(node) for node in calls}) == len({id(n) for n in nodes})
         assert all(replay(node, context) for node in nodes)  # checks nothing again
-        counts[name] = (len(calls), report["replay"]["checked"])
-    # the worked report holds each in-run certificate once; tower-deep's step
-    # reports repeat some of its 1,175
-    assert counts == {"worked": (17, 17), "deep": (2111, 1175)}
+        counts[name] = (len(calls), len(nodes), report["replay"]["checked"])
+    # the worked report holds each in-run certificate once, 10 of its 17 distinct
+    # by value; tower-deep's step reports repeat some of its 1,175, in 2,111 visits
+    # to 380 distinct nodes
+    assert counts == {"worked": (10, 17, 17), "deep": (380, 2111, 1175)}
     # one replay per node that walked its whole subtree made 17,702 checks
     assert sum(len(list(iter_certificates(node))) for node in nodes) == 17702
 
