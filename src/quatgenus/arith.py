@@ -243,9 +243,16 @@ def is_squarefree(n: int) -> bool:
 
 def legendre(a: int, p: int) -> int:
     """Legendre symbol (a/p) for an odd prime p: 0, 1, or -1."""
+    _check_odd_prime(p)
+    return _euler_criterion(a, p)
+
+
+@lru_cache(maxsize=4096)
+def _check_odd_prime(p: int) -> None:
+    """InputError unless p is an odd prime: the one test of an odd modulus, once per
+    prime. A p that fails is tested again at every call, since errors are not cached."""
     if p == 2 or not is_prime(p):
         raise InputError(f"modulus must be an odd prime, got {p}")
-    return _euler_criterion(a, p)
 
 
 def _euler_criterion(a: int, p: int) -> int:

@@ -34,9 +34,12 @@ equal to JSON parsed before, with identical types and key sets (2 is not 2.0,
 1 is not true, a missing key is not null) and over the same premise objects,
 parses to the node object built then, while anyone holds it. Its own fields
 are validated once. So a from-JSON replay under one ReplayContext checks each
-distinct node once, however often a report repeats it. Input that is not
-exactly JSON (a tuple, a subclass of a JSON type) is validated every time and
-shares no node. A shared node must not be mutated, its parameters included.
+distinct node once, however often a report repeats it. A node is shared only
+over the premise objects it was first parsed with: the same own fields over
+other premises (a tampered premise, say) make a node apart, from the fields
+already validated. Input that is not exactly JSON (a tuple, a subclass of a
+JSON type) is validated every time and shares no node. A shared node must not
+be mutated, its parameters included.
 
 Certificates share premises: a statement's certificate is built on its
 premises' objects, so one run's certificates form a DAG. Inside a
@@ -54,7 +57,7 @@ import weakref
 from bisect import insort
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property, lru_cache
 from operator import is_
@@ -290,23 +293,18 @@ class Certificate:
             stack[-1][2].append(node)
 
 
-# The tables of parsed nodes (hash-consing: each distinct value is built once,
-# then shared). Their values are weak references to nodes, so an entry goes
-# when no one holds its node.
-#   _PARSED: own-fields code -> a node with those own fields, whose fields need
-#            no second validation, and which is the node they make over its
-#            own premise objects;
-#   _PARSED_BY_PREMISES: (own-fields code, *premise ids) -> the node those
-#            own fields make over other premise objects. A key names premises
-#            by id, safe because its node holds them. No report the engine
-#            writes needs this table, so while it is empty a new node skips it.
+# The table of parsed nodes (hash-consing: each distinct value is built once,
+# then shared): _PARSED maps an own-fields code to a node with those own
+# fields, whose fields need no second validation, and which is the node they
+# make over its own premise objects. Those fields over other premise objects
+# make a node apart, unshared. Its values are weak references to nodes, so an
+# entry goes when no one holds its node.
 # The own fields are everything but "premises", and their code is their
 # marshal bytes with every dict's keys in sorted order. A code is made only for
 # exactly-JSON fields: dicts with str keys, lists, str, int, float, bool and
 # None, no subclass. marshal tells 2 from 2.0, 1 from true, a missing key from
 # null and a list from a tuple, and refuses subclasses.
 _PARSED: dict[bytes, weakref.ref] = {}
-_PARSED_BY_PREMISES: dict[tuple, weakref.ref] = {}
 _SCALAR_TYPES = frozenset({str, int, float, bool, type(None)})
 _STR = frozenset({str})
 _NODE_KEYS = ["level", "parameters", "rule", "status", "subject"]
@@ -344,25 +342,12 @@ def _open_node(data: object, depth: int) -> tuple[tuple, Iterator[object]]:
 def _node_of(entry: tuple, premises: tuple[Certificate, ...]) -> Certificate:
     """The one node with the entry's own fields over these premise objects."""
     code, known, fields = entry
-    if code is None:
-        return Certificate(*fields, premises)
-    if known is None:  # one may have been made since, by a premise with these fields
-        ref = _PARSED.get(code)
-        known = ref and ref()
     if known is not None:
         if len(known.premises) == len(premises) and all(map(is_, known.premises, premises)):
             return known
-        fields = (known.rule, known.status, known.subject, known.level, known.parameters)
-    node = None
-    if known is not None or _PARSED_BY_PREMISES:
-        key = (code, *map(id, premises))
-        ref = _PARSED_BY_PREMISES.get(key)
-        node = ref and ref()
-    if node is None:
-        node = Certificate(*fields, premises)
-        if known is not None:
-            _remember(_PARSED_BY_PREMISES, key, node)
-    if known is None:
+        return replace(known, premises=premises)  # over other premises: built apart, unshared
+    node = Certificate(*fields, premises)
+    if code is not None:
         _remember(_PARSED, code, node)
     return node
 

@@ -7,7 +7,10 @@ formulas at odd primes, and the epsilon/omega unit characters at 2
 (Serre, A Course in Arithmetic, Ch. III Thm. 1). A form's Hasse symbol
 at a place is their product over pairs of entries; by bilinearity it is
 read in one pass over the entries (Serre, Ch. IV Sec. 2; Lam,
-Introduction to Quadratic Forms over Fields, Ch. V).
+Introduction to Quadratic Forms over Fields, Ch. V), and the Hilbert
+symbol is that pass over two entries. hilbert_symbol and the local class
+helpers test an odd place's prime by arith._check_odd_prime, as legendre
+does, once per prime.
 
 A square-free t's square class at a place is _local_class(t, place), and
 _class_reps(place) lists one representative of each class there.
@@ -16,11 +19,12 @@ _class_reps(place) lists one representative of each class there.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import count
 from typing import Iterable, Sequence
 
-from .arith import Rational, _euler_criterion, _factor_positive, is_prime, legendre, squarefree_part
+from .arith import (
+    Rational, _check_odd_prime, _euler_criterion, _factor_positive, is_prime, squarefree_part,
+)
 from .errors import InputError, _is_int
 
 
@@ -88,37 +92,13 @@ def _split_at(n: int, p: int) -> tuple[int, int]:
     return 0, n
 
 
-@lru_cache(maxsize=1 << 20)
-def _hilbert_squarefree(a: int, b: int, prime: int | None) -> int:
-    if prime is None:
-        return -1 if (a < 0 and b < 0) else 1
-    p = prime
-    alpha, u = _split_at(a, p)
-    beta, w = _split_at(b, p)
-    if p == 2:
-        exponent = _epsilon(u) * _epsilon(w) + alpha * _omega(w) + beta * _omega(u)
-        return -1 if exponent % 2 else 1
-    exponent = alpha * beta * _epsilon(p)
-    value = (-1) ** exponent
-    if beta:
-        value *= legendre(u, p)
-    if alpha:
-        value *= legendre(w, p)
-    return 1 if value > 0 else -1
-
-
 def hilbert_symbol(a: int | Rational, b: int | Rational, place: Place) -> int:
-    """Hilbert symbol (a,b) at a place of Q; arguments must be nonzero."""
-    return _hilbert_squarefree(squarefree_part(a), squarefree_part(b), place.prime)
-
-
-@lru_cache(maxsize=4096)
-def _check_odd_prime(p: int) -> None:
-    """InputError unless p is an odd prime. A Place is built without this test, so
-    the unit classes at an odd place make it, once per prime: a p that fails is
-    tested again at every call, since errors are not cached."""
-    if p == 2 or not is_prime(p):
-        raise InputError(f"modulus must be an odd prime, got {p}")
+    """Hilbert symbol (a,b) at a place of Q; arguments must be nonzero. It is the
+    two-entry case of the one-pass Hasse symbol; an odd place's prime is tested."""
+    classes = (squarefree_part(a), squarefree_part(b))
+    if place.prime not in (None, 2):
+        _check_odd_prime(place.prime)
+    return _hasse_squarefree(classes, place.prime)
 
 
 def _class_reps(place: Place) -> tuple[int, ...]:
@@ -168,7 +148,7 @@ def relevant_places_of(values: Iterable[int | Rational]) -> list[Place]:
 
 
 def _hasse_squarefree(coeffs: Sequence[int], prime: int | None) -> int:
-    """The product of _hilbert_squarefree(a_i, a_j, prime) over i < j, in one pass.
+    """The product of the Hilbert symbols (a_i, a_j) at the prime over i < j, in one pass.
 
     With a_i = p^alpha_i * u_i and k = sum(alpha_i), bilinearity gives
     (-1)^C(r,2) at the real place, r the number of negative entries;
@@ -176,8 +156,9 @@ def _hasse_squarefree(coeffs: Sequence[int], prime: int | None) -> int:
     u_i = 3 (mod 4); and (-1)^(epsilon(p) C(k,2)) * prod (u_i/p)^(k - alpha_i)
     at odd p, whose Legendre factor is that of the units of the entries p
     does not divide when k is odd, and of those it divides when k is even
-    (an empty product, 1, when k = 0). The prime must come from factoring,
-    so it is not tested again.
+    (an empty product, 1, when k = 0). An odd prime is not tested here: the
+    places of hasse_invariants come from factoring, and hilbert_symbol tests
+    its place's prime.
     """
     if prime is None:
         r = sum(1 for a in coeffs if a < 0)

@@ -103,6 +103,38 @@ def test_no_stored_exponent_is_raised_before_it_is_bounded(rule):
     assert check_node(huge, ReplayContext(adjunctions=(adjoined,))) is False
 
 
+TERNARY = DiagonalForm((1, 1, 1))
+
+
+@pytest.mark.parametrize(
+    "subject, exponent",
+    [
+        # dim <= 2^n fails: <1,1,1> would stay anisotropic over its own function field
+        (TERNARY, 1),
+        # 2^n < dim(adjoined) fails: Hoffmann's bound is strict
+        (QUAD, 2),
+    ],
+    ids=["dim-above-2^n", "2^n-equal-to-adjoined-dim"],
+)
+def test_hoffmann_refuses_an_exponent_outside_its_bounds(subject, exponent):
+    premise = base_certificate(subject)
+    assert check_node(hoffmann_certificate(premise, DiagonalForm((1,) * 5), 1, 2))
+    forged = hoffmann_certificate(premise, subject, 1, exponent)
+    for context in (None, ReplayContext(adjunctions=(subject,))):
+        assert check_node(forged, context) is False
+
+
+@pytest.mark.parametrize("failing_place", [None, 3])
+def test_an_anisotropic_base_names_a_place_where_it_fails(failing_place):
+    honest = base_certificate(TERNARY).to_json()
+    assert check_node(Certificate.from_json(honest))
+    parameters = {"verdict": "anisotropic"}
+    if failing_place is not None:  # <1,1,1> is isotropic over Q_3
+        parameters["failing_place"] = failing_place
+    forged = Certificate.from_json({**honest, "parameters": parameters})
+    assert check_node(forged) is False and replay(forged) is False
+
+
 def test_a_list_valued_rule_gets_false():
     data = base_certificate(DiagonalForm((1, -1))).to_json()
     assert replay(Certificate.from_json(data))

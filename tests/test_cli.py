@@ -10,7 +10,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from quatgenus import cli, runner, selftest
 from quatgenus.certificates import MAX_DEPTH, base_certificate, hoffmann_certificate
@@ -559,6 +559,69 @@ def test_cli_answers_or_refuses_every_quat_argv(argv):
     with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()) as err:
         code = main(argv)
     assert code in (0, 2, 3), (argv, code, err.getvalue())
+
+
+# tower scripts: one to three small algebras and short steps, each field
+# malformed one time in eight; rounds and windows stay small, so a run is short
+odd_value = st.sampled_from([True, None, "x", 2.5, [], {}, -1, 0, 10**6])
+
+
+def _mostly(good, bad=odd_value):
+    # bad on 7, not 0: small-integer draws favour 0
+    return st.integers(min_value=0, max_value=7).flatmap(lambda i: bad if i == 7 else good)
+
+
+tower_algebra = _mostly(st.sampled_from([[-1, -1], [-1, -3], [-2, -5], [3, -7], [-1, -7], [1, 5]]))
+tower_step = st.fixed_dictionaries(
+    {"kind": st.sampled_from(["pushing", "linking", "iterate", "alternate", "adjoin", "x"])},
+    optional={
+        "classes": _mostly(st.lists(st.integers(min_value=-10, max_value=10), max_size=3)),
+        "window": _mostly(st.integers(min_value=1, max_value=6)),
+        "rounds": _mostly(st.integers(min_value=0, max_value=2)),
+        "max_rounds": _mostly(st.integers(min_value=0, max_value=3)),
+        "form": _mostly(st.lists(st.integers(min_value=-7, max_value=7), max_size=5)),
+    },
+)
+tower_script = _mostly(
+    st.fixed_dictionaries(
+        {
+            "algebras": _mostly(st.lists(tower_algebra, min_size=1, max_size=3, unique_by=str)),
+            "steps": _mostly(st.lists(tower_step, min_size=1, max_size=2)),
+        },
+        optional={"base": _mostly(st.just("rationals"))},
+    ).map(json.dumps),
+    st.sampled_from(["", "{", "[1,", "null", '"rationals"']),
+)
+tower_flags = st.lists(
+    st.one_of(
+        st.tuples(st.just("--output"), _mostly(st.sampled_from(["json", "text"]), st.just("yaml"))),
+        st.tuples(st.just("--witness-window"),
+                  _mostly(st.sampled_from(["1", "4", "10"]), st.sampled_from(["0", "1001", "x"]))),
+        st.tuples(st.just("--max-levels"),
+                  _mostly(st.sampled_from(["0", "1", "3"]), st.sampled_from(["-1", "x"]))),
+        st.tuples(st.just("--out"), _mostly(st.just("report.json"), st.just("missing/report.json"))),
+    ),
+    max_size=3,
+)
+
+
+@given(tower_script, tower_flags)
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_cli_answers_or_refuses_every_tower_run_argv(tmp_path, text, flags):
+    script = tmp_path / "script.json"
+    script.write_text(text)
+    argv = ["tower", "run", str(script)]
+    for flag, value in flags:
+        argv += [flag, str(tmp_path / value) if flag == "--out" else value]
+    start = time.perf_counter()
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()) as err:
+        code = main(argv)
+    elapsed = time.perf_counter() - start
+    assert code in (0, 2, 3, 4), (argv, text, code, err.getvalue())
+    errors = [line for line in err.getvalue().splitlines() if "error:" in line]
+    assert len(errors) == (0 if code == 0 else 1), (argv, text, code, err.getvalue())
+    assert elapsed < 10, (argv, text, elapsed)
 
 
 _NEW_MODULES = """

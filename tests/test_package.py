@@ -3,6 +3,7 @@
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -56,15 +57,12 @@ def test_the_form_analyze_command_loads_no_search():
     assert _loaded("-m", "quatgenus", "form", "analyze", "1,1,1,1") == modules
 
 
-_VERIFY = """
-import json, sys
-from quatgenus.certificates import Certificate, certificates_in_report, context_from_report, replay
-
-report = json.load(open(sys.argv[1]))
-context = context_from_report(report)
-if not all(replay(Certificate.from_json(c), context) for c in certificates_in_report(report)):
-    sys.exit(1)
-"""
+def _readme_snippet() -> str:
+    """The README's one python block: the snippet that verifies a report from its JSON."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```$", text, flags=re.DOTALL | re.MULTILINE)
+    assert len(blocks) == 1, blocks
+    return blocks[0]
 
 
 def test_replaying_a_report_from_json_loads_no_engine_module(tmp_path):
@@ -74,7 +72,8 @@ def test_replaying_a_report_from_json_loads_no_engine_module(tmp_path):
     assert code == 0 and report["final_state"]["levels"]
     path = tmp_path / "report.json"
     path.write_text(render_report(report))
-    loaded = _loaded("-c", _VERIFY, str(path))
+    verify = _readme_snippet()
+    loaded = _loaded("-c", verify, str(path))
     assert "quatgenus.certificates" in loaded
     engine = {"tower", "runner", "selftest", "quaternion", "oracles", "cli", "search", "conics"}
     assert loaded.isdisjoint(f"quatgenus.{name}" for name in engine)
@@ -82,5 +81,5 @@ def test_replaying_a_report_from_json_loads_no_engine_module(tmp_path):
     tampered = json.loads(path.read_text())
     tampered["final_state"]["levels"][0]["form"] = [1, 1]
     path.write_text(json.dumps(tampered))
-    child = subprocess.run([sys.executable, "-c", _VERIFY, str(path)], env=ENV)
+    child = subprocess.run([sys.executable, "-c", verify, str(path)], env=ENV)
     assert child.returncode == 1

@@ -222,31 +222,31 @@ def test_hasse_invariants_call_no_primality_test_and_no_pair_symbol(monkeypatch)
     is_prime = counted("is_prime", arith.is_prime)
     monkeypatch.setattr(arith, "is_prime", is_prime)
     monkeypatch.setattr(symbols, "is_prime", is_prime)
-    monkeypatch.setattr(
-        symbols, "_hilbert_squarefree", counted("pair", symbols._hilbert_squarefree)
-    )
     assert len(hasse_invariants(coefficients)) == 7  # inf, 2, 3, 5, 7, 11, 13
     assert calls == Counter()
     # the public routes still test their modulus
     with pytest.raises(InputError):
         hilbert_symbol(15, 2, Place(15, 15))
-    assert calls == Counter(pair=1, is_prime=1)
+    assert calls == Counter(is_prime=1)
 
 
 def test_local_classes_test_each_prime_once_and_refuse_a_composite_place(monkeypatch):
     calls = Counter()
+    is_prime = arith.is_prime
 
     def counted(n):
         calls[n] += 1
-        return arith.is_prime(n)
+        return is_prime(n)
 
-    symbols._check_odd_prime.cache_clear()
-    monkeypatch.setattr(symbols, "is_prime", counted)
-    for t in range(-30, 31):
-        if t:
-            local_is_square(t, Place(7, 7))
-            symbols._local_class(squarefree_part(t), Place(11, 11))
-    assert calls == Counter({7: 1, 11: 1})
+    values = [t for t in range(-30, 31) if t]
+    classes = [squarefree_part(t) for t in values]  # factoring tests its cofactors; warm it
+    arith._check_odd_prime.cache_clear()
+    monkeypatch.setattr(arith, "is_prime", counted)
+    for t, s in zip(values, classes):
+        local_is_square(t, Place(7, 7))
+        symbols._local_class(s, Place(11, 11))
+        hilbert_symbol(t, 3, Place(13, 13))
+    assert calls == Counter({7: 1, 11: 1, 13: 1})
     for _ in range(2):  # a failed test is not remembered
         with pytest.raises(InputError):
             hilbert_symbol(15, 2, Place(15, 15))
@@ -254,7 +254,18 @@ def test_local_classes_test_each_prime_once_and_refuse_a_composite_place(monkeyp
             local_is_square(3, Place(15, 15))
         with pytest.raises(InputError):
             is_isotropic_local(DiagonalForm((1, 1)), Place(15, 15))
-    assert calls[15] == 4
+    assert calls[15] == 6
+
+
+def test_every_route_refuses_an_odd_composite_modulus():
+    # no entry is divisible by the modulus, so no Legendre symbol is needed: it is tested anyway
+    for call in (
+        lambda: hilbert_symbol(2, 7, Place(15, 15)),
+        lambda: hilbert_symbol(3, 5, Place(9, 9)),
+        lambda: arith.legendre(2, 15),
+    ):
+        with pytest.raises(InputError, match="modulus must be an odd prime"):
+            call()
 
 
 def test_parse_place():
