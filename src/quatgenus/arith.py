@@ -11,7 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import compress
 from math import gcd, isqrt
+from threading import Lock
 from typing import Iterable, Iterator
 
 from .errors import InputError, SearchExhausted
@@ -268,13 +270,55 @@ def squarefree_classes(limit: int) -> list[int]:
     return [1, *iter_witnesses(limit)] if limit >= 1 else []
 
 
+_SIEVE_BLOCK = 1024  # integers the square-free table sieves at a time
+
+
+class _SquarefreeTable:
+    """The square-free positive integers through `end`, ascending. Each growth sieves
+    one block past `end`, never past the bound asked for: in it, the multiples of
+    d^2 are struck for every d >= 2 with d^2 at most the block's top."""
+
+    def __init__(self) -> None:
+        self.values: list[int] = []
+        self.end = 0
+        self._lock = Lock()
+
+    def grow(self, bound: int) -> None:
+        with self._lock:  # two readers must not both append the next block
+            if self.end >= bound:
+                return
+            lo = self.end + 1
+            top = min(self.end + _SIEVE_BLOCK, bound)
+            keep = bytearray(b"\1") * (top - lo + 1)
+            for d in range(2, isqrt(top) + 1):
+                square = d * d
+                first = -lo % square  # offset of the block's first multiple of d^2
+                keep[first::square] = bytes(len(range(first, len(keep), square)))
+            self.values.extend(compress(range(lo, top + 1), keep))
+            self.end = top
+
+
+_SQUAREFREE = _SquarefreeTable()
+
+
 def iter_witnesses(limit: int) -> Iterator[int]:
-    """The square-class witness order: |c| ascending, positive first, c = 1 skipped."""
-    for m in range(1, limit + 1):
-        if is_squarefree(m):
-            if m != 1:
-                yield m
-            yield -m
+    """The square-class witness order: |c| ascending, positive first, c = 1 skipped.
+    Read from the sieved table, which grows only as far as the iteration goes."""
+    table = _SQUAREFREE
+    i = 0
+    while True:
+        if i == len(table.values):
+            if table.end >= limit:
+                return
+            table.grow(limit)
+            continue
+        m = table.values[i]
+        if m > limit:
+            return
+        if m != 1:
+            yield m
+        yield -m
+        i += 1
 
 
 def witness_sequence(limit: int) -> list[int]:

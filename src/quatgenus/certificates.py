@@ -614,17 +614,23 @@ def context_from_report(report: object) -> ReplayContext:
 
 def certificates_in_report(report: object):
     """Yield every top-level certificate JSON object embedded in a report, in
-    document order. Walked with an explicit stack, so nesting does not recurse."""
+    document order. Walked with an explicit stack, so nesting does not recurse;
+    only dicts and lists are pushed, never the scalars beside them."""
     stack = [report]
+    push = stack.append
+    containers = (dict, list)
     while stack:
         node = stack.pop()
         if isinstance(node, dict):
             if "rule" in node and "status" in node and "subject" in node:
                 yield node
-            else:
-                stack += reversed(node.values())
-        elif isinstance(node, list):
-            stack += reversed(node)
+                continue
+            node = node.values()
+        elif not isinstance(node, list):
+            continue  # a scalar report; no scalar is ever pushed
+        for value in reversed(node):
+            if isinstance(value, containers):
+                push(value)
 
 
 def replay(cert: Certificate, context: ReplayContext | None = None) -> bool:

@@ -237,6 +237,9 @@ def cmd_tower(args: argparse.Namespace) -> int:
             sys.stdout.write(piece)
     if args.output == "text":
         sys.stdout.write(summarize_report(report))
+    if code == 4:  # the report is written; the exit still needs its one error line
+        unknown = report["unknown_count"]
+        print(f"error: {unknown} required claim(s) remained UNKNOWN", file=sys.stderr)
     return code
 
 

@@ -2,19 +2,26 @@
 
 Every structural question is answered two ways where a cheap dual route
 exists: ramification from Hilbert symbols on one side, norm-form isotropy
-on the other, with the agreement checked. Witness searches run in the
-canonical square-class order so results are reproducible.
+on the other, with the agreement checked. An algebra's ramification and
+division verdict are computed once per algebra object, on first read.
+Subfield membership is read from ramification alone: Q(sqrt(c)) embeds
+exactly when c is a nonsquare at every ramified place (the local-global
+criterion, Voight, Quaternion Algebras, GTM 288, Ch. 14); selftest's
+linkage-q and genus-q suites check those verdicts against the residue
+search. Witness searches run in the canonical square-class order so
+results are reproducible.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import chain, count, islice
 from math import prod
 
 from .arith import Rational, is_prime, iter_witnesses, squarefree_part
 from .errors import InputError, PreconditionError, SearchExhausted, _crosscheck
-from .forms import DiagonalForm, is_isotropic, isometric, represents, witt_index
+from .forms import DiagonalForm, _memo, is_isotropic, isometric, witt_index
 from .symbols import INFINITE_PLACE, Place, _class_reps, _local_class, hasse_invariants
 from .symbols import hilbert_symbol
 
@@ -48,20 +55,33 @@ class QuaternionAlgebra:
     def __str__(self) -> str:
         return f"({self.a},{self.b})"
 
+    def __reduce__(self):  # copy and pickle rebuild from the symbols, without the memos
+        return (QuaternionAlgebra, (self.a, self.b))
+
+    @_memo
+    def _ramification(self) -> tuple[Place, ...]:
+        ram = tuple(v for v, e in hasse_invariants([self.a, self.b]) if e == -1)
+        _crosscheck(len(ram) % 2 == 0, "Hilbert reciprocity: an even number of places ramify")
+        return ram
+
+    @_memo
+    def _division(self) -> bool:
+        by_symbols = len(ramification(self)) > 0
+        by_norm = not is_isotropic(self.norm_form())
+        _crosscheck(by_symbols == by_norm, "ramification and norm form agree on division")
+        return by_symbols
+
 
 def ramification(alg: QuaternionAlgebra) -> tuple[Place, ...]:
-    """Places v where (a, b)_v, the Hasse symbol of <a, b>, is -1; always an even number."""
-    ram = tuple(v for v, e in hasse_invariants([alg.a, alg.b]) if e == -1)
-    _crosscheck(len(ram) % 2 == 0, "Hilbert reciprocity: an even number of places ramify")
-    return ram
+    """Places v where (a, b)_v, the Hasse symbol of <a, b>, is -1; always an even number.
+    Computed on the algebra's first read and kept on it."""
+    return alg._ramification
 
 
 def is_division(alg: QuaternionAlgebra) -> bool:
-    """Division over Q; ramification and norm-form anisotropy must agree."""
-    by_symbols = len(ramification(alg)) > 0
-    by_norm = not is_isotropic(alg.norm_form())
-    _crosscheck(by_symbols == by_norm, "ramification and norm form agree on division")
-    return by_symbols
+    """Division over Q; ramification and norm-form anisotropy must agree. Decided on the
+    algebra's first read and kept on it."""
+    return alg._division
 
 
 def is_isomorphic(a1: QuaternionAlgebra, a2: QuaternionAlgebra) -> bool:
@@ -99,11 +119,12 @@ def is_linked(a1: QuaternionAlgebra, a2: QuaternionAlgebra) -> bool:
 
 
 def contains_subfield(alg: QuaternionAlgebra, c: int | Rational) -> bool:
-    """Is Q(sqrt(c)) a subfield of the algebra (c not a square)?"""
+    """Is Q(sqrt(c)) a subfield of the algebra (c not a square)? Exactly when c is not a
+    local square at any place where the algebra ramifies."""
     s = squarefree_part(c)
     if s == 1:
         raise PreconditionError("c must generate a quadratic extension; got a square")
-    return represents(alg.pure_form(), s)
+    return not any(_local_class(s, v) == (0, 1) for v in ramification(alg))
 
 
 def common_subfield_witness(
@@ -138,10 +159,16 @@ def distinguishing_witness(
     )
 
 
+@lru_cache(maxsize=4)
+def _ranked_classes(limit_rank: int) -> tuple[int, ...]:
+    """The first limit_rank + 1 square classes, 1 first; at least that many have
+    |c| <= limit_rank."""
+    return tuple(islice(chain((1,), iter_witnesses(limit_rank)), limit_rank + 1))
+
+
 def _pair_candidates(limit_rank: int):
     """Symbol pairs (a,b) in shell order by max rank, then lex by (rank a, rank b)."""
-    # at least limit_rank + 1 classes have |c| <= limit_rank
-    seq = list(islice(chain((1,), iter_witnesses(limit_rank)), limit_rank + 1))
+    seq = _ranked_classes(limit_rank)
     for shell in range(1, len(seq)):
         for i in range(shell):
             yield seq[i], seq[shell]

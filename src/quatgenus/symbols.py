@@ -19,6 +19,7 @@ _class_reps(place) lists one representative of each class there.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import count
 from typing import Iterable, Sequence
 
@@ -49,6 +50,17 @@ INFINITE_PLACE = Place(0, None)
 
 
 def finite_place(p: int) -> Place:
+    # the type test comes first: lru_cache keys by equality, so 3.0 or True would
+    # find an int's entry
+    if type(p) is not int:
+        raise InputError(f"not a prime: {p!r}")
+    return _finite_place(p)
+
+
+@lru_cache(maxsize=4096)
+def _finite_place(p: int) -> Place:
+    """The place of an int p, tested prime once; a p that fails is tested again at every
+    call, since errors are not cached."""
     if not is_prime(p):
         raise InputError(f"not a prime: {p}")
     return Place(p, p)

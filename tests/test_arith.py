@@ -1,11 +1,14 @@
 """Integer kernel: primality, factorization, square-free parts, residues."""
 
+import sys
+import threading
 from fractions import Fraction
 from itertools import islice
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from quatgenus import arith
 from quatgenus.arith import (
     factor,
     is_prime,
@@ -150,6 +153,64 @@ def test_witness_sequence_skips_one():
 def test_witness_order_is_lazy_and_matches_the_list():
     assert list(islice(iter_witnesses(10**12), 5)) == [-1, 2, -2, 3, -3]
     assert list(iter_witnesses(50)) == witness_sequence(50)
+
+
+def _witnesses_by_factoring(limit):
+    """The witness order as first written: each integer tested by factoring it."""
+    for m in range(1, limit + 1):
+        if is_squarefree(m):
+            if m != 1:
+                yield m
+            yield -m
+
+
+_SIEVE_LIMITS = [0, 1, 2, 1023, 1024, 1025, 5000]  # the first sieve block ends at 1024
+
+
+@pytest.mark.parametrize("order", [_SIEVE_LIMITS, _SIEVE_LIMITS[::-1]])
+def test_sieved_witness_order_matches_factoring(monkeypatch, order):
+    table = arith._SquarefreeTable()
+    monkeypatch.setattr(arith, "_SQUAREFREE", table)
+    for limit in order:  # ascending, the table grows; descending, it is read past its bound
+        end = table.end
+        assert list(iter_witnesses(limit)) == list(_witnesses_by_factoring(limit))
+        assert table.end == max(end, limit)  # never sieved past the bound asked for
+    assert arith._SIEVE_BLOCK == 1024
+
+
+def test_threads_reading_one_table_each_get_the_whole_order(monkeypatch):
+    expected = list(_witnesses_by_factoring(5000))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(10):
+            table = arith._SquarefreeTable()
+            monkeypatch.setattr(arith, "_SQUAREFREE", table)
+            results = [None] * 6
+            start = threading.Barrier(len(results), timeout=30)
+
+            def read(k):
+                start.wait()  # all reach the empty table together
+                results[k] = list(iter_witnesses(5000))
+
+            threads = [threading.Thread(target=read, args=(k,)) for k in range(len(results))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+            assert not any(thread.is_alive() for thread in threads)
+            assert results == [expected] * len(results)
+            assert table.end == 5000 and table.values == [-m for m in expected if m < 0]
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_witness_order_sieves_no_further_than_it_is_read(monkeypatch):
+    table = arith._SquarefreeTable()
+    monkeypatch.setattr(arith, "_SQUAREFREE", table)
+    witnesses = iter_witnesses(10**15)
+    assert (next(witnesses), next(witnesses)) == (-1, 2)
+    assert table.end == arith._SIEVE_BLOCK and len(table.values) < arith._SIEVE_BLOCK
 
 
 def test_parse_rational():

@@ -310,6 +310,17 @@ def _write_script(tmp_path, data):
     return str(script)
 
 
+def test_tower_run_left_unknown_prints_one_error_line(tmp_path, capsys):
+    # the run completes and writes its report, with a required claim UNKNOWN
+    script = _write_script(tmp_path, {
+        "algebras": [[-1, -1]],
+        "steps": [{"kind": "adjoin", "form": [1, 1]}, {"kind": "linking"}],
+    })
+    code, out, err = run_cli(capsys, "tower", "run", script)
+    assert code == 4 and json.loads(out)["unknown_count"] == 1
+    assert err == "error: 1 required claim(s) remained UNKNOWN\n"
+
+
 def test_tower_run_split_family_member_is_precondition_error(tmp_path, capsys):
     script = _write_script(
         tmp_path,

@@ -1,7 +1,9 @@
 """Quaternion algebras: ramification, isomorphism, linkage, subfields, genus."""
 
+import copy
 import json
 import os
+import pickle
 import subprocess
 import sys
 from fractions import Fraction
@@ -13,9 +15,12 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import quatgenus
-from quatgenus import arith, forms, search
+from quatgenus import arith, cli, forms, search
+from quatgenus.arith import squarefree_part
 from quatgenus.errors import InputError, PreconditionError, SearchExhausted
-from quatgenus.forms import DiagonalForm, is_isotropic, isometric, witt_decompose, witt_index
+from quatgenus.forms import (
+    DiagonalForm, is_isotropic, isometric, represents, witt_decompose, witt_index,
+)
 from quatgenus import quaternion
 from quatgenus.quaternion import (
     QuaternionAlgebra,
@@ -343,6 +348,71 @@ def test_genus_report():
         genus_report([HAMILTON, QuaternionAlgebra(1, 5)])
 
 
+def _embeds_by_pure_form(alg, c):
+    """The subfield route as first written: the pure quaternions represent c."""
+    return represents(alg.pure_form(), squarefree_part(c))
+
+
+entry = st.integers(min_value=-300, max_value=300).filter(bool)
+
+
+@given(entry, entry, st.data())
+@settings(max_examples=300, deadline=None)
+def test_subfield_membership_from_ramification_matches_the_pure_form(a, b, data):
+    alg = QuaternionAlgebra.of(a, b)
+    ramified = [v.prime for v in ramification(alg) if v.prime is not None]
+    c = data.draw(st.integers(min_value=-60, max_value=60).filter(bool), label="class")
+    if ramified and data.draw(st.booleans(), label="divisible by a ramified prime"):
+        c *= data.draw(st.sampled_from(ramified))
+    c *= data.draw(st.integers(min_value=1, max_value=12), label="square root") ** 2
+    if data.draw(st.booleans(), label="fraction"):
+        c = Fraction(c, data.draw(st.integers(min_value=2, max_value=30), label="denominator"))
+    if squarefree_part(c) == 1:
+        with pytest.raises(PreconditionError):
+            contains_subfield(alg, c)
+    else:
+        assert contains_subfield(alg, c) == _embeds_by_pure_form(alg, c)
+
+
+def test_subfield_reference_covers_split_and_division_algebras():
+    for alg, c in [(QuaternionAlgebra(1, 5), -7), (QuaternionAlgebra(2, -1), 3)]:
+        assert not is_division(alg)
+        assert contains_subfield(alg, c) and _embeds_by_pure_form(alg, c)
+    for c in (-1, -2, -3, -7, 2, 7, 14, Fraction(-3, 4), -12, Fraction(7, 2)):
+        assert contains_subfield(D13, c) == _embeds_by_pure_form(D13, c)
+
+
+def test_a_compare_reads_each_algebras_hasse_invariants_once(monkeypatch, capsys):
+    calls = []
+    hasse_invariants = quaternion.hasse_invariants
+
+    def counted(entries):
+        calls.append(tuple(entries))
+        return hasse_invariants(entries)
+
+    monkeypatch.setattr(quaternion, "hasse_invariants", counted)
+    a1, a2 = QuaternionAlgebra(-1, -1), QuaternionAlgebra(-1, -3)  # new objects, no memo yet
+    assert not is_isomorphic(a1, a2)
+    assert is_linked(a1, a2)
+    assert distinguishing_witness(a1, a2) == -2
+    assert common_subfield_witness(a1, a2) == -1
+    assert calls == [(-1, -1), (-1, -3)]
+    calls.clear()
+    assert cli.main(["quat", "compare", "-1,-1", "-1,-3", "--json"]) == 0
+    capsys.readouterr()
+    assert calls == [(-1, -1), (-1, -3)]  # the command parses its own two algebras
+
+
+def test_copies_and_pickles_carry_no_memo():
+    alg = QuaternionAlgebra(-1, -3)
+    assert is_division(alg) and ramification(alg) == (INFINITE_PLACE, finite_place(3))
+    assert {"_ramification", "_division"} <= vars(alg).keys()
+    for clone in (copy.copy(alg), copy.deepcopy(alg), pickle.loads(pickle.dumps(alg))):
+        assert clone == alg and clone is not alg
+        assert vars(clone) == {"a": -1, "b": -3}
+        assert ramification(clone) == ramification(alg) and is_division(clone)
+
+
 def test_subfield_membership_is_norm_form_criterion():
     for c in (-1, 2, -2, 3, -3, 5, 7, -7):
         member = contains_subfield(D13, c)
@@ -355,7 +425,14 @@ _FORCED_DISAGREEMENTS = """
 import sys
 from quatgenus import forms, quaternion, search
 print("optimize", sys.flags.optimize)
-HAMILTON, D13 = quaternion.QuaternionAlgebra(-1, -1), quaternion.QuaternionAlgebra(-1, -3)
+
+
+def hamilton():  # a new object per case: ramification and division are kept on the algebra
+    return quaternion.QuaternionAlgebra(-1, -1)
+
+
+def d13():
+    return quaternion.QuaternionAlgebra(-1, -3)
 
 
 def forced(module, name, value, check):
@@ -370,7 +447,7 @@ def forced(module, name, value, check):
 
 
 # the norm-form route calls every algebra split
-forced(quaternion, "is_isotropic", lambda form: True, lambda: quaternion.is_division(HAMILTON))
+forced(quaternion, "is_isotropic", lambda form: True, lambda: quaternion.is_division(hamilton()))
 forced(
     search, "isotropic_vector_search", lambda coefficients, bound: (1,) * len(coefficients),
     lambda: forms.isotropic_vector(forms.DiagonalForm.of([1, -1, 2]), 3),
@@ -378,19 +455,20 @@ forced(
 # one ramified place: Hilbert reciprocity says the count is even
 forced(
     quaternion, "hasse_invariants", lambda entries: [(quaternion.Place(2, 2), -1)],
-    lambda: quaternion.ramification(HAMILTON),
+    lambda: quaternion.ramification(hamilton()),
 )
 # the norm-form difference splits no hyperbolic plane
-forced(quaternion, "witt_index", lambda form: 0, lambda: quaternion.is_linked(HAMILTON, D13))
+forced(quaternion, "witt_index", lambda form: 0, lambda: quaternion.is_linked(hamilton(), d13()))
 # Hamilton ramifies at 2 alone, D13 nowhere: the connecting target has one place
 forced(
-    quaternion, "ramification", lambda alg: (quaternion.Place(2, 2),) if alg == HAMILTON else (),
-    lambda: quaternion.connecting_algebra(HAMILTON, D13),
+    quaternion, "ramification",
+    lambda alg: (quaternion.Place(2, 2),) if alg == hamilton() else (),
+    lambda: quaternion.connecting_algebra(hamilton(), d13()),
 )
 # with no shell walk, the fallback's answer is the split algebra (1, 1)
 forced(quaternion, "_CONNECTING_RANK", 0, lambda: forced(
     quaternion, "_constructed", lambda target: (1, 1),
-    lambda: quaternion.connecting_algebra(HAMILTON, D13),
+    lambda: quaternion.connecting_algebra(hamilton(), d13()),
 ))
 """
 

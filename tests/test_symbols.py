@@ -268,6 +268,32 @@ def test_every_route_refuses_an_odd_composite_modulus():
             call()
 
 
+def test_finite_place_tests_each_prime_once_and_refuses_a_composite_every_time(monkeypatch):
+    calls = Counter()
+    is_prime = arith.is_prime
+
+    def counted(n):
+        calls[n] += 1
+        return is_prime(n)
+
+    symbols._finite_place.cache_clear()
+    monkeypatch.setattr(symbols, "is_prime", counted)
+    for _ in range(3):
+        assert finite_place(2) == Place(2, 2)
+        assert finite_place(13) == Place(13, 13)
+        assert parse_place("7") == Place(7, 7)
+        assert symbols.place_from_json(11) == Place(11, 11)
+        with pytest.raises(InputError, match="not a prime: 15"):
+            finite_place(15)
+    assert calls == Counter({2: 1, 13: 1, 7: 1, 11: 1, 15: 3})
+    # equal to 3 yet no int: each is refused before the cache could answer it from 3's entry
+    finite_place(3)
+    for value in (3.0, Fraction(3), True):
+        with pytest.raises(InputError, match="not a prime"):
+            finite_place(value)
+    assert calls[3] == 1
+
+
 def test_parse_place():
     assert parse_place("inf") == INFINITE_PLACE
     assert parse_place("2") == finite_place(2)
