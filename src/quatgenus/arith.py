@@ -16,7 +16,7 @@ from math import gcd, isqrt
 from threading import Lock
 from typing import Iterable, Iterator
 
-from .errors import InputError, SearchExhausted
+from .errors import InputError, SearchExhausted, _quoted
 
 Rational = Fraction
 
@@ -209,7 +209,7 @@ def squarefree_part(x: int | Rational) -> int:
     elif isinstance(x, Fraction):
         n = x.numerator * x.denominator
     else:
-        raise InputError(f"not an integer or a fraction: {x!r}")
+        raise InputError(f"not an integer or a fraction: {_quoted(x)}")
     if n == 0:
         raise InputError("zero has no square class")
     return _squarefree_int(n)
@@ -331,4 +331,4 @@ def parse_rational(text: str) -> Rational:
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise InputError(f"not a rational: {text!r}") from exc
+        raise InputError(f"not a rational: {_quoted(text)}") from exc

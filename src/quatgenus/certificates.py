@@ -64,7 +64,7 @@ from operator import is_
 from typing import Iterator, Union
 
 from .arith import factor, squarefree_part
-from .errors import InputError, SearchExhausted, _is_int
+from .errors import InputError, SearchExhausted, _is_int, _quoted
 from .forms import (
     DiagonalForm,
     invariants,
@@ -112,7 +112,7 @@ def form_from_json(data: object) -> FormLike:
         return DiagonalForm.from_json(data)
     if isinstance(data, dict) and "symbolic" in data:
         return SymbolicForm.from_json(data)
-    raise InputError(f"not a form: {data!r}")
+    raise InputError(f"not a form: {_quoted(data)}")
 
 
 def disc_to_json(d: DiscClass) -> object:
@@ -315,7 +315,7 @@ def _open_node(data: object, depth: int) -> tuple[tuple, Iterator[object]]:
     own-fields code (None for fields that are not exactly JSON), a live node with
     those own fields or None, and the validated own fields when there is none."""
     if not isinstance(data, dict):
-        raise InputError(f"not a certificate: {data!r}")
+        raise InputError(f"not a certificate: {_quoted(data)}")
     if depth > MAX_DEPTH:
         raise InputError(f"certificate nests deeper than {MAX_DEPTH} nodes")
     own = data.copy()
@@ -334,7 +334,7 @@ def _open_node(data: object, depth: int) -> tuple[tuple, Iterator[object]]:
     fields = None if known is not None else _validated_fields(own)
     if not isinstance(raw_premises, list):
         raise InputError(
-            f"malformed certificate: certificate premises must be a list: {raw_premises!r}"
+            f"malformed certificate: certificate premises must be a list: {_quoted(raw_premises)}"
         )
     return (code, known, fields), iter(raw_premises)
 
@@ -413,9 +413,9 @@ def _validated_fields(own: dict) -> tuple:
         level = own["level"]
         raw_params = own.get("parameters", {})
         if not _is_int(level):
-            raise InputError(f"certificate level must be an integer: {level!r}")
+            raise InputError(f"certificate level must be an integer: {_quoted(level)}")
         if not isinstance(raw_params, dict):
-            raise InputError(f"certificate parameters must be an object: {raw_params!r}")
+            raise InputError(f"certificate parameters must be an object: {_quoted(raw_params)}")
         copied = [
             (k, _json_copy(v) if isinstance(v, _CONTAINERS) else v)
             for k, v in raw_params.items()
@@ -807,5 +807,5 @@ def tamper(cert_json: dict) -> dict:
     elif rule == "R-CHAIN":
         params["levels"] = mutated["level"] + 3
     else:
-        raise InputError(f"unknown rule: {rule!r}")
+        raise InputError(f"unknown rule: {_quoted(rule)}")
     return mutated

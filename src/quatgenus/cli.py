@@ -15,7 +15,7 @@ import re
 import sys
 from typing import TYPE_CHECKING
 
-from .errors import InputError, PreconditionError, SearchExhausted, TruncationError
+from .errors import InputError, PreconditionError, SearchExhausted, TruncationError, _quoted
 
 if TYPE_CHECKING:  # each command imports what it computes with when it runs
     from .forms import DiagonalForm
@@ -38,7 +38,7 @@ def _parse_algebra(text: str) -> QuaternionAlgebra:
 
     parts = [p.strip() for p in text.split(",") if p.strip()]
     if len(parts) != 2:
-        raise InputError(f"an algebra is a pair 'a,b': {text!r}")
+        raise InputError(f"an algebra is a pair 'a,b': {_quoted(text)}")
     return QuaternionAlgebra.of(parse_rational(parts[0]), parse_rational(parts[1]))
 
 

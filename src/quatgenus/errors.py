@@ -1,7 +1,10 @@
 """Exception taxonomy shared by the library and the CLI exit-code mapping,
-and the two checks every layer shares: cross-checks and JSON integers."""
+the two checks every layer shares, cross-checks and JSON integers, and the one
+way a message quotes outside input."""
 
 from __future__ import annotations
+
+import reprlib
 
 
 class QuatGenusError(Exception):
@@ -33,3 +36,17 @@ def _crosscheck(agrees: bool, claim: str) -> None:
 def _is_int(value: object) -> bool:
     """A JSON integer: true and false are bools, which Python counts as ints."""
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+# repr cut to a bounded depth and length: a list nested past maxlevel prints as
+# [...] instead of recursing, so quoting any JSON input cannot fail
+_QUOTE = reprlib.Repr()
+_QUOTE.maxlevel = 6
+_QUOTE.maxlist = _QUOTE.maxtuple = 16
+_QUOTE.maxdict = 8
+_QUOTE.maxstring = _QUOTE.maxlong = _QUOTE.maxother = 80
+
+
+def _quoted(value: object) -> str:
+    """The repr of outside input for an error message, bounded in depth and length."""
+    return _QUOTE.repr(value)

@@ -17,7 +17,7 @@ from math import gcd
 from typing import Iterable, Sequence
 
 from .arith import Rational, is_prime, iter_witnesses, squarefree_part, squarefree_product
-from .errors import InputError, SearchExhausted, _crosscheck
+from .errors import InputError, SearchExhausted, _crosscheck, _quoted
 from .symbols import Place, _class_reps, _hasse_of_classes, _local_class, hilbert_symbol
 from .symbols import local_is_square
 
@@ -54,7 +54,7 @@ class DiagonalForm:
     def __new__(cls, coefficients: tuple[int, ...]) -> "DiagonalForm":
         # the type test comes first: True == 1 and 2.0 == 2 would find an int's entry
         if type(coefficients) is not tuple or not set(map(type, coefficients)) <= _INT:
-            raise InputError(f"not a tuple of integer coefficients: {coefficients!r}")
+            raise InputError(f"not a tuple of integer coefficients: {_quoted(coefficients)}")
         form = _form_of_ints(coefficients)
         if form.coefficients != coefficients:
             c = next(c for c, r in zip(coefficients, form.coefficients) if c != r)
@@ -120,7 +120,7 @@ class DiagonalForm:
     @classmethod
     def from_json(cls, data: object) -> "DiagonalForm":
         if not isinstance(data, list) or not set(map(type, data)) <= _INT:
-            raise InputError(f"not a diagonal form: {data!r}")
+            raise InputError(f"not a diagonal form: {_quoted(data)}")
         return _form_of_ints(tuple(data))
 
     def __str__(self) -> str:
@@ -304,47 +304,42 @@ def _split_hyperbolic(q: DiagonalForm, vec: tuple[int, ...]) -> DiagonalForm | N
 
     With i < k the first two nonzero coordinates of v, the vectors
     e_f - (a_f v_f)/(a_k v_k) e_k for f != i, k (ascending) span the plane's
-    complement, so its Gram matrix is diag(a_f) + u u^T/(a_k v_k^2) with
-    u_f = a_f v_f (Lam, Ch. I). The complement of a hyperbolic plane in a
-    regular form is regular, so every pivot below is nonzero and a fold always
-    finds a nonzero entry. None when the plane is the whole form.
+    complement, so its Gram matrix is diag(a_f) + u u^T/T with u_f = a_f v_f and
+    T = a_k v_k^2 (Lam, Ch. I). Gaussian elimination takes as pivot the first
+    index r left with a nonzero diagonal entry a_r (T + a_r v_r^2)/T, of class
+    a_r T (T + a_r v_r^2), and leaves the same shape on the other indices with
+    T + a_r v_r^2 for T. When every entry left is zero, the first two indices
+    r, s fold (row and column s added to r) into the pivots 2p/T^2 and -p/(2T^2),
+    p = u_r u_s T, and leave -T for T. The complement of a hyperbolic plane in a
+    regular form is regular, so a fold has two indices. Each class is a product
+    of square classes, so only the values of T are factored. None when the plane
+    is the whole form.
     """
     a = q.coefficients
     lead = [j for j, x in enumerate(vec) if x][:2]
     free = [f for f in range(q.dim) if f not in lead]
     if not free:
         return None
-    u = [a[f] * vec[f] for f in free]
-    norm = a[lead[1]] * vec[lead[1]] ** 2
-    gram = [
-        [Fraction(s * t, norm) + (a[f] if r == c else 0) for c, t in enumerate(u)]
-        for r, (f, s) in enumerate(zip(free, u))
-    ]
-    m = len(free)
-    diag: list[Fraction] = []
-    idx = list(range(m))
-    while idx:
-        pivot = next((i for i in idx if gram[i][i] != 0), None)
-        if pivot is None:
-            # every diagonal entry left is zero: fold an off-diagonal one onto it
-            i, j = next((i, j) for i in idx for j in idx if i != j and gram[i][j] != 0)
-            for t in range(m):
-                gram[i][t] += gram[j][t]
-            for t in range(m):
-                gram[t][i] += gram[t][j]
+    t = a[lead[1]] * vec[lead[1]] ** 2
+    t_class = a[lead[1]]
+    classes: list[int] = []
+    while free:
+        r = next((r for r in free if t + a[r] * vec[r] ** 2), None)
+        if r is None:
+            r, s = free[:2]
+            c = squarefree_product(
+                (2, a[r], a[s], squarefree_part(vec[r]), squarefree_part(vec[s]), t_class)
+            )
+            classes += [c, -c]
+            del free[:2]
+            t, t_class = -t, -t_class
             continue
-        d = gram[pivot][pivot]
-        diag.append(d)
-        others = [i for i in idx if i != pivot]
-        for i in others:
-            if gram[i][pivot] != 0:
-                factor = gram[i][pivot] / d
-                for t in range(m):
-                    gram[i][t] -= factor * gram[pivot][t]
-                for t in range(m):
-                    gram[t][i] -= factor * gram[t][pivot]
-        idx = others
-    return DiagonalForm.of(diag)
+        free.remove(r)
+        t_next = t + a[r] * vec[r] ** 2
+        t_next_class = squarefree_part(t_next)
+        classes.append(squarefree_product((a[r], t_class, t_next_class)))
+        t, t_class = t_next, t_next_class
+    return DiagonalForm.of(classes)
 
 
 _SYNTH_BUDGET = 1 << 16  # candidate forms _synthesize tries before SearchExhausted

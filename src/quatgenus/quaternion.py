@@ -20,7 +20,7 @@ from itertools import chain, count, islice
 from math import prod
 
 from .arith import Rational, is_prime, iter_witnesses, squarefree_part
-from .errors import InputError, PreconditionError, SearchExhausted, _crosscheck
+from .errors import InputError, PreconditionError, SearchExhausted, _crosscheck, _quoted
 from .forms import DiagonalForm, _memo, is_isotropic, isometric, witt_index
 from .symbols import INFINITE_PLACE, Place, _class_reps, _local_class, hasse_invariants
 from .symbols import hilbert_symbol
@@ -37,7 +37,7 @@ class QuaternionAlgebra:
     def of(cls, a: int | Rational, b: int | Rational) -> "QuaternionAlgebra":
         for x in (a, b):  # the type test comes first: False == 0 and 0.0 == 0
             if type(x) is not int and not isinstance(x, Rational):
-                raise InputError(f"not an integer or a fraction: {x!r}")
+                raise InputError(f"not an integer or a fraction: {_quoted(x)}")
         if a == 0 or b == 0:
             raise PreconditionError("quaternion symbols must be nonzero")
         return cls(squarefree_part(a), squarefree_part(b))

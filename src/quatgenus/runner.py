@@ -35,7 +35,7 @@ from .certificates import (
     iter_certificates,
     shared_json,
 )
-from .errors import InputError, _is_int
+from .errors import InputError, _is_int, _quoted
 from .quaternion import QuaternionAlgebra
 from .symbolic import SymbolicAlgebra, SymbolicClass, symbolic_albert_form
 from .tower import (
@@ -86,7 +86,7 @@ def _parse_abstract_form(data: object, algebras: list[SymbolicAlgebra]) -> FormL
     if isinstance(data, dict) and "norm_of" in data:
         idx = data["norm_of"]
         if not _is_int(idx) or not 0 <= idx < len(algebras):
-            raise InputError(f"norm_of index out of range: {idx!r}")
+            raise InputError(f"norm_of index out of range: {_quoted(idx)}")
         return algebras[idx].norm_form()
     if isinstance(data, dict) and "albert_of" in data:
         pair = data["albert_of"]
@@ -95,7 +95,7 @@ def _parse_abstract_form(data: object, algebras: list[SymbolicAlgebra]) -> FormL
             or len(pair) != 2
             or not all(_is_int(i) and 0 <= i < len(algebras) for i in pair)
         ):
-            raise InputError(f"albert_of needs two algebra indices: {pair!r}")
+            raise InputError(f"albert_of needs two algebra indices: {_quoted(pair)}")
         return symbolic_albert_form(algebras[pair[0]], algebras[pair[1]])
     return form_from_json(data)
 
@@ -118,7 +118,7 @@ def parse_script(data: object) -> Script:
                 or len(entry) != 2
                 or not all(_is_int(x) for x in entry)
             ):
-                raise InputError(f"a concrete algebra is a [a, b] pair: {entry!r}")
+                raise InputError(f"a concrete algebra is a [a, b] pair: {_quoted(entry)}")
             concrete.append(QuaternionAlgebra.of(entry[0], entry[1]))
         return Script(RationalBase(), Family.of(concrete), (), tuple(steps))
     if isinstance(raw_base, dict) and "abstract" in raw_base:
@@ -135,10 +135,12 @@ def parse_script(data: object) -> Script:
                 or not isinstance(entry.get("symbols"), list)
                 or len(entry["symbols"]) != 2
             ):
-                raise InputError(f"an abstract algebra is {{'symbols': [a, b]}}: {entry!r}")
+                raise InputError(f"an abstract algebra is {{'symbols': [a, b]}}: {_quoted(entry)}")
             a, b = entry["symbols"]
             if a not in symbols or b not in symbols:
-                raise InputError(f"algebra symbols {a!r}, {b!r} must be declared in the base")
+                raise InputError(
+                    f"algebra symbols {_quoted(a)}, {_quoted(b)} must be declared in the base"
+                )
             abstract.append(SymbolicAlgebra(SymbolicClass.named(a), SymbolicClass.named(b)))
         raw_assumptions = block.get("assumptions", [])
         if not isinstance(raw_assumptions, list):
@@ -147,16 +149,16 @@ def parse_script(data: object) -> Script:
         seen: set[str] = set()
         for raw in raw_assumptions:
             if not isinstance(raw, dict) or "id" not in raw or "anisotropic" not in raw:
-                raise InputError(f"an assumption needs 'id' and 'anisotropic': {raw!r}")
+                raise InputError(f"an assumption needs 'id' and 'anisotropic': {_quoted(raw)}")
             ident = raw["id"]
             if not isinstance(ident, str) or ident in seen:
-                raise InputError(f"assumption ids must be unique strings: {ident!r}")
+                raise InputError(f"assumption ids must be unique strings: {_quoted(ident)}")
             seen.add(ident)
             subject = _parse_abstract_form(raw["anisotropic"], abstract)
             assumptions.append(Assumption(ident, subject))
         base = AbstractBase(tuple(symbols), tuple(assumptions))
         return Script(base, Family(()), tuple(abstract), tuple(steps))
-    raise InputError(f"unknown base: {raw_base!r}")
+    raise InputError(f"unknown base: {_quoted(raw_base)}")
 
 
 _MAX_WINDOW = 1000  # the largest window limit a script or --witness-window may name
@@ -171,7 +173,7 @@ def _window_classes(raw: object, config: RunConfig) -> list[int]:
         return witness_sequence(raw)
     if isinstance(raw, list) and all(_is_int(c) for c in raw):
         return list(raw)
-    raise InputError(f"window must be a limit or a list of classes: {raw!r}")
+    raise InputError(f"window must be a limit or a list of classes: {_quoted(raw)}")
 
 
 @dataclass(frozen=True)
@@ -251,7 +253,7 @@ def _execute(script: Script, config: RunConfig) -> dict:
         kind = raw.get("kind")
         handler = _STEPS.get(kind) if isinstance(kind, str) else None
         if handler is None:
-            raise InputError(f"unknown step kind: {kind!r}")
+            raise InputError(f"unknown step kind: {_quoted(kind)}")
         state, step = handler(state, script, config, raw)
         step_reports.append(step.to_json())
         required += step.required_statements()

@@ -21,12 +21,22 @@ and two disjointness tests (new left against every right, older left against
 new right) tell whether the shell holds a zero, all in C. Exhausting a bound
 costs on the order of the final cube rather than cube times shells.
 
-At the first shell m with a zero, each half's cube 0..m is listed in
-lexicographic order, and each shared value v gives the candidate (first left
-tuple of value v, first right tuple of value v). Its max-norm is m: two
-tuples below m would have made a zero on an earlier shell. Only the all-zero
-pair, both halves at value 0, is not a vector, so for v = 0 one of the two
-must be nonzero. The least candidate is the first zero.
+Suffix cubes: for each suffix of j coordinates shorter than its half, a half
+keeps the list of the suffix's values over the cube 0..m. The shell-m surface
+of a j-suffix is its first coordinate at m over each value of the
+(j-1)-suffix cube, and its first coordinate below m over each value of the
+(j-1)-suffix surface; that surface is appended to the j-suffix cube, so each
+shell costs its surfaces and no table is sliced again.
+
+At the first shell m with a zero, each shared value v gives the candidate
+(first left tuple of value v, first right tuple of value v) in lexicographic
+order over the cubes 0..m. Its max-norm is m: two tuples below m would have
+made a zero on an earlier shell. Only the all-zero pair, both halves at value
+0, is not a vector: the left zero tuple, which comes first, is a candidate
+only with a nonzero right tuple of value 0. The least candidate is the first
+zero. It is read off the right cube, listed once, and the left cube, scanned
+one slab of its first coordinate at a time up to the first slab holding a
+shared value; there the first left tuple with a shared value wins.
 
 The values built are budgeted: a search that would generate more than
 _TABLE_BUDGET surface values in all raises SearchExhausted instead of
@@ -45,27 +55,31 @@ def backend_name() -> str:
     return "pure"
 
 
-def _surface(tables: list[list[int]], m: int) -> list[int]:
-    """Values of the nonnegative tuples of max-norm exactly m.
+def _shell(tables: list[list[int]], suffixes: list[list[int]], m: int) -> list[int]:
+    """Values of one half's nonnegative tuples of max-norm exactly m.
 
-    tables[i][v] is c_i * v^2 for v = 0..m. The surface is split by the
-    first coordinate j equal to m, so each tuple appears once: coordinates
-    before j range over 0..m-1, those after j over 0..m.
+    tables[i][v] is c_i * v^2 for v = 0..m; suffixes[i - 1] lists the values of
+    the coordinates from i on over the cube 0..m-1, for 0 < i < len(tables) - 1
+    (the last coordinate's is its table). The shell of the coordinates from i
+    on is coordinate i at m over their cube from i + 1 on, or below m over their
+    shell from i + 1 on; it is appended to their cube.
     """
-    out: list[int] = []
-    for j in range(len(tables)):
-        columns = [table[:m] for table in tables[:j]] + [tables[j][m:]] + tables[j + 1 :]
-        part = columns[0]
-        for column in columns[1:]:
-            part = [a + b for a in part for b in column]
-        out += part
-    return out
+    shell = [tables[-1][m]]
+    cube = tables[-1]
+    for i in range(len(tables) - 2, -1, -1):
+        table = tables[i]
+        top = table[m]
+        shell = [top + x for x in cube] + [a + x for a in table[:m] for x in shell]
+        if i:
+            cube = suffixes[i - 1]
+            cube += shell
+    return shell
 
 
 def _cube(tables: list[list[int]]) -> list[int]:
     """Values of every tuple of the cube, in lexicographic order."""
-    values = tables[0]
-    for table in tables[1:]:
+    values = [0]
+    for table in tables:
         values = [a + b for a in values for b in table]
     return values
 
@@ -82,21 +96,27 @@ def _first_zero(
     tables_l: list[list[int]], tables_r: list[list[int]], hits: set[int]
 ) -> tuple[int, ...]:
     """Lexicographically first (left, right) pair sharing a value in hits."""
-    cube_l, cube_r = _cube(tables_l), _cube(tables_r)
-
-    def first_pair(v: int) -> tuple[int, int]:
-        if v:
-            return cube_l.index(v), cube_r.index(v)
-        # the all-zero pair is not a vector: the left zero tuple, which comes
-        # first, with a nonzero right one if there is one
+    k_left, k_right, base = len(tables_l), len(tables_r), len(tables_l[0])
+    cube_r = _cube(tables_r)
+    # the all-zero pair is not a vector: the left zero tuple, which comes first,
+    # with a nonzero right one if there is one, else a nonzero left one with the right zero
+    if 0 in hits:
         try:
-            return 0, cube_r.index(0, 1)
+            return tuple([0] * k_left + _digits(cube_r.index(0, 1), k_right, base))
         except ValueError:
-            return cube_l.index(0, 1), 0
-
-    i_l, i_r = min(map(first_pair, hits))
-    base = len(tables_l[0])
-    return tuple(_digits(i_l, len(tables_l), base) + _digits(i_r, len(tables_r), base))
+            pass
+    # the left cube one slab of its first coordinate at a time, up to the first hit
+    rest = _cube(tables_l[1:])
+    for x, top in enumerate(tables_l[0]):
+        slab = [top + v for v in rest]
+        if hits.isdisjoint(slab):
+            continue
+        # the left zero tuple, index 0 of the first slab, was paired above if at all
+        i = next((i for i, v in enumerate(slab) if v in hits and (x or i)), None)
+        if i is not None:
+            right = _digits(cube_r.index(slab[i]), k_right, base)
+            return tuple([x] + _digits(i, k_left - 1, base) + right)
+    raise AssertionError("every hit value has a left tuple")
 
 
 def isotropic_vector_search(coefficients: tuple[int, ...], bound: int) -> tuple[int, ...] | None:
@@ -114,22 +134,28 @@ def isotropic_vector_search(coefficients: tuple[int, ...], bound: int) -> tuple[
     # half negated, so a zero is a value both halves reach
     tables_l = [[0] for _ in range(k_left)]
     tables_r = [[0] for _ in range(k_right)]
+    tables = tables_l + tables_r
+    # per half, the values of each suffix of its coordinates on the cube searched
+    # so far, from the second coordinate to the last but one
+    suffixes_l = [[0] for _ in range(k_left - 2)]
+    suffixes_r = [[0] for _ in range(k_right - 2)]
     signed = coefficients[:k_left] + tuple(-c for c in coefficients[k_left:])
     # the values reached on the cube searched so far, seeded by the all-zero tuple
     left_vals = {0}
     right_vals = {0}
-    built = 0
     for m in range(1, bound + 1):
-        built += (m + 1) ** k_left - m**k_left + (m + 1) ** k_right - m**k_right
+        # the shells' values through m, both halves: each cube but its zero tuple
+        built = (m + 1) ** k_left + (m + 1) ** k_right - 2
         if built > _TABLE_BUDGET:
             raise SearchExhausted(
                 f"no isotropic vector with max-norm <= {m - 1} "
                 f"within the search budget of {_TABLE_BUDGET} table entries"
             )
-        for table, c in zip(tables_l + tables_r, signed):
-            table.append(c * m * m)
-        surf_l = _surface(tables_l, m)
-        surf_r = _surface(tables_r, m)
+        square = m * m
+        for table, c in zip(tables, signed):
+            table.append(c * square)
+        surf_l = _shell(tables_l, suffixes_l, m)
+        surf_r = _shell(tables_r, suffixes_r, m)
         # older left against new right, then new left against every right
         hit = not left_vals.isdisjoint(surf_r)
         right_vals.update(surf_r)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InputError, _is_int
+from .errors import InputError, _is_int, _quoted
 
 
 @dataclass(frozen=True)
@@ -58,7 +58,7 @@ class SymbolicClass:
             or not isinstance(data["symbols"], list)
             or not all(isinstance(s, str) for s in data["symbols"])
         ):
-            raise InputError(f"not a symbolic class: {data!r}")
+            raise InputError(f"not a symbolic class: {_quoted(data)}")
         return cls(data["sign"], tuple(sorted(data["symbols"])))
 
     def __str__(self) -> str:
@@ -112,7 +112,7 @@ class SymbolicForm:
             or set(data) != {"symbolic"}
             or not isinstance(data["symbolic"], list)
         ):
-            raise InputError(f"not a symbolic form: {data!r}")
+            raise InputError(f"not a symbolic form: {_quoted(data)}")
         return cls(tuple(SymbolicClass.from_json(c) for c in data["symbolic"]))
 
     def __str__(self) -> str:

@@ -26,7 +26,7 @@ from typing import Iterable, Sequence
 from .arith import (
     Rational, _check_odd_prime, _euler_criterion, _factor_positive, is_prime, squarefree_part,
 )
-from .errors import InputError, _is_int
+from .errors import InputError, _is_int, _quoted
 
 
 @dataclass(frozen=True, order=True)
@@ -53,7 +53,7 @@ def finite_place(p: int) -> Place:
     # the type test comes first: lru_cache keys by equality, so 3.0 or True would
     # find an int's entry
     if type(p) is not int:
-        raise InputError(f"not a prime: {p!r}")
+        raise InputError(f"not a prime: {_quoted(p)}")
     return _finite_place(p)
 
 
@@ -73,7 +73,7 @@ def parse_place(text: str) -> Place:
     try:
         p = int(text)
     except ValueError as exc:
-        raise InputError(f"not a place: {text!r}") from exc
+        raise InputError(f"not a place: {_quoted(text)}") from exc
     return finite_place(p)
 
 
@@ -82,7 +82,7 @@ def place_from_json(value: str | int) -> Place:
         return INFINITE_PLACE
     if _is_int(value):
         return finite_place(value)
-    raise InputError(f"not a place: {value!r}")
+    raise InputError(f"not a place: {_quoted(value)}")
 
 
 def _epsilon(u: int) -> int:

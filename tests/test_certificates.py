@@ -26,7 +26,7 @@ from quatgenus.certificates import (
 )
 from quatgenus.errors import InputError
 from quatgenus.forms import DiagonalForm
-from quatgenus.runner import RunConfig, run_script_data
+from quatgenus.runner import RunConfig, parse_script, run_script_data
 from quatgenus.symbolic import SymbolicForm
 
 QUAD = DiagonalForm((1, 1, 1, 1))
@@ -84,6 +84,30 @@ def test_a_deeply_nested_parameter_is_an_input_error():
         nested = [nested]
     cert = Certificate.from_json({**data, "parameters": {"verdict": nested}})
     assert cert.param("verdict") == nested and check_node(cert) is False
+
+
+def _nested(depth: int) -> list:
+    deep: list = []
+    for _ in range(depth):
+        deep = [deep]
+    return deep
+
+
+@pytest.mark.parametrize(
+    "parse",
+    [
+        lambda deep: Certificate.from_json({**base_certificate(QUAD).to_json(), "subject": deep}),
+        lambda deep: context_from_report(
+            {"base": "Q", "final_state": {"levels": [{"form": {"symbolic": deep}}]}}
+        ),
+        lambda deep: parse_script({"algebras": deep, "steps": []}),
+    ],
+    ids=["certificate-subject", "symbolic-level-form", "script-algebras"],
+)
+def test_a_message_quoting_deeply_nested_input_is_an_input_error(parse):
+    # the message quotes the input cut at a bounded depth, not the whole repr
+    with pytest.raises(InputError, match=r"\[\[\[\[\[\[\[\.\.\.\]\]\]\]\]\]\]$"):
+        parse(_nested(5000))
 
 
 class _NoPower(int):

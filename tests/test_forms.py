@@ -363,6 +363,10 @@ squarefree_upto_30 = st.sampled_from([c for c in range(-30, 31) if c and squaref
 @example([1, 1, -1, -1], 0, [], [1] * 8, (1, 1, 1, 1))
 @example([1, 1, -1, -1], 0, [3], [1, -1] * 4, (1, 1, 1, 1))
 @example([2, 1, -1, -1, -1], 0, [-5, 7], [-1, 1] * 4, (1, 1, 1, 1, 1))
+# two indices skipped, a pivot, then a fold of the two skipped: <3,2,-2>
+@example([1, 1, -1, -1, 3], 0, [], [1] * 8, (1, 1, 1, 1, 0))
+# pivots of both signs, no fold: <-2,2,5>
+@example([1, 2, -1, -2, 5], 0, [], [1] * 8, (1, 1, 1, 1, 0))
 @settings(max_examples=200, deadline=None)
 def test_integer_gram_split_matches_fraction_reference(coefficients, at, lead, signs, vec):
     q = DiagonalForm(tuple(coefficients))

@@ -57,10 +57,17 @@ def test_positive_representative_of_mirror_pair():
         ((-7, -26, 65, -35), (65, 35, 42, 39)),
         ((83, 30, 43, 42, -1), (1, 1, 1, 2, 18)),
         ((-126071, 384807, -3477), None),
+        # shell 25 with three left coordinates: the zero is in a later first-coordinate slab
+        ((79, 69, 97, 95, -1), (1, 1, 1, 2, 25)),
+        # the shared value 0 at shell 1, never the all-zero pair: no nonzero right
+        # tuple reaches 0, so a nonzero left one pairs with the right zero tuple ...
+        ((1, -1, 3, 5), (1, 1, 0, 0)),
+        # ... and one does, so the left zero tuple, which comes first, pairs with it
+        ((3, 5, 1, -1), (0, 0, 1, 1)),
     ],
 )
 def test_pinned_vectors_at_bound_200(coefficients, vector):
-    # recorded from the rank-ordinal kernel that the value-set kernel replaced
+    # each also the first zero of the rank-ordinal kernel that the value-set kernel replaced
     assert isotropic_vector_search(coefficients, 200) == vector
 
 
