@@ -180,7 +180,11 @@ def _factor_positive(n: int) -> tuple[tuple[int, int], ...]:
             n //= d
         d += step
         step = 6 - step
-    stack = [n] if n > 1 else []
+    if d * d > n:  # every prime below d is divided out: n is 1 or a prime
+        if n > 1:
+            powers[n] = powers.get(n, 0) + 1
+        return tuple(sorted(powers.items()))
+    stack = [n]
     while stack:
         m = stack.pop()
         if m == 1:

@@ -16,10 +16,11 @@ from itertools import chain, count, islice, product
 from math import gcd
 from typing import Iterable, Sequence
 
-from .arith import Rational, is_prime, iter_witnesses, squarefree_part, squarefree_product
+from .arith import (
+    Rational, _check_odd_prime, is_prime, iter_witnesses, squarefree_part, squarefree_product,
+)
 from .errors import InputError, SearchExhausted, _crosscheck, _quoted
-from .symbols import Place, _class_reps, _hasse_of_classes, _local_class, hilbert_symbol
-from .symbols import local_is_square
+from .symbols import Place, _class_reps, _hasse_of_classes, _hasse_squarefree, _local_class
 
 
 _INT = {int}
@@ -168,6 +169,12 @@ class FormInvariants:
         return (self.dimension, self.determinant, self.signature,
                 frozenset(v for v, e in self.hasse if e == -1))
 
+    @_memo
+    def _failure(self) -> Place | None:
+        """The first listed place (the real place first) where the casework says
+        anisotropic, or None: the places are walked once per invariants object."""
+        return next((v for v in self.places() if not _local_isotropic_from_data(self, v)), None)
+
     def hasse_at(self, place: Place) -> int:
         return -1 if place in self.key[3] else 1
 
@@ -195,35 +202,38 @@ def invariants(q: DiagonalForm) -> FormInvariants:
 
 
 def _local_isotropic_from_data(inv: FormInvariants, place: Place) -> bool:
-    """Local isotropy from classifying data; exact casework by dimension."""
+    """Local isotropy from classifying data; exact casework by dimension. The
+    determinant is square-free, so the symbols (-1, -d) and (-1, -1) are read from
+    the one-pass closed form and squareness from the local class, neither reduced
+    again. An odd place's prime is not tested here: the relevant places come from
+    factoring, and is_isotropic_local tests any other."""
     if inv.dimension <= 1:
         return False
-    if place.is_infinite():
+    p = place.prime
+    if p is None:
         return inv.signature[0] >= 1 and inv.signature[1] >= 1
     if inv.dimension == 2:
-        return local_is_square(-inv.determinant, place)
+        return _local_class(-inv.determinant, place) == (0, 1)
     if inv.dimension == 3:
-        return inv.hasse_at(place) == hilbert_symbol(-1, -inv.determinant, place)
+        return inv.hasse_at(place) == _hasse_squarefree((-1, -inv.determinant), p)
     if inv.dimension == 4:
-        if not local_is_square(inv.determinant, place):
+        if _local_class(inv.determinant, place) != (0, 1):
             return True
-        return inv.hasse_at(place) != -hilbert_symbol(-1, -1, place)
+        return inv.hasse_at(place) != -_hasse_squarefree((-1, -1), p)
     return True
 
 
-def _failing_place(inv: FormInvariants) -> Place | None:
-    """First listed place (the real place first) where the casework says anisotropic."""
-    return next((v for v in inv.places() if not _local_isotropic_from_data(inv, v)), None)
-
-
 def is_isotropic_local(q: DiagonalForm, place: Place) -> bool:
-    """Isotropy at one place; off the relevant places the Hasse symbol is 1."""
+    """Isotropy at one place; off the relevant places the Hasse symbol is 1. An odd
+    place's prime is tested, as hilbert_symbol tests it."""
+    if place.prime not in (None, 2):
+        _check_odd_prime(place.prime)
     return _local_isotropic_from_data(invariants(q), place)
 
 
 def isotropy_failure(q: DiagonalForm) -> Place | None:
     """First place (real place first, then primes ascending) where q is anisotropic."""
-    return _failing_place(invariants(q))
+    return invariants(q)._failure
 
 
 def is_isotropic(q: DiagonalForm) -> bool:
@@ -285,10 +295,8 @@ class WittDecomposition:
 
 def _peel_invariants(inv: FormInvariants) -> FormInvariants:
     """Invariants of q' where q = H perp q', via the orthogonal-sum rule."""
-    det2 = -inv.determinant
-    hasse2 = tuple(
-        (v, e * hilbert_symbol(-1, det2, v)) for v, e in inv.hasse
-    )
+    det2 = -inv.determinant  # square-free, as every determinant is
+    hasse2 = tuple((v, e * _hasse_squarefree((-1, det2), v.prime)) for v, e in inv.hasse)
     n2 = inv.dimension - 2
     return FormInvariants(
         dimension=n2,
@@ -440,7 +448,7 @@ def _peel(q: DiagonalForm) -> tuple[int, FormInvariants]:
     """Witt index and the anisotropic part's invariants, from invariants alone."""
     target = invariants(q)
     index = 0
-    while _failing_place(target) is None:
+    while target._failure is None:
         target = _peel_invariants(target)
         index += 1
     return index, target

@@ -13,7 +13,9 @@ helpers test an odd place's prime by arith._check_odd_prime, as legendre
 does, once per prime.
 
 A square-free t's square class at a place is _local_class(t, place), and
-_class_reps(place) lists one representative of each class there.
+_class_reps(place) lists one representative of each class there. Each
+prime's Place is one object, from one table (_prime_place) that the
+relevant places of a form and finite_place both read.
 """
 
 from __future__ import annotations
@@ -63,6 +65,13 @@ def _finite_place(p: int) -> Place:
     call, since errors are not cached."""
     if not is_prime(p):
         raise InputError(f"not a prime: {p}")
+    return _prime_place(p)
+
+
+@lru_cache(maxsize=4096)
+def _prime_place(p: int) -> Place:
+    """The one table of finite places, keyed by a prime the caller knows to be prime:
+    from factoring, or past _finite_place's test."""
     return Place(p, p)
 
 
@@ -83,18 +92,6 @@ def place_from_json(value: str | int) -> Place:
     if _is_int(value):
         return finite_place(value)
     raise InputError(f"not a place: {_quoted(value)}")
-
-
-def _epsilon(u: int) -> int:
-    # (u - 1)/2 mod 2 for odd u: 0 when u = 1 (mod 4), 1 when u = 3 (mod 4)
-    assert u % 2 != 0
-    return ((u - 1) // 2) % 2
-
-
-def _omega(u: int) -> int:
-    # (u^2 - 1)/8 mod 2 for odd u: 0 when u = +-1 (mod 8), 1 when u = +-3 (mod 8)
-    assert u % 2 != 0
-    return ((u * u - 1) // 8) % 2
 
 
 def _split_at(n: int, p: int) -> tuple[int, int]:
@@ -151,7 +148,7 @@ def _places_of_classes(classes: Sequence[int]) -> list[Place]:
     primes = {2}
     for s in classes:
         primes.update(p for p, _ in _factor_positive(abs(s)))
-    return [INFINITE_PLACE] + [Place(p, p) for p in sorted(primes)]
+    return [INFINITE_PLACE, *map(_prime_place, sorted(primes))]
 
 
 def relevant_places_of(values: Iterable[int | Rational]) -> list[Place]:
@@ -169,22 +166,25 @@ def _hasse_squarefree(coeffs: Sequence[int], prime: int | None) -> int:
     at odd p, whose Legendre factor is that of the units of the entries p
     does not divide when k is odd, and of those it divides when k is even
     (an empty product, 1, when k = 0). An odd prime is not tested here: the
-    places of hasse_invariants come from factoring, and hilbert_symbol tests
-    its place's prime.
+    places of hasse_invariants and of a form's isotropy casework come from
+    factoring, and hilbert_symbol and forms.is_isotropic_local test any other.
     """
     if prime is None:
         r = sum(1 for a in coeffs if a < 0)
         return -1 if (r * (r - 1) // 2) % 2 else 1
     p = prime
     if p == 2:
+        # epsilon(u) = (u - 1)/2 and omega(u) = (u^2 - 1)/8 mod 2 read off u mod 8:
+        # epsilon is 1 for u = 3, 7 and omega for u = 3, 5
         k = m = omegas = omegas_divided = 0
         for a in coeffs:
-            alpha, u = _split_at(a, 2)
+            alpha = ~a & 1  # 1 when 2 divides a, once, as a is square-free
+            u = a >> alpha & 7
             k += alpha
-            m += _epsilon(u)
-            w = _omega(u)
-            omegas += w
-            omegas_divided += alpha * w
+            m += u >> 1 & 1
+            if u == 3 or u == 5:
+                omegas += 1
+                omegas_divided += alpha
         exponent = m * (m - 1) // 2 + k * omegas - omegas_divided
         return -1 if exponent % 2 else 1
     k = 0
@@ -195,7 +195,7 @@ def _hasse_squarefree(coeffs: Sequence[int], prime: int | None) -> int:
             divided = divided * (a // p) % p
         else:
             undivided = undivided * a % p
-    value = -1 if (_epsilon(p) * (k * (k - 1) // 2)) % 2 else 1
+    value = -1 if p & 2 and (k * (k - 1) // 2) % 2 else 1  # epsilon(p) = 1 for p = 3 (mod 4)
     units = undivided if k % 2 else divided
     return value if pow(units, (p - 1) // 2, p) == 1 else -value
 

@@ -61,6 +61,26 @@ def test_factor_gives_up_on_two_large_primes():
         factor((2**61 - 1) * (2**59 - 55))
 
 
+def test_a_cofactor_below_the_square_of_the_trial_divisor_needs_no_primality_test(monkeypatch):
+    calls = []
+
+    def counted(n):
+        calls.append(n)
+        return is_prime(n)
+
+    arith._factor_positive.cache_clear()
+    monkeypatch.setattr(arith, "is_prime", counted)
+    # trial division stops at d = 11 with 101 left, and 11^2 > 101: 101 is prime
+    assert factor(2 * 3 * 7 * 101).prime_powers == ((2, 1), (3, 1), (7, 1), (101, 1))
+    assert factor(7 * 7 * 11).prime_powers == ((7, 2), (11, 1))
+    assert factor(49).prime_powers == ((7, 2),)
+    assert calls == []
+    # past the trial bound the cofactor may still be composite, so it is tested
+    big = 10_000_000_000_037  # a prime above the square of the trial bound
+    assert factor(6 * big).prime_powers == ((2, 1), (3, 1), (big, 1))
+    assert calls == [big]
+
+
 def test_factor_sign_and_units():
     assert factor(-12).sign == -1
     assert factor(-12).prime_powers == ((2, 2), (3, 1))

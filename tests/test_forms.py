@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from quatgenus import forms
+from quatgenus import forms, symbols
 from quatgenus.arith import squarefree_part
 from quatgenus.errors import InputError
 from quatgenus.forms import (
@@ -24,6 +24,7 @@ from quatgenus.forms import (
     relevant_places,
     represents,
     _constructed_vector,
+    _peel_invariants,
     _split_hyperbolic,
     witt_decompose,
     witt_index,
@@ -191,6 +192,53 @@ def test_local_verdicts_match_residue_search(coefficients):
     others = [finite_place(p) for p in (3, 5, 7, 11, 13) if finite_place(p) not in places]
     for place in places + others:
         assert is_isotropic_local(q, place) == local_isotropic_search(q.coefficients, place)
+
+
+@given(st.lists(coefficient, min_size=1, max_size=6))
+@settings(max_examples=150, deadline=None)
+def test_isotropy_failure_is_the_first_place_the_residue_search_finds_anisotropic(coefficients):
+    q = DiagonalForm(tuple(coefficients))
+    expected = next(
+        (v for v in relevant_places(q) if not local_isotropic_search(q.coefficients, v)), None
+    )
+    assert isotropy_failure(q) == expected
+
+
+@given(st.lists(coefficient, min_size=3, max_size=6))
+@settings(max_examples=150, deadline=None)
+def test_peeled_invariants_are_those_of_the_split_complement(coefficients):
+    q = DiagonalForm(tuple(coefficients))
+    assume(is_isotropic(q))
+    vec = isotropic_vector(q, 30)
+    assume(vec is not None)
+    assert _peel_invariants(invariants(q)).key == invariants(_split_hyperbolic(q, vec)).key
+
+
+def test_an_isotropy_verdict_is_read_once_per_invariants_object(monkeypatch):
+    def refused(*args):
+        raise AssertionError("the verdict reads the closed forms, not the public symbols")
+
+    for module in (forms, symbols):
+        for name in ("hilbert_symbol", "local_is_square"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refused)
+    casework = []
+
+    def counted(inv, place):
+        casework.append(place)
+        return local(inv, place)
+
+    local = forms._local_isotropic_from_data
+    monkeypatch.setattr(forms, "_local_isotropic_from_data", counted)
+    forms._form_of_ints.cache_clear()  # a form object no earlier test built
+    for coefficients, failure in (((1, 1, 1, -7), finite_place(2)), ((3, 5, -7), finite_place(3))):
+        q = DiagonalForm(coefficients)
+        assert isotropy_failure(q) == failure
+        assert casework
+        casework.clear()
+        assert isotropy_failure(q) == failure and not is_isotropic(q)
+        assert witt_index(q) == 0
+        assert casework == []
 
 
 @pytest.mark.parametrize("coefficients", [(25, -5, -3), (1, 0, -1), (1, -12)])

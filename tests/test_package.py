@@ -1,6 +1,7 @@
 """The package namespace: each public name from its defining module, loaded on first use."""
 
 import importlib
+import importlib.util
 import json
 import os
 import re
@@ -83,3 +84,16 @@ def test_replaying_a_report_from_json_loads_no_engine_module(tmp_path):
     path.write_text(json.dumps(tampered))
     child = subprocess.run([sys.executable, "-c", verify, str(path)], env=ENV)
     assert child.returncode == 1
+
+
+def test_the_readme_states_the_line_count_of_the_modules_a_replay_loads():
+    root = Path(__file__).resolve().parents[1]
+    report = root / "tests" / "data" / "worked_pushing_report.json"
+    loaded = _loaded("-c", _readme_snippet(), str(report))
+    files = [Path(importlib.util.find_spec(name).origin) for name in loaded]
+    assert all(path.is_relative_to(SRC) for path in files)
+    lines = sum(len(path.read_text(encoding="utf-8").splitlines()) for path in files)
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    stated = re.search(r"Those seven modules, .*? hold\s+([\d,]+)\s+lines", readme, flags=re.DOTALL)
+    assert stated is not None and len(files) == 7
+    assert int(stated[1].replace(",", "")) == lines

@@ -7,7 +7,7 @@ from math import prod
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quatgenus import arith, oracles, symbols
+from quatgenus import arith, forms, oracles, symbols
 from quatgenus.arith import squarefree_part
 from quatgenus.errors import InputError
 from quatgenus.forms import DiagonalForm, is_isotropic_local
@@ -292,6 +292,16 @@ def test_finite_place_tests_each_prime_once_and_refuses_a_composite_every_time(m
         with pytest.raises(InputError, match="not a prime"):
             finite_place(value)
     assert calls[3] == 1
+
+
+def test_a_prime_has_one_place_object():
+    q = DiagonalForm((1, -7, 14))
+    seven = next(v for v in relevant_places_of(q.coefficients) if v.prime == 7)
+    assert finite_place(7) is seven
+    assert next(v for v in forms.relevant_places(q) if v.prime == 7) is seven
+    for _ in range(2):  # a composite is refused at every call, never entered in the table
+        with pytest.raises(InputError, match="not a prime: 21"):
+            finite_place(21)
 
 
 def test_parse_place():
