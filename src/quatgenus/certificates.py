@@ -161,7 +161,7 @@ def disc_mismatch(d1: DiscClass, d2: DiscClass, trivialized: tuple[int, ...]) ->
     if isinstance(d1, int) and isinstance(d2, int):
         return not _in_int_span(d1 * d2, trivialized)
     if isinstance(d1, SymbolicClass) and isinstance(d2, SymbolicClass):
-        # abstract towers never adjoin binary forms, so no symbolic classes trivialize
+        # no tower adjoins a symbolic binary form, so no symbolic class trivializes
         return d1 != d2
     return False
 
@@ -599,7 +599,16 @@ def _member(data: object, key: str, kind: type = object) -> object:
 
 
 def context_from_report(report: object) -> ReplayContext:
-    """Rebuild the replay surroundings from a report alone; InputError if it is malformed."""
+    """Rebuild the replay surroundings from a report alone; InputError if it is
+    malformed, or if a level's function field is not certified defined.
+
+    A form of dimension at least 3 always has a function field (see the tower
+    docstring); a binary form <a, b> has one only while -ab is not a square.
+    So a level of dimension below 2, a symbolic binary level (the symbolic
+    class it kills is tracked nowhere), and a concrete binary level with -ab
+    in the span of the classes killed below it are refused. A coefficient that
+    factoring gives up on raises SearchExhausted.
+    """
     base = _member(report, "base")
     assumptions: tuple[tuple[str, FormLike], ...] = ()
     if isinstance(base, dict):
@@ -609,7 +618,15 @@ def context_from_report(report: object) -> ReplayContext:
         )
     levels = _member(_member(report, "final_state", dict), "levels", list)
     adjunctions = tuple(form_from_json(_member(level, "form")) for level in levels)
-    return ReplayContext(assumptions=assumptions, adjunctions=adjunctions)
+    context = ReplayContext(assumptions=assumptions, adjunctions=adjunctions)
+    for level, phi in enumerate(adjunctions, start=1):
+        if phi.dim < 2 or (phi.dim == 2 and (
+            isinstance(phi, SymbolicForm)
+            or not disc_mismatch(phi.signed_disc(), 1, context.trivialized_below(level))
+        )):
+            raise InputError(f"malformed report: the function field of {phi} at level {level} "
+                             "is not certified defined")
+    return context
 
 
 def certificates_in_report(report: object):

@@ -7,10 +7,19 @@ exactly the certificate rules; everything a step claims is backed by a
 replayable certificate, and anything underivable is an honest UNKNOWN.
 
 Multi-form steps (pushing, linking) certify each adjoined form's anisotropy
-over the step's base state and record that gate; the function field at each
-intermediate level stays defined because every adjoined form has nontrivial
-discriminant there. Direct adjunctions outside a step use the strict gate
-over the whole current tower.
+over the step's base state and record that gate; direct adjunctions outside
+a step use the strict gate over the whole current tower. Every level's
+function field is defined whether or not the form stays anisotropic up to
+it: a regular form in three or more variables is an irreducible polynomial,
+so its function field is a field, and if the form is isotropic that field is
+purely transcendental over the level below, where every anisotropic form
+stays anisotropic (Lam, Introduction to Quadratic Forms over Fields, Ch. X).
+The subform theorem and Hoffmann's theorem (Math. Z. 220, 1995) behind
+R-PFISTER and R-HOFFMANN then hold at such a level too. The steps adjoin
+only 4-dimensional membership forms and 6-dimensional Albert forms. A binary
+form <a, b> is reducible exactly when -ab is a square; it enters only
+through adjoin, whose gate certifies it anisotropic, and only when it is
+concrete, so that the replay context tracks the class it kills.
 """
 
 from __future__ import annotations
@@ -225,7 +234,8 @@ def derive_status(state: TowerState, subject: FormLike) -> TrackedStatement:
     return TrackedStatement(subject, top, cert, blocked)
 
 
-def _check_adjunction(state: TowerState, phi: FormLike) -> None:
+def _append_level(state: TowerState, phi: FormLike) -> TowerState:
+    """state with phi adjoined as a new top level, and tracked."""
     if phi.dim < 2:
         raise InputError("adjoined forms must have dimension at least 2")
     if state.top_level >= MAX_LEVELS:
@@ -233,11 +243,17 @@ def _check_adjunction(state: TowerState, phi: FormLike) -> None:
             f"refusing to adjoin {phi}: the tower already has {MAX_LEVELS} levels, "
             "the most a report can hold"
         )
+    return TowerState(state.base, state.adjunctions + (phi,), state.tracked).track(phi)
 
 
 def adjoin(state: TowerState, phi: FormLike) -> tuple[TowerState, TrackedStatement]:
     """Strict adjunction: phi must be certified anisotropic over the whole tower."""
-    _check_adjunction(state, phi)
+    if isinstance(phi, SymbolicForm) and phi.dim == 2:
+        raise InputError(
+            f"refusing to adjoin {phi}: a symbolic binary form kills a symbolic class "
+            "that no certificate rule tracks"
+        )
+    new_state = _append_level(state, phi)
     gate = state.statement(phi)
     if gate.status is Status.ISOTROPIC:
         raise InputError(f"refusing to adjoin {phi}: isotropic over the current tower")
@@ -245,32 +261,7 @@ def adjoin(state: TowerState, phi: FormLike) -> tuple[TowerState, TrackedStateme
         raise TruncationError(
             f"cannot certify {phi} anisotropic over the current tower"
         )
-    new_state = TowerState(state.base, state.adjunctions + (phi,), state.tracked)
-    return new_state.track(phi), gate
-
-
-def _adjoin_gated(state: TowerState, phi: FormLike, step_base: TowerState) -> TowerState:
-    """Append phi whose anisotropy certificate lives over the step base.
-
-    The function field at this position must stay defined (phi nonhyperbolic
-    over everything below it): guaranteed by odd dimension, by a nontrivial
-    discriminant, or by the gate itself when nothing sits between the step
-    base and this position.
-    """
-    _check_adjunction(state, phi)
-    defined = phi.dim % 2 == 1 or state.top_level == step_base.top_level
-    if not defined:
-        disc = phi.signed_disc()
-        if isinstance(disc, int):
-            defined = disc_mismatch(disc, 1, state.trivialized_below(state.top_level + 1))
-        else:
-            defined = not disc.is_one()
-    if not defined:
-        raise TruncationError(
-            f"cannot certify the function field of {phi} stays defined at level "
-            f"{state.top_level + 1}: trivial discriminant under an even dimension"
-        )
-    return TowerState(state.base, state.adjunctions + (phi,), state.tracked).track(phi)
+    return new_state, gate
 
 
 def membership_form(c: int, alg: QuaternionAlgebra) -> DiagonalForm:
@@ -449,7 +440,7 @@ def step_pushing_extension(
     adjoined: list[AdjoinedRecord] = []
     for e in to_adjoin:
         phi = e.statement.subject
-        current = _adjoin_gated(current, phi, state)
+        current = _append_level(current, phi)
         adjoined.append(
             AdjoinedRecord(current.top_level, phi, e.klass, e.algebra, None, e.statement)
         )
@@ -517,14 +508,13 @@ def step_linking_extension(
         raise InputError("a concrete family must be a Family; an abstract one, SymbolicAlgebras")
     if not isinstance(state.base, AbstractBase):
         raise PreconditionError("abstract algebras need an abstract base")
-    step_base = state
     current = state
     adjoined: list[AdjoinedRecord] = []
     notes: list[str] = []
     for i in range(len(algebras)):
         for j in range(i + 1, len(algebras)):
             phi = symbolic_albert_form(algebras[i], algebras[j])
-            gate = step_base.statement(phi)
+            gate = state.statement(phi)
             if gate.status is Status.UNKNOWN:
                 raise InputError(
                     f"no anisotropy assumption covers the linkage form of pair ({i},{j}); "
@@ -533,7 +523,7 @@ def step_linking_extension(
             if gate.status is Status.ISOTROPIC:
                 notes.append(f"pair ({i},{j}) is already linked; nothing to adjoin")
                 continue
-            current = _adjoin_gated(current, phi, step_base)
+            current = _append_level(current, phi)
             adjoined.append(AdjoinedRecord(current.top_level, phi, None, None, (i, j), gate))
     for alg in algebras:
         current = current.track(alg.norm_form())

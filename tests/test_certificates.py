@@ -1,9 +1,11 @@
 """Certificate checking: malformed nodes get False in bounded work, and the
 discriminant span test agrees with the explicit span."""
 
+import json
 from dataclasses import replace
 from functools import lru_cache
 from math import prod
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
@@ -15,16 +17,18 @@ from quatgenus.certificates import (
     Certificate,
     ReplayContext,
     base_certificate,
+    certificates_in_report,
     check_node,
     context_from_report,
     disc_mismatch,
+    form_from_json,
     generic_certificate,
     hoffmann_certificate,
     iter_certificates,
     pfister_certificate,
     replay,
 )
-from quatgenus.errors import InputError
+from quatgenus.errors import InputError, SearchExhausted
 from quatgenus.forms import DiagonalForm
 from quatgenus.runner import RunConfig, parse_script, run_script_data
 from quatgenus.symbolic import SymbolicForm
@@ -351,6 +355,83 @@ def test_the_real_contexts_have_adjunctions_and_a_ledger():
 def test_a_malformed_report_has_no_context(report):
     with pytest.raises(InputError):
         context_from_report(report)
+
+
+def _levels_report(*forms: object) -> dict:
+    return {"base": "rationals", "final_state": {
+        "levels": [{"index": i, "form": f} for i, f in enumerate(forms, start=1)]
+    }}
+
+
+_SYMBOLIC_BINARY_REPORT = Path(__file__).parent / "data" / "symbolic_binary_report.json"
+
+
+def test_a_level_without_a_defined_function_field_has_no_context():
+    # <2,-1> kills the class 2 again: over Q(sqrt 2) it is hyperbolic, with no function field
+    with pytest.raises(InputError, match="<2,-1> at level 2"):
+        context_from_report(_levels_report([1, -2], [2, -1]))
+    for forms in ([[1, -1]], [[5]], [[1, -2], [1, -3], [6, -1]]):
+        with pytest.raises(InputError, match="not certified defined"):
+            context_from_report(_levels_report(*forms))
+    context = context_from_report(_levels_report([1, -2], [1, -3], [1, -5]))
+    assert context.trivialized_below(4) == (2, 3, 5)
+
+
+def test_a_report_with_a_symbolic_binary_level_has_no_context():
+    # written before adjoin refused symbolic binary forms: over F(sqrt(-ab)), abc
+    # is -c, so <1,c> is isotropic at level 2, and yet its certificate replays
+    # when the kill of -ab goes untracked
+    report = json.loads(_SYMBOLIC_BINARY_REPORT.read_text())
+    third = report["steps"][2]["gate"]["certificate"]
+    assert (third["rule"], third["level"], third["status"]) == ("R-PFISTER", 2, "anisotropic")
+    assert third["parameters"]["disc_context"] == []
+    untracked = ReplayContext(
+        assumptions=tuple(
+            (a["id"], form_from_json(a["anisotropic"])) for a in report["base"]["assumptions"]
+        ),
+        adjunctions=tuple(form_from_json(level["form"]) for level in report["final_state"]["levels"]),
+    )
+    certs = list(certificates_in_report(report))
+    assert all(replay(Certificate.from_json(c), untracked) for c in certs)
+    with pytest.raises(InputError, match="<a,b> at level 1 is not certified defined"):
+        context_from_report(report)
+    ternary = {"symbolic": [{"sign": 1, "symbols": ["a"]}] * 3}
+    assert context_from_report({**_levels_report(ternary), "base": report["base"]}).adjunctions
+
+
+_BINARY = st.lists(st.sampled_from([1, -1, 2, -2, 3, -3, 6, -6]), min_size=2, max_size=2)
+_REPORT = st.fixed_dictionaries({
+    "base": _mostly(st.one_of(
+        st.just("rationals"),
+        st.fixed_dictionaries({"symbols": st.just(["a1", "b1"]), "assumptions": _mostly(st.lists(
+            st.fixed_dictionaries({"id": _mostly(st.sampled_from(["n", "x"])), "anisotropic": _FORM}),
+            max_size=2,
+        ))}),
+    )),
+    "final_state": _mostly(st.fixed_dictionaries({"levels": _mostly(st.lists(
+        _mostly(st.fixed_dictionaries({"form": st.one_of(_BINARY, _FORM)})), max_size=5,
+    ))})),
+})
+
+
+@settings(max_examples=300, deadline=None)
+@given(_REPORT)
+@example(_levels_report([1, -2], [2, -1]))
+@example(_levels_report({"symbolic": [{"sign": 1, "symbols": []}, {"sign": -1, "symbols": ["a1"]}]}))
+def test_any_report_json_gives_a_context_or_is_refused(report):
+    try:
+        context = context_from_report(report)
+    except (InputError, SearchExhausted):
+        return
+    assert isinstance(context, ReplayContext)
+    killed: list[int] = []
+    for phi in context.adjunctions:
+        assert phi.dim >= 2
+        if phi.dim == 2:
+            assert isinstance(phi, DiagonalForm)
+            d = squarefree_part(-phi.coefficients[0] * phi.coefficients[1])
+            assert d not in _explicit_span(tuple(killed))
+            killed.append(d)
 
 
 _QUAD_LEAF = {"rule": "R-BASE", "status": "anisotropic", "subject": [1, 1, 1, 1], "level": -1,

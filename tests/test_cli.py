@@ -285,6 +285,28 @@ def test_tower_run_symbolic_class_of_the_wrong_types_is_input_error(tmp_path, ca
     assert "not a symbolic class" in err
 
 
+def test_tower_run_refuses_a_symbolic_binary_form(tmp_path, capsys):
+    # adjoining <a,b> kills the class -ab, which no rule tracks: the old run
+    # certified <1,c> anisotropic at level 2, where abc = -c makes it isotropic
+    def form(*classes):
+        return {"symbolic": [{"sign": sign, "symbols": symbols} for sign, symbols in classes]}
+
+    forms = [form((1, ["a"]), (1, ["b"])), form((1, []), (-1, ["a", "b", "c"])),
+             form((1, []), (1, ["c"]))]
+    script = {
+        "base": {"abstract": {"symbols": ["a", "b", "c"], "assumptions": [
+            {"id": f"q{i}", "anisotropic": phi} for i, phi in enumerate(forms)]}},
+        "algebras": [],
+        "steps": [{"kind": "adjoin", "form": phi} for phi in forms],
+    }
+    code, out, err = run_cli(capsys, "tower", "run", _write_script(tmp_path, script))
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: refusing to adjoin <a,b>: a symbolic binary form kills a symbolic "
+        "class that no certificate rule tracks\n"
+    )
+
+
 def test_tower_run_unknown_gate_is_truncation(tmp_path, capsys):
     script = tmp_path / "stuck.json"
     script.write_text(

@@ -7,7 +7,7 @@ import subprocess
 import sys
 from dataclasses import replace
 from functools import lru_cache
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 from pathlib import Path
 
 import pytest
@@ -397,6 +397,68 @@ def test_abstract_linking_certifies_with_full_ledger():
     # the assumption leaves are context-dependent: no ledger, no replay
     leaf = step.preserved[0][1].certificate.premises[0]
     assert not replay(leaf, None)
+
+
+def _abstract_family(n: int) -> dict:
+    """n abstract algebras (a_i, b_i), every norm form and Albert form assumed
+    anisotropic, and one linking step."""
+    assumptions = [{"id": f"norms-{i}", "anisotropic": {"norm_of": i}} for i in range(n)]
+    assumptions += [
+        {"id": f"link-{i}-{j}", "anisotropic": {"albert_of": [i, j]}}
+        for i, j in combinations(range(n), 2)
+    ]
+    return {
+        "base": {"abstract": {
+            "symbols": [f"{x}{i}" for i in range(n) for x in "ab"],
+            "assumptions": assumptions,
+        }},
+        "algebras": [{"symbols": [f"a{i}", f"b{i}"]} for i in range(n)],
+        "steps": [{"kind": "linking"}],
+    }
+
+
+def _verifies_from_json(report: dict) -> bool:
+    data = json.loads(json.dumps(report))
+    context = context_from_report(data)
+    return all(replay(Certificate.from_json(c), context) for c in certificates_in_report(data))
+
+
+@pytest.mark.parametrize("n, nodes", [(3, 37), (4, 84), (6, 265), (8, 602)])
+def test_abstract_linking_links_a_family_of_any_size(n, nodes):
+    # the second Albert form has a trivial discriminant; its function field is
+    # defined all the same, since a form in six variables is irreducible
+    report, code = run_script_data(_abstract_family(n), RunConfig())
+    assert code == 0 and report["unknown_count"] == 0
+    assert report["replay"] == {"checked": nodes, "passed": nodes}
+    assert len(report["final_state"]["levels"]) == n * (n - 1) // 2
+    (step,) = report["steps"]
+    assert [s["statement"]["certificate"]["rule"] for s in step["linked_now"]] == (
+        ["R-MONOTONE"] * (len(step["linked_now"]) - 1) + ["R-GENERIC"]
+    )
+    assert {s["statement"]["status"] for s in step["preserved"]} == {"anisotropic"}
+    assert _verifies_from_json(report)
+
+
+def test_abstract_linking_fills_the_tower_and_stops_at_its_limit():
+    report, code = run_script_data(_abstract_family(23), RunConfig())
+    assert code == 0 and len(report["final_state"]["levels"]) == 253
+    assert _verifies_from_json(report)
+    with pytest.raises(TruncationError, match=f"already has {MAX_LEVELS} levels"):
+        run_script_data(_abstract_family(24), RunConfig())  # 276 levels
+
+
+def test_adjoin_refuses_a_symbolic_binary_form():
+    a, b = SymbolicClass.named("a"), SymbolicClass.named("b")
+    binary = SymbolicForm((a, b))
+    state = TowerState(AbstractBase(("a", "b"), (Assumption("ab", binary),)))
+    assert state.statement(binary).status is Status.ANISOTROPIC
+    with pytest.raises(InputError, match="symbolic binary form"):
+        adjoin(state, binary)
+    # a ternary one has a function field and kills no class
+    ternary = SymbolicForm((a, b, a.times(b)))
+    state = TowerState(AbstractBase(("a", "b"), (Assumption("t", ternary),)))
+    top, gate = adjoin(state, ternary)
+    assert top.adjunctions == (ternary,) and gate.certificate.rule == "R-ASSUME"
 
 
 def test_runner_worked_script_counts():
@@ -828,7 +890,7 @@ def test_adjunction_past_the_level_limit_is_a_truncation():
     with pytest.raises(TruncationError):
         adjoin(full, subject)
     with pytest.raises(TruncationError):
-        tower._adjoin_gated(full, subject, full)
+        tower._append_level(full, subject)
     # the deepest certificate over the fullest tower is within what from_json accepts
     chain = chain_certificate(derive_status(full, DiagonalForm((1, 1))).certificate)
     assert _depth(chain) == MAX_DEPTH
