@@ -16,15 +16,16 @@ nodes apply exactly two persistence principles plus bookkeeping:
 
 check_node() re-derives the facts one node consumed from its premises' stored
 fields, and replay() checks each node of a tree once; neither trusts a stored
-status. R-GENERIC, R-PFISTER and R-HOFFMANN need 1 <= level and, under a
-context with adjunctions, level <= the tower height and the node's `adjoined`
-form adjoined at that level. A malformed node gets False in bounded work: a
-stored exponent is bounded before 2 is raised to it, and a coefficient that
-factoring gives up on (SearchExhausted) fails the node. Under a ReplayContext,
-replay() also checks each node object at most once across all its calls with
-that context: a node whose whole subtree has passed is not walked again. That
-relies on certificates being frozen: a node's JSON-valued parameters must not
-be mutated in place after a replay.
+status. Both check against a ReplayContext, a ledger and a tower;
+ReplayContext() is the rationals with no levels. Every node needs
+0 <= level <= the tower height; R-GENERIC, R-PFISTER and R-HOFFMANN also need
+1 <= level and their `adjoined` form adjoined at that level. A malformed node
+gets False in bounded work: a stored exponent is bounded before 2 is raised to
+it, and a coefficient that factoring gives up on (SearchExhausted) fails the
+node. replay() checks each node object at most once across all its calls
+with one context: a node whose whole subtree has passed is not walked again.
+That relies on certificates being frozen: a node's JSON-valued parameters
+must not be mutated in place after a replay.
 
 context_from_report() and certificates_in_report() read what replay needs from
 a report's JSON, so a report is re-verified without the engine that wrote it.
@@ -59,7 +60,7 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from operator import is_
 from typing import Iterator, Union
 
@@ -67,6 +68,7 @@ from .arith import factor, squarefree_part
 from .errors import InputError, SearchExhausted, _is_int, _quoted
 from .forms import (
     DiagonalForm,
+    _memo,
     invariants,
     is_isotropic,
     is_isotropic_local,
@@ -551,10 +553,11 @@ def chain_certificate(premise: Certificate) -> Certificate:
 
 @dataclass(frozen=True)
 class ReplayContext:
-    """Optional surroundings: the abstract ledger and the tower's adjunctions."""
+    """The abstract ledger and the tower's adjunctions a certificate is checked
+    against; the defaults are the rationals with no levels."""
 
     assumptions: tuple[tuple[str, FormLike], ...] = ()
-    adjunctions: tuple[FormLike, ...] | None = None
+    adjunctions: tuple[FormLike, ...] = ()
     # id(node) -> node for every node whose whole subtree has passed replay()
     # under this context; holding the node keeps its id from being reused
     _passed: dict[int, Certificate] = field(
@@ -567,13 +570,13 @@ class ReplayContext:
                 return f
         return None
 
-    @cached_property
+    @_memo
     def _killed_prefixes(self) -> tuple[tuple[int, ...], ...]:
         """Entry k: the sorted classes killed by the binary forms among the first k adjunctions."""
         killed: list[int] = []
         current: tuple[int, ...] = ()
         prefixes = [current]
-        for phi in self.adjunctions or ():
+        for phi in self.adjunctions:
             if isinstance(phi, DiagonalForm) and phi.dim == 2:
                 insort(killed, squarefree_part(-phi.coefficients[0] * phi.coefficients[1]))
                 current = tuple(killed)
@@ -581,8 +584,6 @@ class ReplayContext:
         return tuple(prefixes)
 
     def trivialized_below(self, level: int) -> tuple[int, ...]:
-        if self.adjunctions is None:
-            return ()
         prefixes = self._killed_prefixes
         return prefixes[min(max(level - 1, 0), len(prefixes) - 1)]
 
@@ -650,13 +651,13 @@ def certificates_in_report(report: object):
                 push(value)
 
 
-def replay(cert: Certificate, context: ReplayContext | None = None) -> bool:
+def replay(cert: Certificate, context: ReplayContext) -> bool:
     """Re-derive every fact the certificate tree consumed; False on any mismatch.
 
-    Under a context, a node whose whole subtree already passed under that
-    context is skipped. Nodes are recorded only when the whole call passes.
+    A node whose whole subtree already passed under the context is skipped.
+    Nodes are recorded only when the whole call passes.
     """
-    passed = {} if context is None else context._passed
+    passed = context._passed
     visited = []
     stack = [cert]
     while stack:
@@ -672,7 +673,7 @@ def replay(cert: Certificate, context: ReplayContext | None = None) -> bool:
     return True
 
 
-def check_node(cert: Certificate, context: ReplayContext | None = None) -> bool:
+def check_node(cert: Certificate, context: ReplayContext) -> bool:
     """Check one node's rule against the stored fields of its premises, not their proofs."""
     try:
         return _check_node(cert, context)
@@ -690,22 +691,18 @@ def _sole_premise(cert: Certificate, status: Status) -> Certificate | None:
     return premise
 
 
-def _adjoined(cert: Certificate, context: ReplayContext | None) -> FormLike | None:
-    """The node's parsed `adjoined` form, when 1 <= level and, under a context
-    with adjunctions, level <= the tower height and that form was adjoined there."""
+def _adjoined(cert: Certificate, context: ReplayContext) -> FormLike | None:
+    """The node's parsed `adjoined` form, when 1 <= level and the tower adjoined
+    that form at the level; _check_node has bounded the level by the tower height."""
     if cert.level < 1:
         return None
     adjoined = form_from_json(cert.param("adjoined"))
-    if context is not None and context.adjunctions is not None:
-        tower = context.adjunctions
-        if cert.level > len(tower) or tower[cert.level - 1] != adjoined:
-            return None
-    return adjoined
+    return adjoined if context.adjunctions[cert.level - 1] == adjoined else None
 
 
-def _check_node(cert: Certificate, context: ReplayContext | None) -> bool:
+def _check_node(cert: Certificate, context: ReplayContext) -> bool:
     # a tuple test first: a rule read from JSON may be an unhashable list
-    if cert.rule not in RULES or cert.level < 0:
+    if cert.rule not in RULES or not 0 <= cert.level <= len(context.adjunctions):
         return False
     if cert.status is Status.UNKNOWN:
         return False
@@ -729,7 +726,7 @@ def _check_node(cert: Certificate, context: ReplayContext | None) -> bool:
         if cert.level != 0 or cert.premises or cert.status is not Status.ANISOTROPIC:
             return False
         ident = cert.param("assumption_id")
-        if not isinstance(ident, str) or context is None:
+        if not isinstance(ident, str):
             return False
         declared = context.assumption_subject(ident)
         return declared is not None and declared == cert.subject
@@ -774,9 +771,8 @@ def _check_node(cert: Certificate, context: ReplayContext | None) -> bool:
     if not isinstance(raw_ctx, list) or not all(map(_is_int, raw_ctx)):
         return False
     trivialized = tuple(raw_ctx)
-    if context is not None and context.adjunctions is not None:
-        if trivialized != context.trivialized_below(cert.level):
-            return False
+    if trivialized != context.trivialized_below(cert.level):
+        return False
     return disc_mismatch(stored_sd, stored_ad, trivialized)
 
 

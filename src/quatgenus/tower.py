@@ -26,7 +26,6 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import combinations
 
 from .arith import squarefree_part
@@ -48,7 +47,7 @@ from .certificates import (
     pfister_certificate,
 )
 from .errors import InputError, PreconditionError, TruncationError, _crosscheck
-from .forms import DiagonalForm
+from .forms import DiagonalForm, _memo
 from .quaternion import (
     QuaternionAlgebra,
     connecting_algebra,
@@ -110,7 +109,7 @@ class TowerState:
     def top_level(self) -> int:
         return len(self.adjunctions)
 
-    @cached_property
+    @_memo
     def _replay_context(self) -> ReplayContext:
         assumptions: tuple[tuple[str, FormLike], ...] = ()
         if isinstance(self.base, AbstractBase):
@@ -124,7 +123,7 @@ class TowerState:
     def trivialized_below(self, level: int) -> tuple[int, ...]:
         return self._replay_context.trivialized_below(level)
 
-    @cached_property
+    @_memo
     def _first_levels(self) -> dict[object, int]:
         """match_key -> the first level that adjoins a form with that key."""
         first: dict[object, int] = {}
@@ -308,7 +307,7 @@ class Family:
     def of(cls, algebras: Iterable[QuaternionAlgebra]) -> "Family":
         return cls(tuple(algebras))
 
-    @cached_property
+    @_memo
     def pairs(self) -> tuple[tuple[tuple[int, int], QuaternionAlgebra], ...]:
         """((i, j), connecting algebra) for every pair i < j, in order."""
         return tuple(
@@ -341,7 +340,7 @@ class AdjoinedRecord:
 @dataclass(frozen=True)
 class InjectivityBlock:
     norm_forms: tuple[tuple[int, TrackedStatement], ...]
-    pair_forms: tuple[tuple[tuple[int, int], QuaternionAlgebra | None, TrackedStatement], ...]
+    pair_forms: tuple[tuple[tuple[int, int], QuaternionAlgebra, TrackedStatement], ...]
 
     def to_json(self) -> dict:
         return {
@@ -351,7 +350,7 @@ class InjectivityBlock:
             "pair_forms": [
                 {
                     "pair": list(p),
-                    "connecting": None if alg is None else alg.to_json(),
+                    "connecting": alg.to_json(),
                     "statement": s.to_json(),
                 }
                 for p, alg, s in self.pair_forms
@@ -571,7 +570,7 @@ class WindowReport:
     window: tuple[int, ...]
     entries: tuple[WindowEntry, ...]
 
-    @cached_property
+    @_memo
     def _splits(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """(distinguishing, unresolved) from one pass over the entries: the classes
         certified in one algebra and out of another; of the rest, those left UNKNOWN."""
@@ -642,7 +641,7 @@ class IterateReport:
     def stabilized(self) -> bool:
         return not self.final_window.distinguishing
 
-    @cached_property
+    @_memo
     def chain(self) -> tuple[Certificate, ...]:
         """Kept, so that shared_json cites the same certificate objects each time."""
         return self.final_injectivity.chain()
@@ -720,7 +719,7 @@ class AlternatingReport:
     distinctness: InjectivityBlock
     notes = (_WINDOW_NOTE,)
 
-    @cached_property
+    @_memo
     def chain(self) -> tuple[Certificate, ...]:
         """Kept, so that shared_json cites the same certificate objects each time."""
         return self.distinctness.chain()

@@ -16,6 +16,7 @@ from quatgenus.certificates import (
     RULES,
     Certificate,
     ReplayContext,
+    Status,
     base_certificate,
     certificates_in_report,
     check_node,
@@ -25,6 +26,7 @@ from quatgenus.certificates import (
     generic_certificate,
     hoffmann_certificate,
     iter_certificates,
+    monotone_certificate,
     pfister_certificate,
     replay,
 )
@@ -34,6 +36,7 @@ from quatgenus.runner import RunConfig, parse_script, run_script_data
 from quatgenus.symbolic import SymbolicForm
 
 QUAD = DiagonalForm((1, 1, 1, 1))
+FILLER = DiagonalForm((1, 1, 1, 1, 1))
 
 
 def _lifted(rule: str, level: int) -> tuple[Certificate, DiagonalForm]:
@@ -43,25 +46,62 @@ def _lifted(rule: str, level: int) -> tuple[Certificate, DiagonalForm]:
     if rule == "R-PFISTER":
         adjoined = DiagonalForm((-2, 1, 3, 3))
         return pfister_certificate(premise, adjoined, level, 2, ()), adjoined
-    adjoined = DiagonalForm((1, 1, 1, 1, 1))
-    return hoffmann_certificate(premise, adjoined, level, 2), adjoined
+    return hoffmann_certificate(premise, FILLER, level, 2), FILLER
 
 
 @pytest.mark.parametrize("rule", ["R-PFISTER", "R-HOFFMANN"])
 def test_a_lift_needs_a_level_of_the_tower(rule):
-    cert, adjoined = _lifted(rule, 1)
-    assert check_node(cert) and check_node(cert, ReplayContext(adjunctions=(adjoined,)))
-    assert not check_node(cert, ReplayContext(adjunctions=()))
     low, adjoined = _lifted(rule, 0)
-    for context in (None, ReplayContext(adjunctions=(adjoined,)), ReplayContext(adjunctions=())):
+    for context in (ReplayContext(adjunctions=(adjoined,)), ReplayContext()):
         assert check_node(low, context) is False
+
+
+@pytest.mark.parametrize(
+    "cert, tower",
+    [
+        (generic_certificate(QUAD, QUAD, 5), (FILLER,) * 4 + (QUAD,)),
+        (_lifted("R-HOFFMANN", 1)[0], (FILLER,)),
+        (_lifted("R-PFISTER", 1)[0], (DiagonalForm((-2, 1, 3, 3)),)),
+        (monotone_certificate(base_certificate(DiagonalForm((1, -1))), 5), (FILLER,) * 5),
+    ],
+    ids=["R-GENERIC", "R-HOFFMANN", "R-PFISTER", "R-MONOTONE"],
+)
+def test_a_node_above_the_tower_is_refused(cert, tower):
+    assert replay(cert, ReplayContext(adjunctions=tower))
+    assert not check_node(cert, ReplayContext(adjunctions=tower[:-1]))
+    assert not replay(cert, ReplayContext())
+
+
+@pytest.mark.parametrize(
+    "cert, tower",
+    [
+        # UNKNOWN claims nothing, though its verdict matches and <1,1,1,1> is not isotropic
+        (Certificate("R-BASE", Status.UNKNOWN, QUAD, 0, (("verdict", "unknown"),), ()), ()),
+        # isotropy persists up the tower; anisotropy below does not make it
+        (
+            Certificate("R-MONOTONE", Status.ISOTROPIC, QUAD, 1, (("from_level", 0),),
+                        (base_certificate(QUAD),)),
+            (FILLER,),
+        ),
+        # a lift carries its premise's subject up, not another form
+        (
+            replace(hoffmann_certificate(base_certificate(QUAD), FILLER, 1, 2),
+                    subject=DiagonalForm((1, -1))),
+            (FILLER,),
+        ),
+    ],
+    ids=["unknown-base", "monotone-over-anisotropic", "lift-of-another-subject"],
+)
+def test_an_unsupported_claim_is_refused(cert, tower):
+    assert check_node(cert, ReplayContext(adjunctions=tower)) is False
 
 
 def test_editing_to_json_output_leaves_the_certificate_unchanged():
     cert, adjoined = _lifted("R-PFISTER", 1)
-    assert replay(cert)
+    # a fresh context for each replay: a node that passed under one is not checked again
+    assert replay(cert, ReplayContext(adjunctions=(adjoined,)))
     cert.to_json()["parameters"]["adjoined"].append(7)
-    assert replay(cert)
+    assert replay(cert, ReplayContext(adjunctions=(adjoined,)))
     assert cert.param("adjoined") == adjoined.to_json()
 
 
@@ -69,10 +109,10 @@ def test_editing_from_json_input_leaves_the_certificate_unchanged():
     cert, adjoined = _lifted("R-PFISTER", 1)
     data = cert.to_json()
     parsed = Certificate.from_json(data)
-    assert replay(parsed)
+    assert replay(parsed, ReplayContext(adjunctions=(adjoined,)))
     data["parameters"]["adjoined"].append(7)
     data["parameters"]["disc_context"].append(3)
-    assert replay(parsed)
+    assert replay(parsed, ReplayContext(adjunctions=(adjoined,)))
     assert parsed == cert and parsed.param("adjoined") == adjoined.to_json()
 
 
@@ -87,7 +127,7 @@ def test_a_deeply_nested_parameter_is_an_input_error():
     for _ in range(certificates.MAX_PARAM_NESTING - 1):
         nested = [nested]
     cert = Certificate.from_json({**data, "parameters": {"verdict": nested}})
-    assert cert.param("verdict") == nested and check_node(cert) is False
+    assert cert.param("verdict") == nested and check_node(cert, ReplayContext()) is False
 
 
 def _nested(depth: int) -> list:
@@ -127,7 +167,6 @@ def test_no_stored_exponent_is_raised_before_it_is_bounded(rule):
     huge = replace(cert, parameters=tuple(
         (k, _NoPower(30_000_000) if k == "exponent" else v) for k, v in cert.parameters
     ))
-    assert check_node(huge) is False
     assert check_node(huge, ReplayContext(adjunctions=(adjoined,))) is False
 
 
@@ -146,28 +185,28 @@ TERNARY = DiagonalForm((1, 1, 1))
 )
 def test_hoffmann_refuses_an_exponent_outside_its_bounds(subject, exponent):
     premise = base_certificate(subject)
-    assert check_node(hoffmann_certificate(premise, DiagonalForm((1,) * 5), 1, 2))
+    lift = hoffmann_certificate(premise, FILLER, 1, 2)
+    assert check_node(lift, ReplayContext(adjunctions=(FILLER,)))
     forged = hoffmann_certificate(premise, subject, 1, exponent)
-    for context in (None, ReplayContext(adjunctions=(subject,))):
-        assert check_node(forged, context) is False
+    assert check_node(forged, ReplayContext(adjunctions=(subject,))) is False
 
 
 @pytest.mark.parametrize("failing_place", [None, 3])
 def test_an_anisotropic_base_names_a_place_where_it_fails(failing_place):
     honest = base_certificate(TERNARY).to_json()
-    assert check_node(Certificate.from_json(honest))
+    assert check_node(Certificate.from_json(honest), ReplayContext())
     parameters = {"verdict": "anisotropic"}
     if failing_place is not None:  # <1,1,1> is isotropic over Q_3
         parameters["failing_place"] = failing_place
     forged = Certificate.from_json({**honest, "parameters": parameters})
-    assert check_node(forged) is False and replay(forged) is False
+    assert check_node(forged, ReplayContext()) is False and replay(forged, ReplayContext()) is False
 
 
 def test_a_list_valued_rule_gets_false():
     data = base_certificate(DiagonalForm((1, -1))).to_json()
-    assert replay(Certificate.from_json(data))
+    assert replay(Certificate.from_json(data), ReplayContext())
     cert = Certificate.from_json({**data, "rule": ["R-BASE"]})
-    assert check_node(cert) is False and replay(cert) is False
+    assert check_node(cert, ReplayContext()) is False and replay(cert, ReplayContext()) is False
 
 
 def test_a_coefficient_the_checker_cannot_factor_gets_false():
@@ -175,7 +214,8 @@ def test_a_coefficient_the_checker_cannot_factor_gets_false():
     hard = (2**89 - 1) * (2**107 - 1)
     generic = generic_certificate(QUAD, QUAD, 1)
     cert = replace(generic, parameters=(("adjoined", [1, -hard]),))
-    assert check_node(cert) is False and replay(cert) is False
+    context = ReplayContext(adjunctions=(QUAD,))
+    assert check_node(cert, context) is False and replay(cert, context) is False
 
 
 @pytest.mark.parametrize(
@@ -192,7 +232,7 @@ def test_symbolic_json_of_the_wrong_types_is_an_input_error(bad):
         SymbolicForm.from_json(bad)
     generic = generic_certificate(QUAD, QUAD, 1)
     cert = replace(generic, parameters=(("adjoined", bad),))
-    assert check_node(cert) is False
+    assert check_node(cert, ReplayContext(adjunctions=(QUAD,))) is False
 
 
 def _explicit_span(classes: tuple[int, ...]) -> set[int]:
@@ -457,7 +497,7 @@ def test_any_certificate_json_is_refused_or_checked_to_a_bool(data):
     except InputError:
         return
     # fresh copies: the memo of nodes that passed stays per example
-    contexts = [replace(c) for c in _real_contexts()] + [ReplayContext(adjunctions=()), None]
+    contexts = [replace(c) for c in _real_contexts()] + [ReplayContext()]
     for context in contexts:
         for node in iter_certificates(cert):
             assert isinstance(check_node(node, context), bool)

@@ -396,7 +396,7 @@ def test_abstract_linking_certifies_with_full_ledger():
             assert replay(cert, context)
     # the assumption leaves are context-dependent: no ledger, no replay
     leaf = step.preserved[0][1].certificate.premises[0]
-    assert not replay(leaf, None)
+    assert not replay(leaf, ReplayContext())
 
 
 def _abstract_family(n: int) -> dict:
@@ -629,7 +629,7 @@ def test_check_node_reads_only_the_premises_stored_fields():
 def test_certificate_from_json_rejects_malformed_fields():
     good = {"rule": "R-BASE", "status": "isotropic", "subject": [1, -1], "level": 0,
             "parameters": {"verdict": "isotropic"}}
-    assert replay(Certificate.from_json(good))
+    assert replay(Certificate.from_json(good), ReplayContext())
     for field, value in (("parameters", [1]), ("level", "x"), ("level", True)):
         with pytest.raises(InputError):
             Certificate.from_json({**good, field: value})
@@ -640,7 +640,7 @@ def test_pfister_node_refuses_malformed_integers():
     state, _ = adjoin(state, DiagonalForm((-2, 1, 3, 3)))
     cert = derive_status(state, DiagonalForm((1, 1, 1, 1))).certificate
     assert cert.rule == "R-PFISTER" and cert.param("exponent") == 2
-    assert replay(cert) and replay(cert, state.replay_context())
+    assert replay(cert, state.replay_context())
     with pytest.raises(InputError):
         disc_from_json(True)
     good = cert.to_json()
@@ -652,7 +652,6 @@ def test_pfister_node_refuses_malformed_integers():
         ("disc_context", ["3"]),
     ):
         bad = {**good, "parameters": {**good["parameters"], field: value}}
-        assert not replay(Certificate.from_json(bad)), (field, value)
         assert not replay(Certificate.from_json(bad), state.replay_context()), (field, value)
 
 
@@ -901,7 +900,7 @@ def test_deep_chains_iterate_and_parse_without_recursing():
     deep = _hoffmann_chain(1200)
     nodes = list(iter_certificates(deep))
     assert [n.level for n in nodes] == list(range(1199, -1, -1))
-    assert replay(deep)
+    assert replay(deep, ReplayContext(adjunctions=(DiagonalForm((1, 1, 1, 1, 1)),) * 1199))
     data = deep.to_json()  # walked with a stack: recursion overflows at 1,200 nodes
     for node in nodes:
         below = data["premises"]
