@@ -30,17 +30,21 @@ must not be mutated in place after a replay.
 context_from_report() and certificates_in_report() read what replay needs from
 a report's JSON, so a report is re-verified without the engine that wrote it.
 
-Certificate.from_json() returns shared node objects (hash-consing): node JSON
-equal to JSON parsed before, with identical types and key sets (2 is not 2.0,
+Certificate.from_json() parses exactly JSON and nothing else: a tuple, bytes,
+a subclass of a JSON type or a node key other than rule, status, subject,
+level, parameters and premises is an InputError. It returns shared node
+objects (hash-consing): a node whose own fields are written exactly as JSON
+parsed before, with identical types and keys in the same order (2 is not 2.0,
 1 is not true, a missing key is not null) and over the same premise objects,
 parses to the node object built then, while anyone holds it. Its own fields
 are validated once. So a from-JSON replay under one ReplayContext checks each
-distinct node once, however often a report repeats it. A node is shared only
-over the premise objects it was first parsed with: the same own fields over
-other premises (a tampered premise, say) make a node apart, from the fields
-already validated. Input that is not exactly JSON (a tuple, a subclass of a
-JSON type) is validated every time and shares no node. A shared node must not
-be mutated, its parameters included.
+distinct node once, however often a report repeats it. Rendered reports and
+to_json() write keys in one fixed order; a node whose keys were reordered by
+hand parses apart and is checked apart, with the same verdict. A node is
+shared only over the premise objects it was first parsed with: the same own
+fields over other premises (a tampered premise, say) make a node apart, from
+the fields already validated. A shared node must not be mutated, its
+parameters included.
 
 Certificates share premises: a statement's certificate is built on its
 premises' objects, so one run's certificates form a DAG. Inside a
@@ -51,8 +55,6 @@ often it is cited. Outside such a block every call builds fresh dicts.
 
 from __future__ import annotations
 
-import copy
-import json
 import marshal
 import weakref
 from bisect import insort
@@ -263,7 +265,7 @@ class Certificate:
             "subject": self.subject.to_json(),
             "level": self.level,
             "parameters": {
-                k: _json_copy(v) if isinstance(v, _CONTAINERS) else v for k, v in self.parameters
+                k: v if type(v) in _SCALAR_TYPES else _json_copy(v) for k, v in self.parameters
             },
             "premises": [],
         }
@@ -302,21 +304,22 @@ class Certificate:
 # make a node apart, unshared. Its values are weak references to nodes, so an
 # entry goes when no one holds its node.
 # The own fields are everything but "premises", and their code is their
-# marshal bytes with every dict's keys in sorted order. A code is made only for
-# exactly-JSON fields: dicts with str keys, lists, str, int, float, bool and
-# None, no subclass. marshal tells 2 from 2.0, 1 from true, a missing key from
-# null and a list from a tuple, and refuses subclasses.
+# marshal bytes exactly as written, keys in the order given. Only fields that
+# validation found exactly JSON are entered: dicts with str keys, lists, str,
+# int, float, bool and None, no subclass. marshal writes 2 and 2.0, 1 and true,
+# a missing key and null, and a list and a tuple apart, and writes no other
+# value (bytes, a tuple) the way it writes a JSON one, so a hit is exactly JSON
+# equal to what was entered, with identical types and key order.
 _PARSED: dict[bytes, weakref.ref] = {}
 _SCALAR_TYPES = frozenset({str, int, float, bool, type(None)})
-_STR = frozenset({str})
-_NODE_KEYS = ["level", "parameters", "rule", "status", "subject"]
+_OWN_KEYS = frozenset({"rule", "status", "subject", "level", "parameters"})
 
 
 def _open_node(data: object, depth: int) -> tuple[tuple, Iterator[object]]:
     """A node's entry and an iterator over its raw premises. The entry is the
-    own-fields code (None for fields that are not exactly JSON), a live node with
-    those own fields or None, and the validated own fields when there is none."""
-    if not isinstance(data, dict):
+    own-fields code, a live node with those own fields or None, and the
+    validated own fields when there is none."""
+    if type(data) is not dict:
         raise InputError(f"not a certificate: {_quoted(data)}")
     if depth > MAX_DEPTH:
         raise InputError(f"certificate nests deeper than {MAX_DEPTH} nodes")
@@ -324,17 +327,12 @@ def _open_node(data: object, depth: int) -> tuple[tuple, Iterator[object]]:
     raw_premises = own.pop("premises", [])
     try:
         code = marshal.dumps(own, 2)
-    except ValueError:  # a subclass, an object marshal refuses, or a cycle
+    except ValueError:  # not JSON, or nested past any bound: validation refuses it
         code = None
     ref = _PARSED.get(code)
     known = ref and ref()
-    if known is None:
-        canonical = _canonical_code(own, code)
-        if canonical is not code:
-            code, ref = canonical, _PARSED.get(canonical)
-            known = ref and ref()
     fields = None if known is not None else _validated_fields(own)
-    if not isinstance(raw_premises, list):
+    if type(raw_premises) is not list:
         raise InputError(
             f"malformed certificate: certificate premises must be a list: {_quoted(raw_premises)}"
         )
@@ -362,90 +360,51 @@ def _remember(table: dict, key: object, node: Certificate) -> None:
     table[key] = weakref.ref(node, forget)
 
 
-def _canonical_code(own: dict, code: bytes | None) -> bytes | None:
-    """The own fields' marshal bytes with every dict's keys sorted, when the fields
-    are exactly JSON; None when they are not.
-
-    Fields with the engine's keys and a list subject are read in part: the
-    validation that every new node passes types their status, their level and
-    the subject's entries, none of them a subclass since marshal took them.
-    """
-    if code is None:
-        return None
-    if [*own] == _NODE_KEYS and type(own["subject"]) is list:
-        if _json_in_order([own["rule"], own["parameters"]]):
-            return code
-    ordered = _json_in_order([own])
-    if ordered is None:
-        return None
-    if ordered:
-        return code
-    try:
-        return marshal.dumps(json.loads(json.dumps(own, sort_keys=True)), 2)
-    except RecursionError:  # nesting that marshal takes and the json module does not
-        return None
-
-
-def _json_in_order(values: list) -> bool | None:
-    """None unless the values are exactly JSON; else whether every dict's keys
-    are in sorted order. Walked breadth first, without recursing."""
-    ordered = True
-    for value in values:  # the list grows as it is read
-        kind = type(value)
-        if kind is dict:
-            keys = [*value]
-            if not set(map(type, keys)) <= _STR:
-                return None
-            if ordered and keys != sorted(keys):
-                ordered = False
-            values += value.values()
-        elif kind is list:
-            values += value
-        elif kind not in _SCALAR_TYPES:
-            return None
-    return ordered
-
-
 def _validated_fields(own: dict) -> tuple:
-    """A node's own fields, validated: rule, status, subject, level and parameters."""
+    """A node's own fields, validated: rule, status, subject, level and parameters.
+
+    InputError unless the fields are exactly JSON, under no other key.
+    """
     try:
-        rule = own["rule"]
         status = Status(own["status"])
         subject = form_from_json(own["subject"])
         level = own["level"]
-        raw_params = own.get("parameters", {})
         if not _is_int(level):
             raise InputError(f"certificate level must be an integer: {_quoted(level)}")
-        if not isinstance(raw_params, dict):
+        # the copy refuses what is not exactly JSON; the node's dict sits at
+        # depth -1, so each parameter value is copied from depth 1
+        exact = _json_copy(own, -1)
+        unknown = exact.keys() - _OWN_KEYS
+        if unknown:
+            raise InputError(f"unknown certificate field: {_quoted(min(unknown))}")
+        raw_params = exact.get("parameters", {})
+        if type(raw_params) is not dict:
             raise InputError(f"certificate parameters must be an object: {_quoted(raw_params)}")
-        copied = [
-            (k, _json_copy(v) if isinstance(v, _CONTAINERS) else v)
-            for k, v in raw_params.items()
-        ]
-        params = tuple(sorted(copied))
+        return exact["rule"], status, subject, level, tuple(sorted(raw_params.items()))
     except (KeyError, ValueError, TypeError, SearchExhausted) as exc:
         raise InputError(f"malformed certificate: {exc}") from exc
-    return rule, status, subject, level, params
 
 
-_CONTAINERS = (list, dict)
-
-
-def _json_copy(value: list | dict, depth: int = 1) -> list | dict:
-    """A list or dict parameter value with fresh lists and dicts all the way down,
-    so a caller's edit cannot reach the node.
+def _json_copy(value: object, depth: int = 1) -> list | dict:
+    """A list or dict value with fresh lists and dicts all the way down, so a
+    caller's edit cannot reach the node; InputError unless it is exactly JSON
+    (a tuple, bytes or a subclass is refused).
 
     Nesting past MAX_PARAM_NESTING is an InputError, so a copy of untrusted
-    JSON recurses a bounded number of frames. Callers copy only containers:
-    a call per scalar would make parsing a report measurably slower.
+    JSON recurses a bounded number of frames. Scalars are tested in line, not
+    called on: a call per scalar would make parsing a report measurably slower.
     """
     if depth > MAX_PARAM_NESTING:
-        raise InputError(f"certificate parameter nests deeper than {MAX_PARAM_NESTING} levels")
-    if isinstance(value, list):
-        return [_json_copy(x, depth + 1) if isinstance(x, _CONTAINERS) else x for x in value]
-    return {
-        k: _json_copy(x, depth + 1) if isinstance(x, _CONTAINERS) else x for k, x in value.items()
-    }
+        raise InputError(f"certificate value nests deeper than {MAX_PARAM_NESTING} levels")
+    kind = type(value)
+    if kind is list:
+        return [x if type(x) in _SCALAR_TYPES else _json_copy(x, depth + 1) for x in value]
+    if kind is dict and all(type(k) is str for k in value):
+        return {
+            k: x if type(x) in _SCALAR_TYPES else _json_copy(x, depth + 1)
+            for k, x in value.items()
+        }
+    raise InputError(f"not exactly JSON: {_quoted(value)}")
 
 
 def _params(**kwargs: object) -> tuple[tuple[str, object], ...]:
@@ -786,10 +745,15 @@ def iter_certificates(cert: Certificate):
 
 
 def tamper(cert_json: dict) -> dict:
-    """A rule-specific mutation that a faithful replay must reject."""
-    mutated = copy.deepcopy(cert_json)
+    """A rule-specific mutation that a faithful replay must reject.
+
+    Only the root's own fields are copied: the result holds a new premises
+    list over the input's premise dicts, so a chain of any depth is tampered
+    without walking it.
+    """
+    params = _json_copy(cert_json.get("parameters", {}))
+    mutated = {**cert_json, "parameters": params, "premises": list(cert_json.get("premises", []))}
     rule = mutated.get("rule")
-    params = mutated.setdefault("parameters", {})
     if rule == "R-BASE":
         flipped = "isotropic" if mutated["status"] == "anisotropic" else "anisotropic"
         mutated["status"] = flipped

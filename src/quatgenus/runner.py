@@ -8,9 +8,10 @@ with sorted keys and fixed indentation so identical runs are identical
 bytes.
 
 A run's certificates share premise objects, so they form a DAG, and each
-object is handled once: replay checks it once and counts it at every visit,
-the report holds one dict per object, and the renderer writes a container
-met at several places once and re-indents that text for the other places.
+object is handled once: replay() checks it once while it passes (a visit
+counts as passed when its whole subtree replays), the report holds one dict
+per object, and the renderer writes a container met at several places once
+and re-indents that text for the other places.
 Steps are dispatched through _STEPS, one handler per step kind.
 """
 
@@ -25,14 +26,13 @@ from .arith import witness_sequence
 # certificates_in_report and context_from_report live with the checker; they
 # stay importable from here as well
 from .certificates import (
-    Certificate,
     FormLike,
     Status,
     certificates_in_report,
-    check_node,
     context_from_report,
     form_from_json,
     iter_certificates,
+    replay,
     shared_json,
 )
 from .errors import InputError, _is_int, _quoted
@@ -238,8 +238,9 @@ def execute_script(script: Script, config: RunConfig) -> dict:
     """Run the steps, replay every certificate, and assemble the report.
 
     Certificates cite their premises' objects, so the run's certificates
-    form a DAG. Replay checks each node object once and counts it at every
-    visit, and the report holds one dict per node object (shared_json).
+    form a DAG. A visit of a node passes when replay() passes its whole
+    subtree, which checks each node object once while they pass, and the
+    report holds one dict per node object (shared_json).
     """
     with shared_json():
         return _execute(script, config)
@@ -259,19 +260,13 @@ def _execute(script: Script, config: RunConfig) -> dict:
         required += step.required_statements()
     context = state.replay_context()
     checked = passed = 0
-    # id(node) -> (node, check_node's verdict); holding the node keeps its
-    # id from being reused
-    verdicts: dict[int, tuple[Certificate, bool]] = {}
     tracked_statements = [state.statement(f) for f in state.tracked]
     for stmt in required + tracked_statements:
         if stmt.certificate is None:
             continue
         for cert in iter_certificates(stmt.certificate):
-            known = verdicts.get(id(cert))
-            if known is None:
-                known = verdicts[id(cert)] = (cert, check_node(cert, context))
             checked += 1
-            passed += known[1]
+            passed += replay(cert, context)
     unknowns = [stmt for stmt in required if stmt.status is Status.UNKNOWN]
     report = {
         "schema": SCHEMA,

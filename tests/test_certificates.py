@@ -29,6 +29,7 @@ from quatgenus.certificates import (
     monotone_certificate,
     pfister_certificate,
     replay,
+    tamper,
 )
 from quatgenus.errors import InputError, SearchExhausted
 from quatgenus.forms import DiagonalForm
@@ -94,6 +95,21 @@ def test_a_node_above_the_tower_is_refused(cert, tower):
 )
 def test_an_unsupported_claim_is_refused(cert, tower):
     assert check_node(cert, ReplayContext(adjunctions=tower)) is False
+
+
+def test_tamper_copies_only_the_root_of_a_chain_of_the_maximum_depth():
+    cert = base_certificate(QUAD)
+    for level in range(1, certificates.MAX_LEVELS + 1):
+        cert = hoffmann_certificate(cert, FILLER, level, 2)
+    context = ReplayContext(adjunctions=(FILLER,) * certificates.MAX_LEVELS)
+    data = cert.to_json()
+    assert replay(Certificate.from_json(data), context)
+    tampered = tamper(data)
+    assert tampered["premises"] == data["premises"] and tampered["premises"] is not data["premises"]
+    assert tampered["premises"][0] is data["premises"][0]
+    assert (tampered["parameters"]["exponent"], data["parameters"]["exponent"]) == (60, 2)
+    assert not replay(Certificate.from_json(tampered), context)
+    assert replay(Certificate.from_json(data), context)
 
 
 def test_editing_to_json_output_leaves_the_certificate_unchanged():
@@ -474,7 +490,7 @@ def test_any_report_json_gives_a_context_or_is_refused(report):
             killed.append(d)
 
 
-_QUAD_LEAF = {"rule": "R-BASE", "status": "anisotropic", "subject": [1, 1, 1, 1], "level": -1,
+_QUAD_PREMISE = {"rule": "R-BASE", "status": "anisotropic", "subject": [1, 1, 1, 1], "level": -1,
               "parameters": {}, "premises": []}
 
 
@@ -482,7 +498,7 @@ _QUAD_LEAF = {"rule": "R-BASE", "status": "anisotropic", "subject": [1, 1, 1, 1]
 @given(_certificate_json())
 # a lift to level 0 over a premise at level -1: there is no adjunction to compare
 @example({"rule": "R-HOFFMANN", "status": "anisotropic", "subject": [1, 1, 1, 1], "level": 0,
-          "parameters": {"exponent": 2, "adjoined": [1, 1, 1, 1, 1]}, "premises": [_QUAD_LEAF]})
+          "parameters": {"exponent": 2, "adjoined": [1, 1, 1, 1, 1]}, "premises": [_QUAD_PREMISE]})
 # symbolic forms whose symbols or list are of the wrong type
 @example({"rule": "R-GENERIC", "status": "isotropic", "subject": [1, -1], "level": 1,
           "parameters": {"adjoined": {"symbolic": [{"sign": 1, "symbols": [1, "a"]}]}}})
@@ -557,9 +573,9 @@ def _parameter_pairs(draw) -> tuple[dict, dict]:
 
 def _typed(value: object) -> object:
     """Equal for two values exactly when they are equal as JSON with identical types,
-    key sets and number spellings."""
+    keys in the same order and number spellings."""
     if isinstance(value, dict):
-        return dict, frozenset((k, _typed(v)) for k, v in value.items())
+        return dict, tuple((k, _typed(v)) for k, v in value.items())
     if isinstance(value, (list, tuple)):
         return type(value), tuple(map(_typed, value))
     return type(value), repr(value)
@@ -582,17 +598,59 @@ def _exactly_json(value: object) -> bool:
 @example(({"n": b"1"}, {"n": bytearray(b"1")}))  # not JSON, and equal bytes to marshal
 @example(({"a": 1, "b": [2]}, {"b": [2], "a": 1}))
 def test_node_json_parses_to_one_object_exactly_when_equal_with_identical_types(pair):
-    first, second = (
-        Certificate.from_json({"rule": "R-MONOTONE", "status": "isotropic", "subject": [1, -1],
-                               "level": 1, "parameters": parameters, "premises": [_PREMISE]})
-        for parameters in pair
-    )
-    equal = _typed(pair[0]) == _typed(pair[1])
-    if _exactly_json(pair[0]) and _exactly_json(pair[1]):
-        assert (first is second) == equal
-    else:  # not JSON: parsed apart, or shared only with its equal
-        assert first is not second or equal
-    assert first.premises[0] is second.premises[0] is Certificate.from_json(_PREMISE)
+    parsed = []
+    for parameters in pair:
+        data = {"rule": "R-MONOTONE", "status": "isotropic", "subject": [1, -1],
+                "level": 1, "parameters": parameters, "premises": [_PREMISE]}
+        if _exactly_json(parameters):
+            parsed.append(Certificate.from_json(data))
+        else:  # not JSON: refused
+            with pytest.raises(InputError):
+                Certificate.from_json(data)
+    if len(parsed) == 2:
+        first, second = parsed
+        assert (first is second) == (_typed(pair[0]) == _typed(pair[1]))
+        assert first.premises[0] is second.premises[0] is Certificate.from_json(_PREMISE)
+
+
+class _Str(str):
+    pass
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {**_PREMISE, "parameters": {"n": (1,)}},
+        {**_PREMISE, "parameters": {"n": b"1"}},
+        {**_PREMISE, "parameters": {"n": bytearray(b"1")}},
+        {**_PREMISE, "parameters": {"verdict": _Str("isotropic")}},
+        {**_PREMISE, "parameters": {_Str("verdict"): "isotropic"}},
+        {**_PREMISE, "status": _Str("isotropic")},
+        {**_PREMISE, "subject": (1, -1)},
+        {**_PREMISE, "rule": ("R-BASE",)},
+        {**_PREMISE, "premises": ()},
+        {**_PREMISE, "note": None},
+        {_Str(k) if k == "rule" else k: v for k, v in _PREMISE.items()},
+        type("Node", (dict,), {})(_PREMISE),
+    ],
+    ids=["tuple", "bytes", "bytearray", "str-subclass", "key-subclass", "status-subclass",
+         "tuple-subject", "tuple-rule", "tuple-premises", "unknown-key", "rule-key-subclass",
+         "dict-subclass"],
+)
+def test_node_json_that_is_not_exactly_json_is_an_input_error(bad):
+    assert replay(Certificate.from_json(_PREMISE), ReplayContext())
+    for _ in range(2):  # refused again: a refused node enters no table
+        with pytest.raises(InputError):
+            Certificate.from_json(bad)
+
+
+def test_reordered_keys_parse_apart_and_replay_alike():
+    leaf = base_certificate(QUAD).to_json()
+    reordered = dict(reversed(leaf.items()))
+    first, second = Certificate.from_json(leaf), Certificate.from_json(reordered)
+    assert first is not second and first == second
+    assert Certificate.from_json(dict(reversed(reordered.items()))) is first
+    assert replay(first, ReplayContext()) and replay(second, ReplayContext())
 
 
 @pytest.mark.parametrize(

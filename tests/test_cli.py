@@ -8,6 +8,7 @@ import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -655,6 +656,98 @@ def test_cli_answers_or_refuses_every_tower_run_argv(tmp_path, text, flags):
     errors = [line for line in err.getvalue().splitlines() if "error:" in line]
     assert len(errors) == (0 if code == 0 else 1), (argv, text, code, err.getvalue())
     assert elapsed < 10, (argv, text, elapsed)
+
+
+# tower scripts whose base, algebras and steps hold any JSON, now and then
+# nested thousands deep; integers stay small, so windows and rounds bound a run
+class _Nested(NamedTuple):
+    """A value wrapped `depth` times in the opener and its closing bracket."""
+
+    depth: int
+    opener: str
+    inner: object
+
+
+def _script_text(value: object) -> str:
+    """JSON text for a drawn value; a _Nested value is written as text, since
+    json.dumps recurses once per level."""
+    if isinstance(value, _Nested):
+        closer = "]" if value.opener == "[" else "}"
+        return value.opener * value.depth + _script_text(value.inner) + closer * value.depth
+    if isinstance(value, list):
+        return "[" + ",".join(map(_script_text, value)) + "]"
+    if isinstance(value, dict):
+        return "{" + ",".join(f"{json.dumps(k)}:{_script_text(v)}" for k, v in value.items()) + "}"
+    return json.dumps(value)
+
+
+_script_keys = st.sampled_from(
+    ["abstract", "symbols", "assumptions", "id", "anisotropic", "symbolic", "sign", "kind", "form"]
+)
+_any_json = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 4) | st.sampled_from(["rationals", "a", "b", "x"]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_script_keys, inner, max_size=3),
+    max_leaves=8,
+)
+_deep_json = st.builds(
+    _Nested,
+    st.integers(1, 5000),
+    st.sampled_from(["[", '{"symbols":', '{"symbolic":', '{"abstract":']),
+    _any_json,
+)
+
+
+def _or_any(good):
+    return _mostly(good, st.one_of(_any_json, _deep_json))
+
+
+_small = _or_any(st.integers(0, 3))
+_script_step = _or_any(
+    st.fixed_dictionaries(
+        {
+            "kind": _or_any(st.sampled_from(["pushing", "linking", "iterate", "alternate", "adjoin"])),
+            "window": _small,
+            "rounds": _small,
+            "max_rounds": _small,
+        },
+        optional={"form": _any_json | _deep_json, "classes": _any_json | _deep_json},
+    )
+)
+_script_algebra = _or_any(
+    st.sampled_from([[-1, -1], [-1, -3], [-2, -5], [3, -7], {"symbols": ["a", "b"]},
+                     {"symbols": ["b", "c"]}])
+)
+_script_base = _or_any(
+    st.just("rationals")
+    | st.fixed_dictionaries(
+        {"abstract": st.fixed_dictionaries({"symbols": _or_any(st.just(["a", "b", "c"]))},
+                                           optional={"assumptions": _any_json | _deep_json})}
+    )
+)
+_any_script = st.fixed_dictionaries(
+    {
+        "base": _script_base,
+        "algebras": _or_any(st.lists(_script_algebra, max_size=3)),
+        "steps": _or_any(st.lists(_script_step, max_size=2)),
+    }
+)
+
+
+@given(_any_script)
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_tower_run_answers_or_refuses_any_script_json(tmp_path, script):
+    path = tmp_path / "script.json"
+    path.write_text(_script_text(script))
+    start = time.perf_counter()
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()) as err:
+        code = cli.main(["tower", "run", str(path)])
+    elapsed = time.perf_counter() - start
+    assert code in (0, 2, 3, 4), (script, code, err.getvalue())
+    errors = [line for line in err.getvalue().splitlines() if line.startswith("error:")]
+    assert len(errors) == (code != 0) and len(err.getvalue().splitlines()) == len(errors), (
+        script, code, err.getvalue())
+    assert elapsed < 2, (script, elapsed)
 
 
 _NEW_MODULES = """

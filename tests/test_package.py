@@ -84,6 +84,12 @@ def test_replaying_a_report_from_json_loads_no_engine_module(tmp_path):
     path.write_text(json.dumps(tampered))
     child = subprocess.run([sys.executable, "-c", verify, str(path)], env=ENV)
     assert child.returncode == 1
+    # a malformed report exits 2 with one error line, as the CLI does, not 1
+    path.write_text(json.dumps({"base": "rationals", "final_state": {"levels": [{"form": [0]}]}}))
+    child = subprocess.run([sys.executable, "-c", verify, str(path)], env=ENV,
+                           capture_output=True, text=True)
+    assert child.returncode == 2 and child.stdout == ""
+    assert child.stderr.startswith("error: ") and child.stderr.count("\n") == 1
 
 
 def test_the_readme_states_the_line_count_of_the_modules_a_replay_loads():

@@ -1163,8 +1163,10 @@ def test_tower_state_equality_hash_and_repr_ignore_the_statements():
 )
 def test_in_run_replay_checks_each_certificate_object_once(monkeypatch, script, objects, visits):
     calls = []
-    real = runner.check_node
-    monkeypatch.setattr(runner, "check_node", lambda cert, ctx: calls.append(cert) or real(cert, ctx))
+    real = certificates._check_node
+    monkeypatch.setattr(
+        certificates, "_check_node", lambda cert, ctx: calls.append(cert) or real(cert, ctx)
+    )
     report, code = run_script_data(script, RunConfig())
     assert len(calls) == len({id(node) for node in calls}) == objects
     assert report["replay"] == {"checked": visits, "passed": visits} and code == 0
@@ -1177,7 +1179,7 @@ def test_the_width_8_report_keeps_its_bytes():
 
 
 def test_a_shared_node_that_fails_counts_at_every_visit(monkeypatch):
-    real_check, real_iter = runner.check_node, runner.iter_certificates
+    real_check, real_iter = certificates._check_node, runner.iter_certificates
     checked: list[Certificate] = []
     visited: list[Certificate] = []
 
@@ -1187,24 +1189,37 @@ def test_a_shared_node_that_fails_counts_at_every_visit(monkeypatch):
             yield node
 
     monkeypatch.setattr(runner, "iter_certificates", iter_recorded)
-    monkeypatch.setattr(runner, "check_node", lambda c, ctx: checked.append(c) or real_check(c, ctx))
+    monkeypatch.setattr(
+        certificates, "_check_node", lambda c, ctx: checked.append(c) or real_check(c, ctx)
+    )
     run_script_data(DEEP_SCRIPT, RunConfig())
-    # the first object checked more than once had it been checked per visit;
-    # runs are deterministic, so it is the same call in the next run
-    target = next(i for i, node in enumerate(checked) if sum(v is node for v in visited) > 1)
+
+    def holding(node: Certificate) -> int:
+        """The visits whose subtree holds the node object."""
+        return sum(any(n is node for n in real_iter(v)) for v in visited)
+
+    # the first object checked that the run visits more than once and that a
+    # visit of another node holds; runs are deterministic, so it is the same
+    # call in the next run, and every check of that object fails there
+    target = next(
+        i for i, node in enumerate(checked)
+        if holding(node) > sum(v is node for v in visited) > 1
+    )
     checked.clear()
     visited.clear()
+    failed: list[Certificate] = []
 
     def fail_target(cert, ctx):
         checked.append(cert)
-        return len(checked) - 1 != target and real_check(cert, ctx)
+        if len(checked) - 1 == target:
+            failed.append(cert)
+        return not (failed and cert is failed[0]) and real_check(cert, ctx)
 
-    monkeypatch.setattr(runner, "check_node", fail_target)
+    monkeypatch.setattr(certificates, "_check_node", fail_target)
     report, code = run_script_data(DEEP_SCRIPT, RunConfig())
-    failed = checked[target]
-    visits = sum(node is failed for node in visited)
-    assert visits > 1
-    assert report["replay"] == {"checked": 1175, "passed": 1175 - visits}
+    # a visit passes when its whole subtree replays, so every visit whose
+    # subtree holds the failed object fails, that object's own visits included
+    assert report["replay"] == {"checked": 1175, "passed": 1175 - holding(failed[0])}
     assert code == 1
 
 
