@@ -42,9 +42,14 @@ def _parse_algebra(text: str) -> QuaternionAlgebra:
     return QuaternionAlgebra.of(parse_rational(parts[0]), parse_rational(parts[1]))
 
 
-def _emit_json(payload: dict) -> None:
-    # runner.render_report's bytes by its contract, without loading the runner
-    sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+def _answer(args: argparse.Namespace, payload: dict, lines: list[str]) -> int:
+    """Print one answer: its payload with --json, else its text lines."""
+    if args.json:
+        # runner.render_report's bytes by its contract, without loading the runner
+        sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    else:
+        print("\n".join(lines))
+    return 0
 
 
 def _written(pieces, path: str):
@@ -69,73 +74,46 @@ def cmd_symbol(args: argparse.Namespace) -> int:
     return 0
 
 
-def _form_payload(q: DiagonalForm) -> dict:
-    from .forms import invariants, isotropy_failure
-
-    inv = invariants(q)
-    failing = isotropy_failure(q)
-    return {
-        "coefficients": q.to_json(),
-        **inv.to_json(),
-        "isotropic": failing is None,
-        "failing_place": None if failing is None else failing.to_json(),
-    }
-
-
 def cmd_form(args: argparse.Namespace) -> int:
     from .forms import invariants, isotropic_vector, isotropy_failure, witt_decompose
 
     q = _parse_form(args.coefficients)
+    if args.action == "witt":
+        decomposition = witt_decompose(q)
+        part = decomposition.anisotropic_part
+        lines = [f"witt index: {decomposition.witt_index}",
+                 f"anisotropic part: {'<>' if part is None else part}"]
+        lines += [f"isotropic witness: {list(vector)}" for vector in decomposition.witnesses]
+        return _answer(args, decomposition.to_json(), lines)
+    inv = invariants(q)
+    failing = isotropy_failure(q)
+    failing_place = None if failing is None else failing.to_json()
+    verdict = "isotropic" if failing is None else f"anisotropic (fails at {failing})"
     if args.action == "analyze":
-        payload = _form_payload(q)
-        if args.json:
-            _emit_json(payload)
-            return 0
-        inv = invariants(q)
-        print(f"form: {q}")
-        print(f"dimension: {inv.dimension}")
-        print(f"determinant class: {inv.determinant}")
-        print(f"signed discriminant: {inv.signed_discriminant}")
-        print(f"signature: {inv.signature}")
+        payload = {"coefficients": q.to_json(), **inv.to_json(), "isotropic": failing is None,
+                   "failing_place": failing_place}
         hasse = " ".join(f"{v}:{e:+d}" for v, e in inv.hasse)
-        print(f"hasse symbols: {hasse if hasse else '(none)'}")
-        verdict = "isotropic" if payload["isotropic"] else f"anisotropic (fails at {isotropy_failure(q)})"
-        print(f"isotropy: {verdict}")
-        return 0
-    if args.action == "isotropic":
-        failing = isotropy_failure(q)
-        if failing is not None:
-            if args.json:
-                _emit_json({"isotropic": False, "failing_place": failing.to_json()})
-            else:
-                print(f"anisotropic (fails at {failing})")
-            return 0
+        lines = [f"form: {q}", f"dimension: {inv.dimension}",
+                 f"determinant class: {inv.determinant}",
+                 f"signed discriminant: {inv.signed_discriminant}",
+                 f"signature: {inv.signature}", f"hasse symbols: {hasse if hasse else '(none)'}",
+                 f"isotropy: {verdict}"]
+    elif failing is not None:
+        payload, lines = {"isotropic": False, "failing_place": failing_place}, [verdict]
+    else:
         try:
             vector = isotropic_vector(q, args.bound)
         except SearchExhausted as exhausted:
             # the verdict stands; only the witness search ran out
-            if args.json:
-                _emit_json({"isotropic": True, "witness": None, "search": str(exhausted)})
-            else:
-                print(f"isotropic ({exhausted})")
-            return 0
-        if args.json:
-            _emit_json({"isotropic": True, "witness": None if vector is None else list(vector)})
-        elif vector is None:
-            print(f"isotropic (no witness with max-norm <= {args.bound})")
+            found = str(exhausted)
+            payload = {"isotropic": True, "witness": None, "search": found}
         else:
-            print(f"isotropic (witness {list(vector)})")
-        return 0
-    decomposition = witt_decompose(q)
-    part = decomposition.anisotropic_part
-    if args.json:
-        _emit_json(decomposition.to_json())
-        return 0
-    print(f"witt index: {decomposition.witt_index}")
-    print(f"anisotropic part: {'<>' if part is None else part}")
-    for vector in decomposition.witnesses:
-        print(f"isotropic witness: {list(vector)}")
-    return 0
+            witness = None if vector is None else list(vector)
+            payload = {"isotropic": True, "witness": witness}
+            found = (f"no witness with max-norm <= {args.bound}" if witness is None
+                     else f"witness {witness}")
+        lines = [f"isotropic ({found})"]
+    return _answer(args, payload, lines)
 
 
 def cmd_quat(args: argparse.Namespace) -> int:
@@ -150,71 +128,43 @@ def cmd_quat(args: argparse.Namespace) -> int:
         ramification,
     )
 
-    if args.action == "compare":
-        a1, a2 = _parse_algebra(args.first), _parse_algebra(args.second)
-        isomorphic = is_isomorphic(a1, a2)
-        linked = is_linked(a1, a2)
-        witness = None if isomorphic else distinguishing_witness(a1, a2, args.limit)
-        if args.json:
-            _emit_json(
-                {
-                    "isomorphic": isomorphic,
-                    "linked": linked,
-                    "distinguishing_witness": witness,
-                    "ramification": [
-                        [v.to_json() for v in ramification(a1)],
-                        [v.to_json() for v in ramification(a2)],
-                    ],
-                }
-            )
-            return 0
-        pieces = [
-            "isomorphic" if isomorphic else "not isomorphic",
-            "linked" if linked else "not linked",
-        ]
-        pieces.append(
-            "no distinguishing witness" if witness is None else f"distinguishing witness {witness}"
-        )
-        print("; ".join(pieces))
-        return 0
     if args.action == "embeds":
         algebra = _parse_algebra(args.first)
-        c = parse_rational(args.second)
-        verdict = contains_subfield(algebra, c)
-        if args.json:
-            _emit_json({"embeds": verdict})
-        else:
-            print("true" if verdict else "false")
-        return 0
+        verdict = contains_subfield(algebra, parse_rational(args.second))
+        return _answer(args, {"embeds": verdict}, ["true" if verdict else "false"])
+    if args.action == "genus":
+        algebras = [_parse_algebra(text) for text in [args.first, args.second] + args.rest]
+        report = genus_report(algebras, args.limit)
+        lines = [f"[{index}] {algebra}" for index, algebra in enumerate(report.algebras)]
+        for entry in report.entries:
+            i, j = entry.pair
+            shown = "isomorphic" if entry.isomorphic else f"distinct, witness {entry.witness}"
+            lines.append(f"({i},{j}): {shown}")
+        return _answer(args, report.to_json(), lines)
+    a1, a2 = _parse_algebra(args.first), _parse_algebra(args.second)
     if args.action == "witness":
-        a1, a2 = _parse_algebra(args.first), _parse_algebra(args.second)
         common = common_subfield_witness(a1, a2, args.limit)
         distinguishing = (
             None if is_isomorphic(a1, a2) else distinguishing_witness(a1, a2, args.limit)
         )
-        if args.json:
-            _emit_json({"common": common, "distinguishing": distinguishing})
-            return 0
-        print(f"common subfield witness: {common}")
-        if distinguishing is None:
-            print("distinguishing witness: none (isomorphic)")
-        else:
-            print(f"distinguishing witness: {distinguishing}")
-        return 0
-    algebras = [_parse_algebra(text) for text in [args.first, args.second] + args.rest]
-    report = genus_report(algebras, args.limit)
-    if args.json:
-        _emit_json(report.to_json())
-        return 0
-    for index, algebra in enumerate(report.algebras):
-        print(f"[{index}] {algebra}")
-    for entry in report.entries:
-        i, j = entry.pair
-        if entry.isomorphic:
-            print(f"({i},{j}): isomorphic")
-        else:
-            print(f"({i},{j}): distinct, witness {entry.witness}")
-    return 0
+        shown = "none (isomorphic)" if distinguishing is None else distinguishing
+        return _answer(args, {"common": common, "distinguishing": distinguishing},
+                       [f"common subfield witness: {common}", f"distinguishing witness: {shown}"])
+    isomorphic = is_isomorphic(a1, a2)
+    linked = is_linked(a1, a2)
+    witness = None if isomorphic else distinguishing_witness(a1, a2, args.limit)
+    payload = {
+        "isomorphic": isomorphic,
+        "linked": linked,
+        "distinguishing_witness": witness,
+        "ramification": [[v.to_json() for v in ramification(a)] for a in (a1, a2)],
+    }
+    pieces = [
+        "isomorphic" if isomorphic else "not isomorphic",
+        "linked" if linked else "not linked",
+        "no distinguishing witness" if witness is None else f"distinguishing witness {witness}",
+    ]
+    return _answer(args, payload, ["; ".join(pieces)])
 
 
 def cmd_tower(args: argparse.Namespace) -> int:

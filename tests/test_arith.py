@@ -6,7 +6,7 @@ from fractions import Fraction
 from itertools import islice
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from quatgenus import arith
 from quatgenus.arith import (
@@ -90,15 +90,18 @@ def test_factor_sign_and_units():
 
 
 @given(st.integers(min_value=2, max_value=10**9))
+# past trial division, each is split by Brent's rho: two primes, a square, and a
+# prime times a twelve-digit prime
+@example(1000003 * 1000033)
+@example(1000003**2)
+@example(1000003 * 999999000001)
 @settings(max_examples=200)
 def test_factor_reconstructs(n):
     f = factor(n)
-    product = f.sign
     for p, e in f.prime_powers:
         assert is_prime(p)
         assert e >= 1
-        product *= p**e
-    assert product == n
+    assert f.value() == n
 
 
 def test_squarefree_part_values():

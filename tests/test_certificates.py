@@ -90,8 +90,14 @@ def test_a_node_above_the_tower_is_refused(cert, tower):
                     subject=DiagonalForm((1, -1))),
             (FILLER,),
         ),
+        # a Pfister lift needs an adjoined form of dimension 2^n, which <1,1,2> is not
+        (
+            pfister_certificate(base_certificate(QUAD), DiagonalForm((1, 1, 2)), 1, 2, ()),
+            (DiagonalForm((1, 1, 2)),),
+        ),
     ],
-    ids=["unknown-base", "monotone-over-anisotropic", "lift-of-another-subject"],
+    ids=["unknown-base", "monotone-over-anisotropic", "lift-of-another-subject",
+         "pfister-over-a-ternary"],
 )
 def test_an_unsupported_claim_is_refused(cert, tower):
     assert check_node(cert, ReplayContext(adjunctions=tower)) is False

@@ -172,6 +172,17 @@ def test_quat_genus_json(capsys):
     assert witnesses == {(0, 1): -2, (0, 2): -3, (1, 2): -2}
 
 
+# every form and quat action in text and with --json, and refusals with exits 2
+# and 3, each with the stdout, stderr and exit code it printed when recorded:
+# a change to the command layer keeps these bytes
+_RECORDED = json.loads((Path(__file__).parent / "data" / "cli_outputs.json").read_text("utf-8"))
+
+
+@pytest.mark.parametrize("case", _RECORDED, ids=lambda case: " ".join(case["argv"]))
+def test_form_and_quat_print_their_recorded_bytes(capsys, case):
+    assert run_cli(capsys, *case["argv"]) == (case["code"], case["stdout"], case["stderr"])
+
+
 def test_tower_run_json_and_exit_codes(tmp_path, capsys):
     script = tmp_path / "worked.json"
     script.write_text(
@@ -486,6 +497,16 @@ def test_tower_text_summary(tmp_path, capsys, monkeypatch):
     assert "replay: 17/17" in out
     assert "unknown required claims: 0" in out
     assert rendered == []  # no JSON is rendered when nothing reads it
+
+
+def test_tower_text_summary_names_adjoin_and_linking_steps(tmp_path, capsys):
+    script = {"base": "rationals", "algebras": [[-1, -1], [-1, -3]],
+              "steps": [{"kind": "adjoin", "form": [1, 1, 1, 1, 1]}, {"kind": "linking"}]}
+    argv = ("tower", "run", _write_script(tmp_path, script), "--output", "text")
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out.endswith("steps: 2\nlevels: 1\nreplay: 6/6\nunknown required claims: 0\n"
+                        "  adjoin [1, 1, 1, 1, 1]\n  linking adjoined=0\n")
 
 
 def test_selftest_command(capsys):

@@ -90,6 +90,10 @@ def test_replaying_a_report_from_json_loads_no_engine_module(tmp_path):
                            capture_output=True, text=True)
     assert child.returncode == 2 and child.stdout == ""
     assert child.stderr.startswith("error: ") and child.stderr.count("\n") == 1
+    # so does a run that names no report at all
+    child = subprocess.run([sys.executable, "-c", verify], env=ENV, capture_output=True, text=True)
+    assert child.returncode == 2 and child.stdout == ""
+    assert child.stderr.startswith("error: ") and child.stderr.count("\n") == 1
 
 
 def test_the_readme_states_the_line_count_of_the_modules_a_replay_loads():

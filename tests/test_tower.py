@@ -423,6 +423,16 @@ def _verifies_from_json(report: dict) -> bool:
     return all(replay(Certificate.from_json(c), context) for c in certificates_in_report(data))
 
 
+def test_a_second_abstract_linking_step_notes_the_pair_already_linked():
+    script = {**_abstract_family(2), "steps": [{"kind": "linking"}, {"kind": "linking"}]}
+    report, code = run_script_data(script, RunConfig())
+    assert code == 0 and len(report["final_state"]["levels"]) == 1
+    first, second = report["steps"]
+    assert len(first["adjoined"]) == 1 and first["notes"] == []
+    assert second["adjoined"] == []
+    assert second["notes"] == ["pair (0,1) is already linked; nothing to adjoin"]
+
+
 @pytest.mark.parametrize("n, nodes", [(3, 37), (4, 84), (6, 265), (8, 602)])
 def test_abstract_linking_links_a_family_of_any_size(n, nodes):
     # the second Albert form has a trivial discriminant; its function field is
@@ -585,6 +595,14 @@ def test_replay_needs_matching_context():
             assert not replay(cert, wrong)
 
 
+def test_an_iterate_window_of_classes_is_recorded_once_per_square_class():
+    # 12 is 3 times a square, and -2 is named twice
+    data = {"base": "rationals", "algebras": [[-1, -1], [-1, -3]],
+            "steps": [{"kind": "iterate", "window": [-2, 3, -2, 12], "max_rounds": 1}]}
+    report, code = run_script_data(data, RunConfig())
+    assert code == 0 and report["steps"][0]["window"] == [-2, 3]
+
+
 def test_tampered_certificates_fail_replay():
     data = {
         "base": "rationals",
@@ -600,6 +618,18 @@ def test_tampered_certificates_fail_replay():
     assert {"R-BASE", "R-GENERIC", "R-MONOTONE", "R-PFISTER", "R-CHAIN"} <= set(seen)
     for rule, cert_json in seen.items():
         assert not replay(Certificate.from_json(tamper(cert_json)), context), rule
+
+
+def test_tampering_the_symbolic_generic_node_of_an_abstract_report_fails_replay():
+    report, code = run_script_data(_abstract_family(2), RunConfig())
+    assert code == 0
+    context = context_from_report(report)
+    (generic,) = {
+        cert for tree in certificates_in_report(report)
+        for cert in iter_certificates(Certificate.from_json(tree)) if cert.rule == "R-GENERIC"
+    }
+    assert isinstance(generic.subject, SymbolicForm) and replay(generic, context)
+    assert not replay(Certificate.from_json(tamper(generic.to_json())), context)
 
 
 def test_check_node_reads_only_the_premises_stored_fields():
@@ -650,6 +680,7 @@ def test_pfister_node_refuses_malformed_integers():
         ("disc_context", [None]),
         ("disc_context", [True]),
         ("disc_context", ["3"]),
+        ("disc_context", [3]),  # well formed, but not the classes killed below level 1
     ):
         bad = {**good, "parameters": {**good["parameters"], field: value}}
         assert not replay(Certificate.from_json(bad), state.replay_context()), (field, value)
