@@ -249,20 +249,13 @@ def is_squarefree(n: int) -> bool:
 
 def legendre(a: int, p: int) -> int:
     """Legendre symbol (a/p) for an odd prime p: 0, 1, or -1."""
-    _check_odd_prime(p)
+    if type(p) is not int or p == 2 or not is_prime(p):
+        raise InputError(f"modulus must be an odd prime, got {_quoted(p)}")
     return _euler_criterion(a, p)
 
 
-@lru_cache(maxsize=4096)
-def _check_odd_prime(p: int) -> None:
-    """InputError unless p is an odd prime: the one test of an odd modulus, once per
-    prime. A p that fails is tested again at every call, since errors are not cached."""
-    if p == 2 or not is_prime(p):
-        raise InputError(f"modulus must be an odd prime, got {p}")
-
-
 def _euler_criterion(a: int, p: int) -> int:
-    """(a/p) as a^((p-1)/2) mod p, for a p the caller has found to be an odd prime."""
+    """(a/p) as a^((p-1)/2) mod p, for a p the caller knows to be an odd prime."""
     a %= p
     if a == 0:
         return 0

@@ -67,7 +67,7 @@ from operator import is_
 from typing import Iterator, Union
 
 from .arith import factor, squarefree_part
-from .errors import InputError, SearchExhausted, _is_int, _quoted
+from .errors import InputError, SearchExhausted, _crosscheck, _is_int, _quoted
 from .forms import (
     DiagonalForm,
     _memo,
@@ -451,7 +451,10 @@ def generic_certificate(subject: FormLike, adjoined: FormLike, level: int) -> Ce
 
 
 def monotone_certificate(premise: Certificate, level: int) -> Certificate:
-    assert premise.status is Status.ISOTROPIC and premise.level < level
+    _crosscheck(
+        premise.status is Status.ISOTROPIC and premise.level < level,
+        "R-MONOTONE carries an isotropic premise up from a lower level",
+    )
     return Certificate(
         "R-MONOTONE",
         Status.ISOTROPIC,
@@ -499,7 +502,7 @@ def hoffmann_certificate(
 
 
 def chain_certificate(premise: Certificate) -> Certificate:
-    assert premise.status is Status.ANISOTROPIC
+    _crosscheck(premise.status is Status.ANISOTROPIC, "R-CHAIN restates an anisotropic premise")
     return Certificate(
         "R-CHAIN",
         Status.ANISOTROPIC,

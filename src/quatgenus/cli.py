@@ -287,16 +287,13 @@ def main(argv: list[str] | None = None) -> int:
         return exit_.code if isinstance(exit_.code, int) else 2
     try:
         return args.func(args)
-    except InputError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
     except TruncationError as error:
         print(f"error: {error}", file=sys.stderr)
         return 4
     except PreconditionError as error:
         print(f"error: {error}", file=sys.stderr)
         return 3
-    except ValueError as error:
+    except ValueError as error:  # malformed input, InputError among them
         print(f"error: {error}", file=sys.stderr)
         return 2
     except BrokenPipeError:

@@ -16,9 +16,7 @@ from itertools import chain, count, islice, product
 from math import gcd
 from typing import Iterable, Sequence
 
-from .arith import (
-    Rational, _check_odd_prime, is_prime, iter_witnesses, squarefree_part, squarefree_product,
-)
+from .arith import Rational, is_prime, iter_witnesses, squarefree_part, squarefree_product
 from .errors import InputError, SearchExhausted, _crosscheck, _quoted
 from .symbols import Place, _class_reps, _hasse_of_classes, _hasse_squarefree, _local_class
 
@@ -205,8 +203,7 @@ def _local_isotropic_from_data(inv: FormInvariants, place: Place) -> bool:
     """Local isotropy from classifying data; exact casework by dimension. The
     determinant is square-free, so the symbols (-1, -d) and (-1, -1) are read from
     the one-pass closed form and squareness from the local class, neither reduced
-    again. An odd place's prime is not tested here: the relevant places come from
-    factoring, and is_isotropic_local tests any other."""
+    again."""
     if inv.dimension <= 1:
         return False
     p = place.prime
@@ -224,10 +221,7 @@ def _local_isotropic_from_data(inv: FormInvariants, place: Place) -> bool:
 
 
 def is_isotropic_local(q: DiagonalForm, place: Place) -> bool:
-    """Isotropy at one place; off the relevant places the Hasse symbol is 1. An odd
-    place's prime is tested, as hilbert_symbol tests it."""
-    if place.prime not in (None, 2):
-        _check_odd_prime(place.prime)
+    """Isotropy at one place; off the relevant places the Hasse symbol is 1."""
     return _local_isotropic_from_data(invariants(q), place)
 
 

@@ -22,8 +22,8 @@ from math import prod
 from .arith import Rational, is_prime, iter_witnesses, squarefree_part
 from .errors import InputError, PreconditionError, SearchExhausted, _crosscheck, _quoted
 from .forms import DiagonalForm, _memo, is_isotropic, isometric, witt_index
-from .symbols import INFINITE_PLACE, Place, _class_reps, _local_class, hasse_invariants
-from .symbols import hilbert_symbol
+from .symbols import INFINITE_PLACE, Place, _class_reps, _local_class, finite_place
+from .symbols import hasse_invariants, hilbert_symbol
 
 
 @dataclass(frozen=True)
@@ -188,7 +188,7 @@ def _constructed(target: set[Place]) -> tuple[int, int]:
     is -1 exactly on the target when b's square class is allowed; then at q it
     is 1, by reciprocity. Such a q exists by Dirichlet's theorem.
     """
-    places = sorted(target | {INFINITE_PLACE, Place(2, 2)})
+    places = sorted(target | {INFINITE_PLACE, finite_place(2)})
     p = prod(v.prime for v in places[2:])
     wanted = [(v, -1 if v in target else 1) for v in places]
     allowed = {

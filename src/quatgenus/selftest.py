@@ -352,7 +352,8 @@ def run_certificates(trials: int = 100, seed: int = 0) -> SuiteResult:
                         "certificates", start, checks, "round-trip replay failed",
                         f"script {index}: {cert.to_json()}",
                     )
-                per_rule.setdefault(cert.rule, (cert.to_json(), context))
+                if cert.rule not in per_rule:  # a node's JSON is its whole subtree's
+                    per_rule[cert.rule] = (cert.to_json(), context)
     for rule in RULES:
         if rule not in per_rule:
             return _result(

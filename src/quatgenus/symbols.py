@@ -8,14 +8,16 @@ formulas at odd primes, and the epsilon/omega unit characters at 2
 at a place is their product over pairs of entries; by bilinearity it is
 read in one pass over the entries (Serre, Ch. IV Sec. 2; Lam,
 Introduction to Quadratic Forms over Fields, Ch. V), and the Hilbert
-symbol is that pass over two entries. hilbert_symbol and the local class
-helpers test an odd place's prime by arith._check_odd_prime, as legendre
-does, once per prime.
+symbol is that pass over two entries.
+
+A Place is checked when it is built: only the real place Place(0, None) and
+Place(p, p) for an exact-int prime p exist, so no symbol or class helper
+tests a place's prime again. Each prime's Place is one object, from one
+table (_prime_place) that finite_place, the place parsers and the relevant
+places of a form all read, so each prime is tested once.
 
 A square-free t's square class at a place is _local_class(t, place), and
-_class_reps(place) lists one representative of each class there. Each
-prime's Place is one object, from one table (_prime_place) that the
-relevant places of a form and finite_place both read.
+_class_reps(place) lists one representative of each class there.
 """
 
 from __future__ import annotations
@@ -25,18 +27,29 @@ from functools import lru_cache
 from itertools import count
 from typing import Iterable, Sequence
 
-from .arith import (
-    Rational, _check_odd_prime, _euler_criterion, _factor_positive, is_prime, squarefree_part,
-)
+from .arith import Rational, _euler_criterion, _factor_positive, is_prime, squarefree_part
 from .errors import InputError, _is_int, _quoted
 
 
 @dataclass(frozen=True, order=True)
 class Place:
-    """A place of Q; prime=None marks the real place. Ordering: real first."""
+    """A place of Q; prime=None marks the real place. Ordering: real first.
+
+    Only Place(0, None) and Place(p, p) for an exact-int prime p can be built:
+    anything else is an InputError, so every Place's prime is a prime."""
 
     sort_key: int
     prime: int | None
+
+    def __post_init__(self) -> None:
+        key, p = self.sort_key, self.prime
+        # exact ints only: True or 7.0 equals an int yet is no place
+        if p is None:
+            valid = type(key) is int and key == 0
+        else:
+            valid = type(p) is int and type(key) is int and key == p and is_prime(p)
+        if not valid:
+            raise InputError(f"not a prime: {_quoted(p if key == p else self)}")
 
     def is_infinite(self) -> bool:
         return self.prime is None
@@ -56,22 +69,13 @@ def finite_place(p: int) -> Place:
     # find an int's entry
     if type(p) is not int:
         raise InputError(f"not a prime: {_quoted(p)}")
-    return _finite_place(p)
-
-
-@lru_cache(maxsize=4096)
-def _finite_place(p: int) -> Place:
-    """The place of an int p, tested prime once; a p that fails is tested again at every
-    call, since errors are not cached."""
-    if not is_prime(p):
-        raise InputError(f"not a prime: {p}")
     return _prime_place(p)
 
 
 @lru_cache(maxsize=4096)
 def _prime_place(p: int) -> Place:
-    """The one table of finite places, keyed by a prime the caller knows to be prime:
-    from factoring, or past _finite_place's test."""
+    """The one table of finite places: each prime's Place, tested prime once when it is
+    built. A p that fails is tested again at every call, since errors are not cached."""
     return Place(p, p)
 
 
@@ -103,11 +107,8 @@ def _split_at(n: int, p: int) -> tuple[int, int]:
 
 def hilbert_symbol(a: int | Rational, b: int | Rational, place: Place) -> int:
     """Hilbert symbol (a,b) at a place of Q; arguments must be nonzero. It is the
-    two-entry case of the one-pass Hasse symbol; an odd place's prime is tested."""
-    classes = (squarefree_part(a), squarefree_part(b))
-    if place.prime not in (None, 2):
-        _check_odd_prime(place.prime)
-    return _hasse_squarefree(classes, place.prime)
+    two-entry case of the one-pass Hasse symbol."""
+    return _hasse_squarefree((squarefree_part(a), squarefree_part(b)), place.prime)
 
 
 def _class_reps(place: Place) -> tuple[int, ...]:
@@ -117,7 +118,6 @@ def _class_reps(place: Place) -> tuple[int, ...]:
         return (1, -1)
     if p == 2:
         return (1, -1, 5, -5, 2, -2, 10, -10)
-    _check_odd_prime(p)
     # the least non-residue is prime, so square-free
     n = next(m for m in count(2) if _euler_criterion(m, p) == -1)
     return (1, n, p, n * p)
@@ -126,14 +126,13 @@ def _class_reps(place: Place) -> tuple[int, ...]:
 def _local_class(t: int, place: Place) -> tuple[int, int]:
     """(valuation parity, unit class) of a square-free t at a place, (0, 1) for squares: the
     unit class is the sign at the real place, the unit mod 8 at 2, the Legendre symbol at odd
-    p, by Euler's criterion once p has been found prime."""
+    p, by Euler's criterion."""
     p = place.prime
     if p is None:
         return (0, 1 if t > 0 else -1)
     if p == 2:
         alpha, u = _split_at(t, 2)
         return (alpha, u % 8)
-    _check_odd_prime(p)
     alpha, u = _split_at(t, p)
     return (alpha, _euler_criterion(u, p))
 
@@ -144,7 +143,7 @@ def local_is_square(a: int | Rational, place: Place) -> bool:
 
 
 def _places_of_classes(classes: Sequence[int]) -> list[Place]:
-    """The relevant places of square classes; primes from factoring need no second test."""
+    """The relevant places of square classes, real place first, then primes ascending."""
     primes = {2}
     for s in classes:
         primes.update(p for p, _ in _factor_positive(abs(s)))
@@ -165,9 +164,7 @@ def _hasse_squarefree(coeffs: Sequence[int], prime: int | None) -> int:
     u_i = 3 (mod 4); and (-1)^(epsilon(p) C(k,2)) * prod (u_i/p)^(k - alpha_i)
     at odd p, whose Legendre factor is that of the units of the entries p
     does not divide when k is odd, and of those it divides when k is even
-    (an empty product, 1, when k = 0). An odd prime is not tested here: the
-    places of hasse_invariants and of a form's isotropy casework come from
-    factoring, and hilbert_symbol and forms.is_isotropic_local test any other.
+    (an empty product, 1, when k = 0). The prime is a Place's, so it is a prime.
     """
     if prime is None:
         r = sum(1 for a in coeffs if a < 0)

@@ -2,6 +2,10 @@
 discriminant span test agrees with the explicit span."""
 
 import json
+import os
+from collections import Counter
+import subprocess
+import sys
 from dataclasses import replace
 from functools import lru_cache
 from math import prod
@@ -10,7 +14,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from quatgenus import certificates
+from quatgenus import certificates, selftest
 from quatgenus.arith import squarefree_part
 from quatgenus.certificates import (
     RULES,
@@ -101,6 +105,70 @@ def test_a_node_above_the_tower_is_refused(cert, tower):
 )
 def test_an_unsupported_claim_is_refused(cert, tower):
     assert check_node(cert, ReplayContext(adjunctions=tower)) is False
+
+
+def test_monotone_carries_isotropy_up_the_tower_never_down():
+    # <1,1,1,1> is isotropic at level 1, where it was adjoined, and anisotropic over Q
+    generic = generic_certificate(QUAD, QUAD, 1)
+    down = Certificate("R-MONOTONE", Status.ISOTROPIC, QUAD, 0, (("from_level", 1),), (generic,))
+    context = ReplayContext(adjunctions=(QUAD,))
+    assert replay(generic, context)
+    assert replay(down, context) is False
+
+
+# A producer's precondition is a cross-check, which python -O keeps.
+_FORCED_PRECONDITIONS = """
+import sys
+from quatgenus.certificates import chain_certificate, generic_certificate, monotone_certificate
+from quatgenus.forms import DiagonalForm
+print("optimize", sys.flags.optimize)
+isotropic = generic_certificate(DiagonalForm((1, 1)), DiagonalForm((1, 1)), 1)
+for produce in (lambda: monotone_certificate(isotropic, 1), lambda: chain_certificate(isotropic)):
+    try:
+        produce()
+    except AssertionError as error:
+        print(error)
+"""
+
+
+def test_producer_preconditions_raise_under_python_optimize():
+    paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    child = subprocess.run(
+        [sys.executable, "-O", "-c", _FORCED_PRECONDITIONS],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    assert child.stdout.splitlines() == [
+        "optimize 1",
+        "cross-check failed: R-MONOTONE carries an isotropic premise up from a lower level",
+        "cross-check failed: R-CHAIN restates an anisotropic premise",
+    ]
+
+
+def test_the_certificate_suite_builds_one_node_json_per_rule(monkeypatch):
+    # the reports the suite checks are the engine's, which writes every node's JSON
+    calls = Counter()
+    in_engine = []
+    run_script = selftest.run_script_data
+    to_json = Certificate.to_json
+
+    def run_uncounted(*args):
+        in_engine.append(True)
+        try:
+            return run_script(*args)
+        finally:
+            in_engine.pop()
+
+    def counted(cert):
+        if not in_engine:
+            calls[cert.rule] += 1
+        return to_json(cert)
+
+    monkeypatch.setattr(selftest, "run_script_data", run_uncounted)
+    monkeypatch.setattr(Certificate, "to_json", counted)
+    result = selftest.run_certificates()
+    assert result.passed, result.detail
+    assert calls == Counter(dict.fromkeys(RULES, 1))
 
 
 def test_tamper_copies_only_the_root_of_a_chain_of_the_maximum_depth():

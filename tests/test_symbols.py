@@ -2,6 +2,7 @@
 
 from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 from math import prod
 
 import pytest
@@ -224,10 +225,16 @@ def test_hasse_invariants_call_no_primality_test_and_no_pair_symbol(monkeypatch)
     monkeypatch.setattr(symbols, "is_prime", is_prime)
     assert len(hasse_invariants(coefficients)) == 7  # inf, 2, 3, 5, 7, 11, 13
     assert calls == Counter()
-    # the public routes still test their modulus
+    # a composite place is refused when it is built
     with pytest.raises(InputError):
         hilbert_symbol(15, 2, Place(15, 15))
     assert calls == Counter(is_prime=1)
+
+
+def _fresh_places(monkeypatch):
+    """An empty table of finite places for one test; the shared table is back after it."""
+    table = lru_cache(maxsize=None)(symbols._prime_place.__wrapped__)
+    monkeypatch.setattr(symbols, "_prime_place", table)
 
 
 def test_local_classes_test_each_prime_once_and_refuse_a_composite_place(monkeypatch):
@@ -240,32 +247,49 @@ def test_local_classes_test_each_prime_once_and_refuse_a_composite_place(monkeyp
 
     values = [t for t in range(-30, 31) if t]
     classes = [squarefree_part(t) for t in values]  # factoring tests its cofactors; warm it
-    arith._check_odd_prime.cache_clear()
+    binaries = [DiagonalForm((s, 3)) for s in classes]
+    for q in binaries:
+        forms.invariants(q)
+    _fresh_places(monkeypatch)
     monkeypatch.setattr(arith, "is_prime", counted)
-    for t, s in zip(values, classes):
-        local_is_square(t, Place(7, 7))
-        symbols._local_class(s, Place(11, 11))
-        hilbert_symbol(t, 3, Place(13, 13))
+    monkeypatch.setattr(symbols, "is_prime", counted)
+    seven, eleven, thirteen = finite_place(7), finite_place(11), finite_place(13)
     assert calls == Counter({7: 1, 11: 1, 13: 1})
-    for _ in range(2):  # a failed test is not remembered
-        with pytest.raises(InputError):
-            hilbert_symbol(15, 2, Place(15, 15))
-        with pytest.raises(InputError):
-            local_is_square(3, Place(15, 15))
-        with pytest.raises(InputError):
-            is_isotropic_local(DiagonalForm((1, 1)), Place(15, 15))
-    assert calls[15] == 6
+    # the symbol, the class helpers and local isotropy read the place's prime as proven
+    for t, s, q in zip(values, classes, binaries):
+        local_is_square(t, seven)
+        symbols._local_class(s, eleven)
+        symbols._class_reps(thirteen)
+        hilbert_symbol(t, 3, thirteen)
+        is_isotropic_local(q, seven)
+    assert calls == Counter({7: 1, 11: 1, 13: 1})
+    for _ in range(2):  # a composite place is refused at every build
+        with pytest.raises(InputError, match="not a prime: 15"):
+            Place(15, 15)
+    assert calls[15] == 2
+
+
+@pytest.mark.parametrize(
+    "key, prime",
+    [(15, 15), (9, 9), (3, 5), (5, None), (True, True), (7.0, 7.0), (1, 1), (False, None)],
+)
+def test_only_the_real_place_and_primes_make_a_place(key, prime):
+    # so neither the closed forms nor the residue-search oracle is handed a composite place
+    with pytest.raises(InputError, match="not a prime: "):
+        Place(key, prime)
 
 
 def test_every_route_refuses_an_odd_composite_modulus():
-    # no entry is divisible by the modulus, so no Legendre symbol is needed: it is tested anyway
-    for call in (
-        lambda: hilbert_symbol(2, 7, Place(15, 15)),
-        lambda: hilbert_symbol(3, 5, Place(9, 9)),
-        lambda: arith.legendre(2, 15),
+    # a place is tested when it is built, so no symbol takes a composite one
+    for build in (
+        lambda: finite_place(15), lambda: parse_place("15"), lambda: symbols.place_from_json(15),
     ):
+        with pytest.raises(InputError, match="not a prime: 15"):
+            build()
+    # legendre takes a bare int, and tests it; 7.0 would pass the primality test
+    for modulus in (15, 2, 7.0, True):
         with pytest.raises(InputError, match="modulus must be an odd prime"):
-            call()
+            arith.legendre(2, modulus)
 
 
 def test_finite_place_tests_each_prime_once_and_refuses_a_composite_every_time(monkeypatch):
@@ -276,13 +300,13 @@ def test_finite_place_tests_each_prime_once_and_refuses_a_composite_every_time(m
         calls[n] += 1
         return is_prime(n)
 
-    symbols._finite_place.cache_clear()
+    _fresh_places(monkeypatch)
     monkeypatch.setattr(symbols, "is_prime", counted)
     for _ in range(3):
-        assert finite_place(2) == Place(2, 2)
-        assert finite_place(13) == Place(13, 13)
-        assert parse_place("7") == Place(7, 7)
-        assert symbols.place_from_json(11) == Place(11, 11)
+        assert finite_place(2) is finite_place(2)
+        assert finite_place(13) is finite_place(13)
+        assert parse_place("7") is finite_place(7)
+        assert symbols.place_from_json(11) is finite_place(11)
         with pytest.raises(InputError, match="not a prime: 15"):
             finite_place(15)
     assert calls == Counter({2: 1, 13: 1, 7: 1, 11: 1, 15: 3})
