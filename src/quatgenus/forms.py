@@ -349,7 +349,10 @@ _SYNTH_BUDGET = 1 << 16  # candidate forms _synthesize tries before SearchExhaus
 
 def _synthesize(target: FormInvariants, q: DiagonalForm) -> DiagonalForm | None:
     """Search small diagonal forms realizing the target invariants, in lexicographic
-    order over squarefree_classes(limit), listed lazily as far as the budget reaches."""
+    order over squarefree_classes(limit), listed lazily as far as the budget reaches.
+    Only targets of one or two entries can run the pool (78 classes or more) out first:
+    a binary kernel <a, a det> is then searched over a alone, past the pool, and a
+    one-entry kernel is refused (ROADMAP item 4)."""
     if target.dimension == 0:
         return None
     limit = max(64, max(abs(x) for x in q.coefficients) * 4)
@@ -361,7 +364,14 @@ def _synthesize(target: FormInvariants, q: DiagonalForm) -> DiagonalForm | None:
         cand = DiagonalForm(combo)
         if invariants(cand).key == target.key:
             return cand
-    return None
+    if target.dimension == 1:
+        return None
+    firsts = chain((1,), iter_witnesses(1 << 62))  # the table grows only as far as read
+    for a in islice(firsts, _SYNTH_BUDGET):
+        cand = DiagonalForm((a, squarefree_product((a, target.determinant))))
+        if invariants(cand).key == target.key:
+            return cand
+    raise SearchExhausted(f"no anisotropic part of {q} among {_SYNTH_BUDGET} binary forms")
 
 
 _SPLIT_BOUND = 200  # max-norm of the isotropic vectors witt_decompose searches for

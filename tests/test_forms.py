@@ -295,6 +295,11 @@ def test_witt_decomposition_invariants(coefficients):
 @example([-15, -15, -15, 3, 2, 5, 1, 1])
 # the complement of the built vector holds a product rho cannot split
 @example([-7, 1, -15, -6, 7, 10, -6, -5])
+# binary kernels past the class pool: <14,105>, <2,210>, <7,210>, <7,210>
+@example([1, -1, 5, 6, 7, 7, -10, -10])
+@example([-1, -1, 7, 7, 7, 7, 7, -15])
+@example([-5, -7, 10, -7, 10, 3, 5, 10])
+@example([3, 3, 6, -7, -7, -10, 3, 6])
 @settings(max_examples=100, deadline=None)
 def test_witt_index_counts_the_planes_split_off(coefficients):
     # the index comes from invariants alone; the explicit split finds as many planes
