@@ -191,7 +191,7 @@ def shared_json() -> Iterator[None]:
         _built_json.reset(token)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Certificate:
     rule: str
     status: Status
@@ -201,10 +201,17 @@ class Certificate:
     premises: tuple["Certificate", ...]
 
     # Equality and hashing walk the tree with an explicit stack, comparing each
-    # node's own fields and premise count: the generated ones recurse once per
-    # level and overflow on a MAX_DEPTH chain.
+    # node's own fields and premise count, and repr shows only those: the
+    # generated ones recurse once per level and overflow on a MAX_DEPTH chain.
     def _own_fields(self) -> tuple:
         return (self.rule, self.status, self.subject, self.level, self.parameters, len(self.premises))
+
+    def __repr__(self) -> str:
+        return (
+            f"Certificate(rule={self.rule!r}, status={self.status!r}, subject={self.subject!r}, "
+            f"level={self.level!r}, parameters={self.parameters!r}, "
+            f"premises=<{len(self.premises)} certificates>)"
+        )
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:

@@ -179,8 +179,7 @@ def cmd_tower(args: argparse.Namespace) -> int:
         raise InputError(f"script is not valid JSON: {error}") from error
     except RecursionError as error:
         raise InputError("script nests too deeply to parse") from error
-    config = RunConfig(witness_window=args.witness_window, max_levels=args.max_levels)
-    report, code = run_script_data(data, config)
+    report, code = run_script_data(data, RunConfig())
     pieces = iter_report(report) if args.out or args.output == "json" else ()
     for piece in _written(pieces, args.out) if args.out else pieces:
         if args.output == "json":
@@ -255,8 +254,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_tower.add_argument("script", help="path to a JSON script")
     p_tower.add_argument("--out", help="also write the JSON report to this file")
     p_tower.add_argument("--output", choices=("text", "json"), default="json")
-    p_tower.add_argument("--witness-window", type=int, default=10)
-    p_tower.add_argument("--max-levels", type=int, default=3)
     p_tower.set_defaults(func=cmd_tower)
 
     p_selftest = commands.add_parser("selftest", help="run a property suite")

@@ -55,17 +55,20 @@ from .tower import (
 SCHEMA = "tower-report/1"
 
 
+_WINDOW = 10  # the window limit of a step that names none
+_MAX_ROUNDS = 3  # the round budget of an iterate that names none
+
+
 @dataclass(frozen=True)
 class RunConfig:
-    witness_window: int = 10
-    max_levels: int = 3
+    """No settings: each step states its own, or takes the defaults above."""
 
     def to_json(self) -> dict:
-        # tower-report/1 requires height_bound and seed; nothing reads them
+        # tower-report/1 requires these keys; nothing reads them
         return {
             "height_bound": 200,
-            "witness_window": self.witness_window,
-            "max_levels": self.max_levels,
+            "witness_window": _WINDOW,
+            "max_levels": _MAX_ROUNDS,
             "seed": 0,
         }
 
@@ -161,12 +164,12 @@ def parse_script(data: object) -> Script:
     raise InputError(f"unknown base: {_quoted(raw_base)}")
 
 
-_MAX_WINDOW = 1000  # the largest window limit a script or --witness-window may name
+_MAX_WINDOW = 1000  # the largest window limit a script may name
 
 
-def _window_classes(raw: object, config: RunConfig) -> list[int]:
+def _window_classes(raw: object) -> list[int]:
     if raw is None:
-        raw = config.witness_window
+        raw = _WINDOW
     if _is_int(raw):
         if not 1 <= raw <= _MAX_WINDOW:
             raise InputError(f"window limit must be between 1 and {_MAX_WINDOW}: {raw}")
@@ -178,49 +181,47 @@ def _window_classes(raw: object, config: RunConfig) -> list[int]:
 
 @dataclass(frozen=True)
 class _AdjoinStep:
-    form: FormLike
-    gate: TrackedStatement
+    gate: TrackedStatement  # its subject is the adjoined form
 
     def to_json(self) -> dict:
-        return {"kind": "adjoin", "form": self.form.to_json(), "gate": self.gate.to_json()}
+        return {"kind": "adjoin", "form": self.gate.subject.to_json(), "gate": self.gate.to_json()}
 
     def required_statements(self) -> list[TrackedStatement]:
         return [self.gate]
 
 
-def _pushing(state: TowerState, script: Script, config: RunConfig, raw: dict):
+def _pushing(state: TowerState, script: Script, raw: dict):
     classes = raw.get("classes")
     if not isinstance(classes, list) or not all(_is_int(c) for c in classes):
         raise InputError("the pushing step needs a list of integer classes")
     return step_pushing_extension(state, script.family, classes)
 
 
-def _linking(state: TowerState, script: Script, config: RunConfig, raw: dict):
+def _linking(state: TowerState, script: Script, raw: dict):
     family = script.family if script.is_concrete else list(script.abstract)
     return step_linking_extension(state, family)
 
 
-def _iterate(state: TowerState, script: Script, config: RunConfig, raw: dict):
-    window = _window_classes(raw.get("window"), config)
-    max_rounds = raw.get("max_rounds", config.max_levels)
+def _iterate(state: TowerState, script: Script, raw: dict):
+    window = _window_classes(raw.get("window"))
+    max_rounds = raw.get("max_rounds", _MAX_ROUNDS)
     if not _is_int(max_rounds):
         raise InputError("max_rounds must be an integer")
     return iterate_pushing(state, script.family, window, max_rounds)
 
 
-def _alternate(state: TowerState, script: Script, config: RunConfig, raw: dict):
-    window = _window_classes(raw.get("window"), config)
+def _alternate(state: TowerState, script: Script, raw: dict):
+    window = _window_classes(raw.get("window"))
     rounds = raw.get("rounds", 1)
-    max_rounds = raw.get("max_rounds", config.max_levels)
+    max_rounds = raw.get("max_rounds", _MAX_ROUNDS)
     if not _is_int(rounds) or not _is_int(max_rounds):
         raise InputError("rounds and max_rounds must be integers")
     return run_alternating_truncation(state, script.family, window, rounds, max_rounds)
 
 
-def _adjoin(state: TowerState, script: Script, config: RunConfig, raw: dict):
-    phi = form_from_json(raw.get("form"))
-    state, gate = adjoin(state, phi)
-    return state, _AdjoinStep(phi, gate)
+def _adjoin(state: TowerState, script: Script, raw: dict):
+    state, gate = adjoin(state, form_from_json(raw.get("form")))
+    return state, _AdjoinStep(gate)
 
 
 # step kind -> handler returning the next state and a step with to_json()
@@ -255,7 +256,7 @@ def _execute(script: Script, config: RunConfig) -> dict:
         handler = _STEPS.get(kind) if isinstance(kind, str) else None
         if handler is None:
             raise InputError(f"unknown step kind: {_quoted(kind)}")
-        state, step = handler(state, script, config, raw)
+        state, step = handler(state, script, raw)
         step_reports.append(step.to_json())
         required += step.required_statements()
     context = state.replay_context()

@@ -53,16 +53,6 @@ class SuiteResult:
     counterexample: str | None = None
     seconds: float = 0.0
 
-    def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "checks": self.checks,
-            "detail": self.detail,
-            "counterexample": self.counterexample,
-            "seconds": round(self.seconds, 3),
-        }
-
 
 def _result(name, start, checks, detail, counterexample=None) -> SuiteResult:
     return SuiteResult(

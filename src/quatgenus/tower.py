@@ -319,11 +319,15 @@ class Family:
 @dataclass(frozen=True)
 class AdjoinedRecord:
     level: int
-    form: FormLike
     klass: int | None
     algebra: int | None
     pair: tuple[int, int] | None
     gate: TrackedStatement
+
+    @property
+    def form(self) -> FormLike:
+        """The adjoined form: the subject its gate certifies anisotropic."""
+        return self.gate.subject
 
     def to_json(self) -> dict:
         out: dict = {"level": self.level, "form": self.form.to_json()}
@@ -360,8 +364,10 @@ class InjectivityBlock:
     def statements(self) -> list[TrackedStatement]:
         return [s for _, s in self.norm_forms] + [s for _, _, s in self.pair_forms]
 
+    @_memo
     def chain(self) -> tuple[Certificate, ...]:
-        """R-CHAIN over the union of the tower for every statement certified anisotropic."""
+        """R-CHAIN over the union of the tower for every statement certified anisotropic;
+        kept, so that shared_json cites the same certificate objects each time."""
         return tuple(
             chain_certificate(s.certificate)
             for s in self.statements()
@@ -371,18 +377,25 @@ class InjectivityBlock:
 
 @dataclass(frozen=True)
 class PushingStep:
-    classes: tuple[int, ...]
-    membership: tuple[WindowEntry, ...]
+    at_base: WindowReport  # membership of the step's classes at its base
     adjoined: tuple[AdjoinedRecord, ...]
     injectivity: InjectivityBlock
     embeddings: tuple[WindowEntry, ...]
-    notes: tuple[str, ...]
+
+    @property
+    def notes(self) -> tuple[str, ...]:
+        pushed = {r.klass for r in self.adjoined}
+        return tuple(
+            f"class {c} already embeds everywhere; nothing to adjoin"
+            for c in self.at_base.window
+            if c not in pushed
+        )
 
     def to_json(self) -> dict:
         return {
             "kind": "pushing",
-            "classes": list(self.classes),
-            "membership_at_base": [e.membership_json() for e in self.membership],
+            "classes": list(self.at_base.window),
+            "membership_at_base": [e.membership_json() for e in self.at_base.entries],
             "adjoined": [r.to_json() for r in self.adjoined],
             "injectivity": self.injectivity.to_json(),
             "embeddings": [e.membership_json() for e in self.embeddings],
@@ -390,7 +403,7 @@ class PushingStep:
         }
 
     def required_statements(self) -> list[TrackedStatement]:
-        out = [e.statement for e in self.membership]
+        out = [e.statement for e in self.at_base.entries]
         out += [r.gate for r in self.adjoined]
         out += self.injectivity.statements()
         out += [e.statement for e in self.embeddings]
@@ -428,35 +441,24 @@ def step_pushing_extension(
             raise TruncationError(
                 f"membership of {e.klass} in algebra {e.algebra} is UNKNOWN at the step base"
             )
-    to_adjoin = [e for e in at_base.entries if e.status == "non-member"]
-    pushed = {e.klass for e in to_adjoin}
-    notes = tuple(
-        f"class {c} already embeds everywhere; nothing to adjoin"
-        for c in at_base.window
-        if c not in pushed
-    )
     current = state
     adjoined: list[AdjoinedRecord] = []
-    for e in to_adjoin:
-        phi = e.statement.subject
-        current = _append_level(current, phi)
-        adjoined.append(
-            AdjoinedRecord(current.top_level, phi, e.klass, e.algebra, None, e.statement)
-        )
+    for e in at_base.entries:
+        if e.status == "non-member":
+            current = _append_level(current, e.statement.subject)
+            record = AdjoinedRecord(current.top_level, e.klass, e.algebra, None, e.statement)
+            adjoined.append(record)
     for alg in family.algebras:
         current = current.track(alg.norm_form())
     injectivity = _injectivity_block(current, family)
     embeddings = compute_window(current, family, list(at_base.window)).entries
-    step = PushingStep(
-        at_base.window, at_base.entries, tuple(adjoined), injectivity, embeddings, notes
-    )
-    return current, step
+    return current, PushingStep(at_base, tuple(adjoined), injectivity, embeddings)
 
 
 @dataclass(frozen=True)
 class LinkingStep:
     adjoined: tuple[AdjoinedRecord, ...]
-    linked_now: tuple[tuple[tuple[int, int], TrackedStatement], ...]
+    linked_now: tuple[TrackedStatement, ...]  # one per adjoined record, about its form
     preserved: tuple[tuple[int, TrackedStatement], ...]
     notes: tuple[str, ...]
 
@@ -465,7 +467,8 @@ class LinkingStep:
             "kind": "linking",
             "adjoined": [r.to_json() for r in self.adjoined],
             "linked_now": [
-                {"pair": list(p), "statement": s.to_json()} for p, s in self.linked_now
+                {"pair": list(r.pair), "statement": s.to_json()}
+                for r, s in zip(self.adjoined, self.linked_now)
             ],
             "preserved": [
                 {"algebra": i, "statement": s.to_json()} for i, s in self.preserved
@@ -475,7 +478,7 @@ class LinkingStep:
 
     def required_statements(self) -> list[TrackedStatement]:
         out = [r.gate for r in self.adjoined]
-        out += [s for _, s in self.linked_now]
+        out += self.linked_now
         out += [s for _, s in self.preserved]
         return out
 
@@ -523,16 +526,13 @@ def step_linking_extension(
                 notes.append(f"pair ({i},{j}) is already linked; nothing to adjoin")
                 continue
             current = _append_level(current, phi)
-            adjoined.append(AdjoinedRecord(current.top_level, phi, None, None, (i, j), gate))
+            adjoined.append(AdjoinedRecord(current.top_level, None, None, (i, j), gate))
     for alg in algebras:
         current = current.track(alg.norm_form())
-    linked_now = []
-    for rec in adjoined:
-        assert rec.pair is not None
-        linked_now.append((rec.pair, current.statement(rec.form)))
+    linked_now = tuple(current.statement(rec.form) for rec in adjoined)
     preserved = [(i, current.statement(alg.norm_form())) for i, alg in enumerate(algebras)]
     return current, LinkingStep(
-        tuple(adjoined), tuple(linked_now), tuple(preserved), tuple(notes)
+        tuple(adjoined), linked_now, tuple(preserved), tuple(notes)
     )
 
 
@@ -615,13 +615,12 @@ def compute_window(state: TowerState, family: Family, window: list[int]) -> Wind
 
 @dataclass(frozen=True)
 class IterateRound:
-    index: int
     window: WindowReport
     step: PushingStep
 
-    def to_json(self) -> dict:
+    def to_json(self, number: int) -> dict:
         return {
-            "round": self.index,
+            "round": number,
             "window": self.window.to_json(),
             "step": self.step.to_json(),
         }
@@ -641,11 +640,6 @@ class IterateReport:
     def stabilized(self) -> bool:
         return not self.final_window.distinguishing
 
-    @_memo
-    def chain(self) -> tuple[Certificate, ...]:
-        """Kept, so that shared_json cites the same certificate objects each time."""
-        return self.final_injectivity.chain()
-
     @property
     def notes(self) -> tuple[str, ...]:
         if self.stabilized:
@@ -656,11 +650,11 @@ class IterateReport:
         return {
             "kind": "iterate-pushing",
             "window": list(self.window),
-            "rounds": [r.to_json() for r in self.rounds],
+            "rounds": [r.to_json(i) for i, r in enumerate(self.rounds, 1)],
             "stabilized": self.stabilized,
             "final_window": self.final_window.to_json(),
             "final_injectivity": self.final_injectivity.to_json(),
-            "chain": [c.to_json() for c in self.chain],
+            "chain": [c.to_json() for c in self.final_injectivity.chain],
             "notes": list(self.notes),
         }
 
@@ -695,19 +689,18 @@ def iterate_pushing(
         if not report.distinguishing or len(rounds) >= max_rounds:
             break
         current, step = step_pushing_extension(current, family, list(report.distinguishing))
-        rounds.append(IterateRound(len(rounds) + 1, report, step))
+        rounds.append(IterateRound(report, step))
     return current, IterateReport(tuple(rounds), report, _injectivity_block(current, family))
 
 
 @dataclass(frozen=True)
 class AlternatingRound:
-    index: int
     linking: LinkingStep
     pushing: IterateReport
 
-    def to_json(self) -> dict:
+    def to_json(self, number: int) -> dict:
         return {
-            "round": self.index,
+            "round": number,
             "linking": self.linking.to_json(),
             "pushing": self.pushing.to_json(),
         }
@@ -719,17 +712,12 @@ class AlternatingReport:
     distinctness: InjectivityBlock
     notes = (_WINDOW_NOTE,)
 
-    @_memo
-    def chain(self) -> tuple[Certificate, ...]:
-        """Kept, so that shared_json cites the same certificate objects each time."""
-        return self.distinctness.chain()
-
     def to_json(self) -> dict:
         return {
             "kind": "alternating-truncation",
-            "rounds": [r.to_json() for r in self.rounds],
+            "rounds": [r.to_json(i) for i, r in enumerate(self.rounds, 1)],
             "distinctness": self.distinctness.to_json(),
-            "chain": [c.to_json() for c in self.chain],
+            "chain": [c.to_json() for c in self.distinctness.chain],
             "notes": list(self.notes),
         }
 
@@ -760,8 +748,8 @@ def run_alternating_truncation(
         raise InputError(f"rounds must be at most {MAX_LEVELS}")
     out_rounds: list[AlternatingRound] = []
     current = state
-    for r in range(1, rounds + 1):
+    for _ in range(rounds):
         current, link = step_linking_extension(current, family)
         current, push = iterate_pushing(current, family, window, max_rounds_per_iterate)
-        out_rounds.append(AlternatingRound(r, link, push))
+        out_rounds.append(AlternatingRound(link, push))
     return current, AlternatingReport(tuple(out_rounds), _injectivity_block(current, family))

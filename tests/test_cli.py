@@ -447,26 +447,11 @@ def test_tower_run_unwritable_out_is_input_error(tmp_path, capsys):
         assert err.startswith("error: cannot write report: ")
 
 
-def test_tower_run_witness_window_is_bounded(tmp_path, capsys):
-    script = tmp_path / "iterate.json"
-    script.write_text(
-        json.dumps(
-            {
-                "base": "rationals",
-                "algebras": [[-1, -1], [-1, -3]],
-                "steps": [{"kind": "iterate", "max_rounds": 0}],
-            }
-        )
-    )
-    code, out, err = run_cli(capsys, "tower", "run", str(script), "--witness-window", "1001")
-    assert (code, out) == (2, "")
-    assert "window limit must be between 1 and 1000" in err
-
-
 def test_tower_run_has_no_seed_or_height_bound_flag(tmp_path, capsys):
     script = tmp_path / "worked.json"
     script.write_text(json.dumps({"base": "rationals", "algebras": [[-1, -1]]}))
-    for flag in ("--seed", "--height-bound"):
+    # a script states each step's window and round budget: no flag sets a default
+    for flag in ("--seed", "--height-bound", "--witness-window", "--max-levels"):
         code, out, err = run_cli(capsys, "tower", "run", str(script), flag, "1")
         assert (code, out) == (2, "")
         assert f"unrecognized arguments: {flag} 1" in err
@@ -650,10 +635,6 @@ tower_script = _mostly(
 tower_flags = st.lists(
     st.one_of(
         st.tuples(st.just("--output"), _mostly(st.sampled_from(["json", "text"]), st.just("yaml"))),
-        st.tuples(st.just("--witness-window"),
-                  _mostly(st.sampled_from(["1", "4", "10"]), st.sampled_from(["0", "1001", "x"]))),
-        st.tuples(st.just("--max-levels"),
-                  _mostly(st.sampled_from(["0", "1", "3"]), st.sampled_from(["-1", "x"]))),
         st.tuples(st.just("--out"), _mostly(st.just("report.json"), st.just("missing/report.json"))),
     ),
     max_size=3,

@@ -5,9 +5,10 @@ import hashlib
 import json
 import subprocess
 import sys
+from collections import Counter
 from dataclasses import replace
 from functools import lru_cache
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, product
 from pathlib import Path
 
 import pytest
@@ -262,7 +263,7 @@ def test_derive_status_agrees_with_the_scan_from_the_base(tower_and_subjects):
 def test_pushing_step_worked_instance():
     state = TowerState(RationalBase())
     state, step = step_pushing_extension(state, FAMILY, [-2])
-    assert [(m.klass, m.algebra, m.status == "member") for m in step.membership] == [
+    assert [(m.klass, m.algebra, m.status == "member") for m in step.at_base.entries] == [
         (-2, 0, True),
         (-2, 1, False),
     ]
@@ -314,8 +315,9 @@ def test_iterate_stabilizes_on_worked_family():
         DiagonalForm((-5, 1, 3, 3)),
         DiagonalForm((-7, 1, 1, 1)),
     )
-    assert report.chain and {c.rule for c in report.chain} == {"R-CHAIN"}
-    for cert in report.chain:
+    chain = report.final_injectivity.chain
+    assert chain and {c.rule for c in chain} == {"R-CHAIN"}
+    for cert in chain:
         assert cert.level == 3
         assert replay(cert, state.replay_context())
 
@@ -336,8 +338,8 @@ def test_iterate_measures_each_membership_once(monkeypatch):
     for rnd in report.rounds:
         split = rnd.window.distinguishing
         at_base = [e for e in rnd.window.entries if e.klass in split]
-        assert len(rnd.step.membership) == len(at_base)
-        for entry, measured_entry in zip(rnd.step.membership, at_base):
+        assert len(rnd.step.at_base.entries) == len(at_base)
+        for entry, measured_entry in zip(rnd.step.at_base.entries, at_base):
             assert entry.statement is measured_entry.statement
     full = [r for w, r in measured if w == window]
     assert len(full) == len(report.rounds) + 1
@@ -383,7 +385,7 @@ def test_abstract_linking_certifies_with_full_ledger():
     state = TowerState(base)
     state, step = step_linking_extension(state, [a1, a2])
     assert len(step.adjoined) == 1
-    linked_rules = [s.certificate.rule for _, s in step.linked_now]
+    linked_rules = [s.certificate.rule for s in step.linked_now]
     assert linked_rules == ["R-GENERIC"]
     preserved_rules = {s.certificate.rule for _, s in step.preserved}
     assert preserved_rules == {"R-HOFFMANN"}
@@ -533,12 +535,18 @@ def test_runner_rejects_malformed_scripts():
     ):
         with pytest.raises(InputError):
             report, _ = run_script_data(bad, config)
-    # the --witness-window default meets the same bounds as a script's window
-    default_window = {"base": "rationals", "algebras": [[-1, -1], [-1, -3]],
-                      "steps": [{"kind": "iterate", "max_rounds": 0}]}
-    for limit in (0, _MAX_WINDOW + 1):
-        with pytest.raises(InputError):
-            run_script_data(default_window, RunConfig(witness_window=limit))
+
+
+def test_a_step_without_a_window_or_budget_takes_the_defaults():
+    for bare, spelled in (
+        ({"kind": "iterate"}, {"kind": "iterate", "window": 10, "max_rounds": 3}),
+        ({"kind": "alternate"}, {"kind": "alternate", "window": 10, "rounds": 1, "max_rounds": 3}),
+    ):
+        reports = [
+            render_report(run_script_data({**WORKED_PUSHING, "steps": [step]}, RunConfig())[0])
+            for step in (bare, spelled)
+        ]
+        assert reports[0] == reports[1]
 
 
 def test_runner_propagates_exit_semantics():
@@ -925,6 +933,20 @@ def test_adjunction_past_the_level_limit_is_a_truncation():
     chain = chain_certificate(derive_status(full, DiagonalForm((1, 1))).certificate)
     assert _depth(chain) == MAX_DEPTH
     assert _nodes(Certificate.from_json(chain.to_json())) == _nodes(chain)
+
+
+def test_a_max_depth_chain_and_its_statement_repr_without_recursing():
+    full = TowerState(RationalBase(), (DiagonalForm((1, 1, 1, 1, 1)),) * MAX_LEVELS)
+    statement = derive_status(full, DiagonalForm((1, 1)))
+    chain = chain_certificate(statement.certificate)
+    assert _depth(chain) == MAX_DEPTH
+    # each node shows its own fields and its premise count, not its premises
+    assert repr(chain) == (
+        "Certificate(rule='R-CHAIN', status=<Status.ANISOTROPIC: 'anisotropic'>, "
+        "subject=DiagonalForm(coefficients=(1, 1)), level=256, parameters=(('levels', 256),), "
+        "premises=<1 certificates>)"
+    )
+    assert repr(statement.certificate) in repr(statement)
 
 
 def test_deep_chains_iterate_and_parse_without_recursing():
@@ -1385,7 +1407,7 @@ def test_derived_tower_facts_agree_with_the_former_bookkeeping(monkeypatch, scri
         assert (window.distinguishing, window.unresolved) == _counted_splits(window)
     for (_, _, _, max_rounds), (_, report) in iterates:
         assert (report.stabilized, report.notes) == _flagged_stabilization(report, max_rounds)
-        assert report.chain is report.chain
+        assert report.final_injectivity.chain is report.final_injectivity.chain
 
 
 def test_window_splits_over_every_mix_of_entry_statuses():
@@ -1405,3 +1427,39 @@ def test_window_splits_over_every_mix_of_entry_statuses():
     window = tower.WindowReport(tuple(range(2, len(mixes) + 2)), entries)
     assert (window.distinguishing, window.unresolved) == _counted_splits(window)
     assert window.distinguishing and window.unresolved
+
+
+# a small-scope sweep: every script of one or two steps, built from these six
+# step shapes, over three small families
+SWEEP_FAMILIES = ([[-1, -1], [-1, -3]], [[-1, -1], [2, 5]], [[-1, -3], [3, -7]])
+SWEEP_STEPS = (
+    {"kind": "pushing", "classes": [-2, 3]},
+    {"kind": "linking"},
+    {"kind": "iterate", "window": 6, "max_rounds": 2},
+    {"kind": "alternate", "window": 6, "rounds": 2, "max_rounds": 2},
+    {"kind": "adjoin", "form": [1, -1, 2]},  # isotropic: refused
+    {"kind": "adjoin", "form": [1, 1, 1, 1, 1]},
+)
+
+
+def test_every_short_script_over_small_families_renders_and_replays_alike():
+    outcomes = Counter()
+    for algebras in SWEEP_FAMILIES:
+        for steps in [*product(SWEEP_STEPS), *product(SWEEP_STEPS, repeat=2)]:
+            script = {"algebras": algebras, "steps": list(steps)}
+            try:
+                report, code = run_script_data(script, RunConfig())
+            except (InputError, TruncationError) as error:
+                outcomes[type(error).__name__] += 1
+                continue
+            outcomes[code] += 1
+            text = render_report(report)
+            assert text == render_report(run_script_data(script, RunConfig())[0]), script
+            assert report["replay"]["checked"] == report["replay"]["passed"], script
+            parsed = json.loads(text)
+            context = context_from_report(parsed)
+            for cert_json in certificates_in_report(parsed):
+                for node in iter_certificates(Certificate.from_json(cert_json)):
+                    assert replay(node, context), script
+    # a change in what the engine certifies or refuses shows here
+    assert outcomes == {0: 74, "InputError": 39, "TruncationError": 13}
