@@ -14,6 +14,7 @@ results are reproducible.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, count, islice
@@ -166,14 +167,28 @@ def _ranked_classes(limit_rank: int) -> tuple[int, ...]:
     return tuple(islice(chain((1,), iter_witnesses(limit_rank)), limit_rank + 1))
 
 
-def _pair_candidates(limit_rank: int):
-    """Symbol pairs (a,b) in shell order by max rank, then lex by (rank a, rank b)."""
+@lru_cache(maxsize=256)
+def _partner_ranks(limit_rank: int, m: int) -> tuple[int, ...]:
+    """The ranks, ascending, of the first limit_rank + 1 square classes that m divides;
+    for m = 1 every rank."""
+    return tuple(r for r, c in enumerate(_ranked_classes(limit_rank)) if c % m == 0)
+
+
+def _shell_pairs(limit_rank: int, odd_primes: list[int]):
+    """The symbol pairs (a, b) of rank at most limit_rank whose product every odd prime
+    given divides: in shell order by max rank, then lex by (rank a, rank b).
+
+    A shell class x pairs only with the ranks that m divides, m the product of the
+    primes that do not divide x; a bisect cuts that index at the shell.
+    """
     seq = _ranked_classes(limit_rank)
     for shell in range(1, len(seq)):
-        for i in range(shell):
-            yield seq[i], seq[shell]
-        for j in range(shell + 1):
-            yield seq[shell], seq[j]
+        x = seq[shell]
+        partners = _partner_ranks(limit_rank, prod(p for p in odd_primes if x % p))
+        for k in range(bisect_left(partners, shell)):
+            yield seq[partners[k]], x
+        for k in range(bisect_right(partners, shell)):
+            yield x, seq[partners[k]]
 
 
 _CONNECTING_RANK = 400  # connecting_algebra tries symbol pairs up to this rank
@@ -211,9 +226,12 @@ def connecting_algebra(a1: QuaternionAlgebra, a2: QuaternionAlgebra) -> Quaterni
     """The algebra ramified exactly at the symmetric difference of the two sets.
 
     The answer is the first match among the symbol pairs of rank at most
-    _CONNECTING_RANK in shell order, skipping pairs whose real place or odd
-    primes cannot give the target before their ramification is computed; when
-    none matches, it is _constructed from the target's local square classes.
+    _CONNECTING_RANK in shell order. (a, b) can ramify at an odd prime only if
+    the prime divides ab, so each shell class is paired only with the classes
+    that the target's odd primes outside it all divide, read from a cached
+    partner index; a pair whose signs cannot give the target's real place is
+    skipped before its ramification is computed. When none matches, the
+    answer is _constructed from the target's local square classes.
     """
     if is_isomorphic(a1, a2):
         raise PreconditionError("isomorphic algebras have no connecting algebra")
@@ -222,11 +240,11 @@ def connecting_algebra(a1: QuaternionAlgebra, a2: QuaternionAlgebra) -> Quaterni
         bool(target) and len(target) % 2 == 0,
         "the connecting algebra ramifies at a nonempty, even set of places",
     )
-    # (a, b) ramifies at the real place iff a, b < 0, and at an odd prime only if it divides ab
+    # (a, b) ramifies at the real place iff a, b < 0
     real = INFINITE_PLACE in target
     odd = sorted(v.prime for v in target if v.prime not in (None, 2))
-    for a, b in _pair_candidates(_CONNECTING_RANK):
-        if (a < 0 and b < 0) != real or any(a % p and b % p for p in odd):
+    for a, b in _shell_pairs(_CONNECTING_RANK, odd):
+        if (a < 0 and b < 0) != real:
             continue
         cand = QuaternionAlgebra.of(a, b)
         if set(ramification(cand)) == target:

@@ -168,8 +168,6 @@ _MAX_WINDOW = 1000  # the largest window limit a script may name
 
 
 def _window_classes(raw: object) -> list[int]:
-    if raw is None:
-        raw = _WINDOW
     if _is_int(raw):
         if not 1 <= raw <= _MAX_WINDOW:
             raise InputError(f"window limit must be between 1 and {_MAX_WINDOW}: {raw}")
@@ -202,18 +200,24 @@ def _linking(state: TowerState, script: Script, raw: dict):
     return step_linking_extension(state, family)
 
 
+def _given(raw: dict, key: str, default: object) -> object:
+    """The step's value for key; a missing key and an explicit null both take the default."""
+    value = raw.get(key)
+    return default if value is None else value
+
+
 def _iterate(state: TowerState, script: Script, raw: dict):
-    window = _window_classes(raw.get("window"))
-    max_rounds = raw.get("max_rounds", _MAX_ROUNDS)
+    window = _window_classes(_given(raw, "window", _WINDOW))
+    max_rounds = _given(raw, "max_rounds", _MAX_ROUNDS)
     if not _is_int(max_rounds):
         raise InputError("max_rounds must be an integer")
     return iterate_pushing(state, script.family, window, max_rounds)
 
 
 def _alternate(state: TowerState, script: Script, raw: dict):
-    window = _window_classes(raw.get("window"))
-    rounds = raw.get("rounds", 1)
-    max_rounds = raw.get("max_rounds", _MAX_ROUNDS)
+    window = _window_classes(_given(raw, "window", _WINDOW))
+    rounds = _given(raw, "rounds", 1)
+    max_rounds = _given(raw, "max_rounds", _MAX_ROUNDS)
     if not _is_int(rounds) or not _is_int(max_rounds):
         raise InputError("rounds and max_rounds must be integers")
     return run_alternating_truncation(state, script.family, window, rounds, max_rounds)

@@ -226,8 +226,19 @@ def _cubic_pair_candidates(limit_rank):
                     yield seq[i], seq[j]
 
 
+def _pair_candidates(limit_rank):
+    """Every symbol pair in shell order by max rank, then lex by (rank a, rank b): the
+    reference that connecting_algebra's partner-index walk must follow."""
+    seq = quaternion._ranked_classes(limit_rank)
+    for shell in range(1, len(seq)):
+        for i in range(shell):
+            yield seq[i], seq[shell]
+        for j in range(shell + 1):
+            yield seq[shell], seq[j]
+
+
 def test_pair_candidates_follow_the_cubic_filter():
-    walks = {rank: list(quaternion._pair_candidates(rank)) for rank in (*range(41), 400)}
+    walks = {rank: list(_pair_candidates(rank)) for rank in (*range(41), 400)}
     for rank in range(41):
         assert walks[rank] == list(_cubic_pair_candidates(rank))
         assert walks[rank] == walks[400][: len(walks[rank])]
@@ -250,7 +261,7 @@ def _unpruned_connecting(a1, a2):
     target = set(ramification(a1)) ^ set(ramification(a2))
     odd = sorted(v.prime for v in target if v.prime not in (None, 2))
     for a, b in chain(
-        quaternion._pair_candidates(quaternion._CONNECTING_RANK),
+        _pair_candidates(quaternion._CONNECTING_RANK),
         islice(_constructed_candidates(odd), quaternion._CONSTRUCT_TRIES),
     ):
         cand = QuaternionAlgebra.of(a, b)
@@ -264,17 +275,22 @@ _WORKED_ALGEBRAS = json.loads(
 )["algebras"]
 
 
+# the slowest pairs of the benchmark's tower-batch scripts before pruning
+_TOWER_BATCH_PAIRS = [
+    ((6, -7), (-2, 10)),
+    ((-10, 5), (-7, -7)),
+    ((-5, -7), (6, 7)),
+    ((5, -7), (-6, 3)),
+    ((7, -1), (-3, -5)),
+    ((3, -5), (-1, -7)),
+    ((-1, -7), (2, -6)),
+]
+
+
 @pytest.mark.parametrize(
     "first,second",
     [
-        # the slowest pairs of the benchmark's tower-batch scripts before pruning
-        ((6, -7), (-2, 10)),
-        ((-10, 5), (-7, -7)),
-        ((-5, -7), (6, 7)),
-        ((5, -7), (-6, 3)),
-        ((7, -1), (-3, -5)),
-        ((3, -5), (-1, -7)),
-        ((-1, -7), (2, -6)),
+        *_TOWER_BATCH_PAIRS,
         *[
             (tuple(_WORKED_ALGEBRAS[i]), tuple(_WORKED_ALGEBRAS[j]))
             for i in range(len(_WORKED_ALGEBRAS))
@@ -312,6 +328,57 @@ def test_constructed_fallback_keeps_the_first_match(a, b, c, d):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(quaternion, "_CONNECTING_RANK", 4)
         assert connecting_algebra(d1, d2) == _unpruned_connecting(d1, d2)
+
+
+def _filtered_walk(a1, a2):
+    """The reference walk's pairs that pass the sign and odd-prime filters, up to and
+    including the first match, and whether one matched."""
+    target = set(ramification(a1)) ^ set(ramification(a2))
+    real = INFINITE_PLACE in target
+    odd = [v.prime for v in target if v.prime not in (None, 2)]
+    kept = []
+    for a, b in _pair_candidates(quaternion._CONNECTING_RANK):
+        if (a < 0 and b < 0) == real and all(a % p == 0 or b % p == 0 for p in odd):
+            kept.append((a, b))
+            if set(ramification(QuaternionAlgebra.of(a, b))) == target:
+                return kept, True
+    return kept, False
+
+
+def _built_pairs(a1, a2):
+    """The (a, b) of every candidate connecting_algebra builds, in order."""
+    built = []
+    of = QuaternionAlgebra.of
+
+    def recording(a, b):
+        built.append((a, b))
+        return of(a, b)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(QuaternionAlgebra, "of", staticmethod(recording))
+        connecting_algebra(a1, a2)
+    return built
+
+
+@pytest.mark.parametrize(
+    "first,second", [*_TOWER_BATCH_PAIRS, ((11, 17), (-26, -29))]
+)
+def test_partner_index_builds_the_reference_candidates_in_order(first, second):
+    a1, a2 = QuaternionAlgebra.of(*first), QuaternionAlgebra.of(*second)
+    kept, matched = _filtered_walk(a1, a2)
+    assert matched == (first != (11, 17))  # (11,17), (-26,-29) falls back to _constructed
+    assert _built_pairs(a1, a2) == kept
+
+
+@given(symbol, symbol, symbol, symbol)
+@settings(max_examples=60, deadline=None)
+def test_partner_index_keeps_the_candidate_order_at_a_small_rank(a, b, c, d):
+    d1, d2 = QuaternionAlgebra.of(a, b), QuaternionAlgebra.of(c, d)
+    assume(is_division(d1) and is_division(d2) and not is_isomorphic(d1, d2))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(quaternion, "_CONNECTING_RANK", 4)
+        kept, _ = _filtered_walk(d1, d2)
+        assert _built_pairs(d1, d2) == kept
 
 
 def test_connecting_algebra_beyond_the_walk_is_constructed():

@@ -542,11 +542,14 @@ def test_a_step_without_a_window_or_budget_takes_the_defaults():
         ({"kind": "iterate"}, {"kind": "iterate", "window": 10, "max_rounds": 3}),
         ({"kind": "alternate"}, {"kind": "alternate", "window": 10, "rounds": 1, "max_rounds": 3}),
     ):
+        # an explicit null is a missing key, for each key alone and for all at once
+        nulls = [{**bare, key: None} for key in spelled if key != "kind"]
+        nulls.append({**bare, **{key: None for key in spelled if key != "kind"}})
         reports = [
             render_report(run_script_data({**WORKED_PUSHING, "steps": [step]}, RunConfig())[0])
-            for step in (bare, spelled)
+            for step in (bare, spelled, *nulls)
         ]
-        assert reports[0] == reports[1]
+        assert reports == [reports[0]] * len(reports)
 
 
 def test_runner_propagates_exit_semantics():
@@ -1430,8 +1433,13 @@ def test_window_splits_over_every_mix_of_entry_statuses():
 
 
 # a small-scope sweep: every script of one or two steps, built from these six
-# step shapes, over three small families
-SWEEP_FAMILIES = ([[-1, -1], [-1, -3]], [[-1, -1], [2, 5]], [[-1, -3], [3, -7]])
+# step shapes, over four small families
+SWEEP_FAMILIES = (
+    [[-1, -1], [-1, -3]],
+    [[-1, -1], [2, 5]],
+    [[-1, -3], [3, -7]],
+    [[3, -5], [-1, -7]],  # connecting algebra (-2,-35), deep in the shell order
+)
 SWEEP_STEPS = (
     {"kind": "pushing", "classes": [-2, 3]},
     {"kind": "linking"},
@@ -1462,4 +1470,4 @@ def test_every_short_script_over_small_families_renders_and_replays_alike():
                 for node in iter_certificates(Certificate.from_json(cert_json)):
                     assert replay(node, context), script
     # a change in what the engine certifies or refuses shows here
-    assert outcomes == {0: 74, "InputError": 39, "TruncationError": 13}
+    assert outcomes == {0: 100, "InputError": 52, "TruncationError": 16}
