@@ -128,10 +128,17 @@ def contains_subfield(alg: QuaternionAlgebra, c: int | Rational) -> bool:
     return not any(_local_class(s, v) == (0, 1) for v in ramification(alg))
 
 
+def _check_limit(limit: int) -> None:
+    """Refuse a witness limit below 1: no class has |c| <= 0, so no search could answer."""
+    if limit < 1:
+        raise InputError(f"witness limit must be positive; got {limit}")
+
+
 def common_subfield_witness(
     a1: QuaternionAlgebra, a2: QuaternionAlgebra, limit: int = 1000
 ) -> int:
     """First square class embedding in both algebras, in canonical witness order."""
+    _check_limit(limit)
     for alg in (a1, a2):
         if not is_division(alg):
             raise PreconditionError(f"{alg} is split; subfield search needs division algebras")
@@ -147,6 +154,7 @@ def distinguishing_witness(
     a1: QuaternionAlgebra, a2: QuaternionAlgebra, limit: int = 1000
 ) -> int:
     """First square class embedding in exactly one of two non-isomorphic division algebras."""
+    _check_limit(limit)
     for alg in (a1, a2):
         if not is_division(alg):
             raise PreconditionError(f"{alg} is split; genus comparison needs division algebras")
@@ -282,6 +290,7 @@ class GenusReport:
 
 def genus_report(algebras: list[QuaternionAlgebra], limit: int = 1000) -> GenusReport:
     """Pairwise verdicts for a family of division algebras, with witnesses."""
+    _check_limit(limit)
     for alg in algebras:
         if not is_division(alg):
             raise PreconditionError(f"{alg} is split; the genus report needs division algebras")

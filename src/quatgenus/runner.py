@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from itertools import repeat
+from operator import is_
 from json.encoder import encode_basestring_ascii
 
 from .arith import witness_sequence
@@ -302,18 +303,32 @@ _BATCH = 4096  # parts joined into one piece, so no list holds every token
 _int_repr = int.__repr__  # as json does: an IntEnum renders as its number
 _END = object()
 _STR = repeat(str)  # all(map(isinstance, d, _STR)): every key of d is a str
+_INT = repeat(int)  # all(map(is_, _INT, map(type, xs))): every item of xs is an exact int
+# the writer of each scalar, by exact type; a subclass takes the isinstance route
+_SCALARS = {
+    str: encode_basestring_ascii,
+    int: _int_repr,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): {None: "null"}.__getitem__,
+}
 
 
 def _shared_containers(value: object) -> set[int]:
     """The ids of the non-empty lists, tuples and dicts reached at two or more places.
 
     A container is walked the first time it is reached only, so one inside a
-    shared container is not counted again for each copy. The set only tells
-    render_report which texts to keep: a wrong entry costs time, never bytes,
-    so exact types are checked and dict keys are not.
+    shared container is not counted again for each copy. Subclasses of list,
+    tuple and dict are walked too, so every container that iter_report opens
+    is walked: a container on a cycle is reached from its parent (or is the
+    root) and again from inside itself, so it is in the set, and iter_report
+    checks for cycles at these containers only. Beyond that the set only
+    tells iter_report which texts to keep: a wrong entry costs time, never
+    bytes, so dict keys are not checked, and a list of ints, which is
+    written in one join wherever it is met, may be counted and not kept.
     """
     seen: set[int] = set()
     shared: set[int] = set()
+    scalars = _SCALARS
     stack = [value]
     while stack:
         value = stack.pop()
@@ -321,6 +336,12 @@ def _shared_containers(value: object) -> set[int]:
         if kind is dict:
             items = value.values()
         elif kind is list or kind is tuple:
+            items = value
+        elif kind in scalars:
+            continue
+        elif isinstance(value, dict):
+            items = value.values()
+        elif isinstance(value, (list, tuple)):
             items = value
         else:
             continue
@@ -344,28 +365,35 @@ def iter_report(report: dict):
     With indent set, json.dumps runs a pure-Python encoder that nests one
     generator per container level, so every chunk is resumed through every
     enclosing level. This walk keeps the open containers on an explicit
-    stack instead. Strings, ints, bools and None are written here; anything
-    else (floats, a dict with a non-str key, an unserializable object) is
-    handed to json.dumps whole and re-indented, which is exact because
-    encoded JSON holds no raw newline. Any JSON value renders, not only
-    reports.
+    stack instead. Strings, ints, bools and None are written here, each by
+    its exact type's writer in _SCALARS; a subclass of str or int takes the
+    isinstance route that json.dumps takes. Anything else (floats, a dict
+    with a non-str key, an unserializable object) is handed to json.dumps
+    whole and re-indented, which is exact because encoded JSON holds no raw
+    newline. Any JSON value renders, not only reports.
+
+    While a container is open, the loop writes its scalar items in place and
+    goes back to the top only for an item that is not one. A non-empty list
+    of exact ints is written in one join.
 
     A report cites one certificate dict from many places. A container met
     at two or more places is written once: its text is kept, dedented to
     depth 0, and each later occurrence appends it re-indented to its own
     depth. The first occurrence is written in traversal order, so a cycle
-    or an unserializable value raises just where json.dumps raises.
+    or an unserializable value raises just where json.dumps raises: every
+    container on a cycle is shared, so only shared containers are checked.
     """
     shared = _shared_containers(report)
     written: dict[int, str] = {}  # id -> text at depth 0, for shared containers
-    captures: list[tuple[int, int]] = []  # (id, index in parts) per open shared container
-    newlines = ["\n"]  # newlines[d] == "\n" + "  " * d, grown on demand
-    separators: dict[int, str] = {}  # "," + newlines[d], for containers of 2+ items
+    captures: list[int] = []  # index in parts where each open shared container starts
+    newlines = ["\n", "\n  "]  # newlines[d] == "\n" + "  " * d, up to the depth of open items
+    separators = [",\n", ",\n  "]  # "," + newlines[d]
     parts: list[str] = []
     append = parts.append
     encode = encode_basestring_ascii
+    scalar = _SCALARS.get
     # one frame per open container: (iterator over its items, is a dict,
-    # separator between items, id for the cycle check)
+    # separator between items, id if shared for the cycle check, else None)
     stack: list[tuple] = []
     open_ids: set[int] = set()
     depth = 0
@@ -374,72 +402,91 @@ def iter_report(report: dict):
         if len(parts) >= _BATCH and not captures:
             yield "".join(parts)
             parts.clear()
-        if isinstance(value, str):
-            append(encode(value))
-        elif value is None:
-            append("null")
-        elif value is True:
-            append("true")
-        elif value is False:
-            append("false")
-        elif isinstance(value, int):
-            append(_int_repr(value))
-        elif isinstance(value, (list, tuple)) or (
-            isinstance(value, dict) and all(map(isinstance, value, _STR))
-        ):
-            is_dict = isinstance(value, dict)
+        kind = type(value)
+        if kind is list or kind is tuple:
+            is_dict = False
+        elif kind is dict or isinstance(value, dict):
+            is_dict = all(map(isinstance, value, _STR)) or None  # None: json.dumps sorts the keys
+        else:
+            is_dict = False if isinstance(value, (list, tuple)) else None
+        if is_dict is None:  # a scalar at the root, a subclass, or a value json.dumps writes
+            write = scalar(kind)
+            if write is not None:
+                append(write(value))
+            elif isinstance(value, str):
+                append(encode(value))
+            elif isinstance(value, int):
+                append(_int_repr(value))
+            else:
+                append(json.dumps(value, indent=2, sort_keys=True).replace("\n", newlines[depth]))
+        elif not value:
+            append("{}" if is_dict else "[]")
+        elif kind is list and type(value[0]) is int and all(map(is_, _INT, map(type, value))):
+            append("[" + newlines[depth + 1] + separators[depth + 1].join(map(_int_repr, value))
+                   + newlines[depth] + "]")
+        else:
             ident = id(value)
-            if not value:
-                append("{}" if is_dict else "[]")
+            if ident not in shared:
+                ident = None
             elif ident in written:
                 append(written[ident].replace("\n", newlines[depth]))  # depth >= 1: not the root
                 if not captures:  # a reused text can be megabytes: it ends its piece
                     yield "".join(parts)
                     parts.clear()
+                is_dict = None  # written: nothing to open
+            elif ident in open_ids:
+                raise ValueError("Circular reference detected")
             else:
-                if ident in open_ids:
-                    raise ValueError("Circular reference detected")
                 open_ids.add(ident)
-                if ident in shared:
-                    captures.append((ident, len(parts)))
+                captures.append(len(parts))
+            if is_dict is not None:
                 depth += 1
-                if depth == len(newlines):
+                if depth + 1 == len(newlines):
                     newlines.append(newlines[-1] + "  ")
-                separator = None
-                if len(value) > 1:
-                    separator = separators.get(depth)
-                    if separator is None:
-                        separator = separators[depth] = "," + newlines[depth]
+                    separators.append(separators[-1] + "  ")
                 items = iter(sorted(value.items()) if is_dict else value)
-                stack.append((items, is_dict, separator, ident))
+                stack.append((items, is_dict, separators[depth], ident))
                 if is_dict:
                     key, value = next(items)
-                    append("{" + newlines[depth] + encode(key) + ": ")
+                    head = "{" + newlines[depth] + encode(key) + ": "
                 else:
                     value = next(items)
-                    append("[" + newlines[depth])
-                continue
-        else:
-            append(json.dumps(value, indent=2, sort_keys=True).replace("\n", newlines[depth]))
-        # the value is written: move on to the next item, closing finished containers
+                    head = "[" + newlines[depth]
+                write = scalar(type(value))
+                if write is None:
+                    append(head)
+                    continue
+                append(head + write(value))
+        # the value is written: write the scalar items that follow it, closing
+        # finished containers, up to the next item that is not a scalar
         while stack:
             items, is_dict, separator, ident = stack[-1]
-            item = next(items, _END)
-            if item is not _END:
-                if is_dict:
-                    key, value = item
-                    append(separator + encode(key) + ": ")
+            if is_dict:
+                for key, value in items:
+                    write = scalar(type(value))
+                    if write is None:
+                        append(separator + encode(key) + ": ")
+                        break
+                    append(separator + encode(key) + ": " + write(value))
                 else:
-                    value = item
-                    append(separator)
+                    value = _END
+            else:
+                for value in items:
+                    write = scalar(type(value))
+                    if write is None:
+                        append(separator)
+                        break
+                    append(separator + write(value))
+                else:
+                    value = _END
+            if value is not _END:
                 break
             stack.pop()
-            open_ids.discard(ident)
             depth -= 1
-            append(newlines[depth])
-            append("}" if is_dict else "]")
-            if captures and captures[-1][0] == ident:
-                start = captures.pop()[1]
+            append(newlines[depth] + ("}" if is_dict else "]"))
+            if ident is not None:
+                open_ids.discard(ident)
+                start = captures.pop()
                 text = "".join(parts[start:])
                 del parts[start:]
                 append(text)

@@ -162,6 +162,14 @@ def test_quat_witness(capsys):
     assert "distinguishing witness: -1" in out
 
 
+@pytest.mark.parametrize("limit", ["0", "-5"])
+@pytest.mark.parametrize("action", ["witness", "compare", "genus"])
+def test_quat_limit_below_one_is_input_error(capsys, action, limit):
+    code, out, err = run_cli(capsys, "quat", action, "-1,-1", "-1,-3", "--limit", limit)
+    assert (code, out) == (2, "")
+    assert err == f"error: witness limit must be positive; got {limit}\n"
+
+
 def test_quat_genus_json(capsys):
     code, out, _ = run_cli(
         capsys, "quat", "genus", "-1,-1", "-1,-3", "-1,-7", "--json"

@@ -192,6 +192,28 @@ def test_distinguishing_witness_worked_value():
         distinguishing_witness(HAMILTON, QuaternionAlgebra(-2, -1))
 
 
+@pytest.mark.parametrize("limit", [0, -5])
+def test_witness_searches_refuse_a_limit_below_one_first(limit, monkeypatch):
+    def searched(*_args):
+        raise AssertionError("searched with a limit below 1")
+
+    monkeypatch.setattr(quaternion, "iter_witnesses", searched)
+    split = QuaternionAlgebra(1, 5)
+    # the limit is checked before the division test, the isomorphism test and the search
+    calls = [
+        lambda: common_subfield_witness(HAMILTON, D13, limit),
+        lambda: common_subfield_witness(HAMILTON, split, limit),
+        lambda: distinguishing_witness(HAMILTON, D13, limit),
+        lambda: distinguishing_witness(HAMILTON, QuaternionAlgebra(-2, -1), limit),
+        lambda: genus_report([HAMILTON, D13], limit),
+        lambda: genus_report([HAMILTON, QuaternionAlgebra(-2, -1)], limit),
+        lambda: genus_report([HAMILTON, split], limit),
+    ]
+    for call in calls:
+        with pytest.raises(InputError, match=f"witness limit must be positive; got {limit}"):
+            call()
+
+
 def test_connecting_algebra_worked_value():
     connecting = connecting_algebra(HAMILTON, D13)
     assert connecting == QuaternionAlgebra(-1, 3)

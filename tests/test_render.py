@@ -1,5 +1,6 @@
 """The report renderer: json.dumps(indent=2, sort_keys=True)'s bytes, without its recursion."""
 
+import enum
 import hashlib
 import json
 import sys
@@ -46,6 +47,46 @@ def _outcome(render, value):
         return render(value)
     except (TypeError, ValueError) as error:
         return type(error), str(error)
+
+
+class Level(enum.IntEnum):
+    TOP = 7
+
+
+class Name(str):
+    pass
+
+
+class Items(list):
+    pass
+
+
+def _int_list_at_two_depths():
+    ints = [3, -5, 7]
+    return {"a": ints, "b": [[ints, 1]], "c": {"d": ints}}
+
+
+def _cycle_through_a_dict_reached_twice():
+    looped: dict = {"n": 1}
+    looped["back"] = {"again": looped}
+    return [looped, {"x": looped}]
+
+
+def _cycle_through_a_tuple():
+    outer: list = []
+    outer.append((outer,))
+    return outer
+
+
+def _cycle_through_a_list_subclass():
+    looped: dict = {"n": 1}
+    looped["items"] = Items([looped, 2])
+    return looped
+
+
+def _shared_list_subclass():
+    items = Items([{"k": Name("v")}, Level.TOP])
+    return {"a": items, "b": [items, [items]]}
 
 
 def _reference(value) -> str:
@@ -99,6 +140,17 @@ values = st.recursive(
 @example([[], {}, [[]], {"a": {}}, [[], [{}]]])
 @example({"b": [1.5, -0.0, float("nan")], "a": {"x": {1: [2], 3: None}}})
 @example({2: "two", 10: "ten", -1: {"k": (1, 2)}})
+@example(None)  # a scalar root: nothing is shared
+# a bool is not an int to the integer-list join
+@example([1, True, 2])
+@example([0, False])
+# subclasses of int and str take json's isinstance route, in a list and as a value
+@example([Level.TOP, 1])
+@example({"level": Level.TOP, "name": Name("x\n")})
+@example([Name("a"), Name('"b"')])
+@example([2**200, -1])
+@example((1, 2, 3))
+@example({"ints": [1, 2], "tuple": (4, 5), "mixed": [1, "1"], "nested": [[1], [2, 3]]})
 @example({"": "", "\\": '"', "é": "\x00", "{[,:]}": " "})
 def test_render_matches_json_dumps(value):
     expected = _outcome(_reference, value)
@@ -182,6 +234,12 @@ def _cycle_through_shared():
 @example(_shared_mixed_keys())
 @example(_shared_sortable_non_str_keys())
 @example(_cycle_through_shared())
+@example(_int_list_at_two_depths())
+@example(_cycle_through_a_dict_reached_twice())
+@example(_cycle_through_a_tuple())
+@example((_cycle_through_a_tuple()[0],))
+@example(_cycle_through_a_list_subclass())
+@example(_shared_list_subclass())
 def test_render_matches_json_dumps_on_shared_values(value):
     expected = _outcome(_reference, value)
     for render in RENDERERS:

@@ -1462,6 +1462,8 @@ def test_every_short_script_over_small_families_renders_and_replays_alike():
                 continue
             outcomes[code] += 1
             text = render_report(report)
+            # 100 real report shapes through the renderer, against the standard library
+            assert text == json.dumps(report, indent=2, sort_keys=True) + "\n", script
             assert text == render_report(run_script_data(script, RunConfig())[0]), script
             assert report["replay"]["checked"] == report["replay"]["passed"], script
             parsed = json.loads(text)
