@@ -23,7 +23,8 @@ ReplayContext() is the rationals with no levels. Every node needs
 gets False in bounded work: a stored exponent is bounded before 2 is raised to
 it, and a coefficient that factoring gives up on (SearchExhausted) fails the
 node. replay() checks each node object at most once across all its calls
-with one context: a node whose whole subtree has passed is not walked again.
+with one context: a node whose whole subtree has passed is not walked again,
+and a call on such a root returns at once.
 That relies on certificates being frozen: a node's JSON-valued parameters
 must not be mutated in place after a replay.
 
@@ -288,20 +289,26 @@ class Certificate:
         # own-fields entry, an iterator over its raw premises and the premises
         # built so far: each node's own fields are validated (or found valid in
         # the table) before its premises, left to right, so the first error
-        # reported is the first in preorder
-        done = object()  # not None: a JSON null premise is an error, not the end
-        stack = [(*_open_node(data, 1), [])]
+        # reported is the first in preorder. A node with no premises is built
+        # as soon as it is opened, and never stacked.
+        entry, raw = _open_node(data, 1)
+        if not raw:
+            return _node_of(entry, ())
+        stack = [(entry, iter(raw), [])]
         while True:
-            entry, pending, premises = stack[-1]
-            raw = next(pending, done)
-            if raw is not done:
-                stack.append((*_open_node(raw, len(stack) + 1), []))
-                continue
-            stack.pop()
-            node = _node_of(entry, tuple(premises))
-            if not stack:
-                return node
-            stack[-1][2].append(node)
+            open_entry, pending, premises = stack[-1]
+            for child in pending:
+                entry, raw = _open_node(child, len(stack) + 1)
+                if raw:
+                    stack.append((entry, iter(raw), []))
+                    break
+                premises.append(_node_of(entry, ()))
+            else:
+                stack.pop()
+                node = _node_of(open_entry, tuple(premises))
+                if not stack:
+                    return node
+                stack[-1][2].append(node)
 
 
 # The table of parsed nodes (hash-consing: each distinct value is built once,
@@ -320,10 +327,12 @@ class Certificate:
 _PARSED: dict[bytes, weakref.ref] = {}
 _SCALAR_TYPES = frozenset({str, int, float, bool, type(None)})
 _OWN_KEYS = frozenset({"rule", "status", "subject", "level", "parameters"})
+_STR = frozenset({str})
+_STATUS_OF = {status.value: status for status in Status}
 
 
-def _open_node(data: object, depth: int) -> tuple[tuple, Iterator[object]]:
-    """A node's entry and an iterator over its raw premises. The entry is the
+def _open_node(data: object, depth: int) -> tuple[tuple, list]:
+    """A node's entry and its list of raw premises. The entry is the
     own-fields code, a live node with those own fields or None, and the
     validated own fields when there is none."""
     if type(data) is not dict:
@@ -343,7 +352,7 @@ def _open_node(data: object, depth: int) -> tuple[tuple, Iterator[object]]:
         raise InputError(
             f"malformed certificate: certificate premises must be a list: {_quoted(raw_premises)}"
         )
-    return (code, known, fields), iter(raw_premises)
+    return (code, known, fields), raw_premises
 
 
 def _node_of(entry: tuple, premises: tuple[Certificate, ...]) -> Certificate:
@@ -373,21 +382,41 @@ def _validated_fields(own: dict) -> tuple:
     InputError unless the fields are exactly JSON, under no other key.
     """
     try:
-        status = Status(own["status"])
-        subject = form_from_json(own["subject"])
+        raw_status = own["status"]
+        status = _STATUS_OF.get(raw_status) if type(raw_status) is str else None
+        if status is None:  # refused, or an equal str subclass that the copy refuses
+            status = Status(raw_status)
+        raw_subject = own["subject"]
+        subject = form_from_json(raw_subject)
         level = own["level"]
         if not _is_int(level):
             raise InputError(f"certificate level must be an integer: {_quoted(level)}")
-        # the copy refuses what is not exactly JSON; the node's dict sits at
-        # depth -1, so each parameter value is copied from depth 1
-        exact = _json_copy(own, -1)
-        unknown = exact.keys() - _OWN_KEYS
-        if unknown:
-            raise InputError(f"unknown certificate field: {_quoted(min(unknown))}")
-        raw_params = exact.get("parameters", {})
-        if type(raw_params) is not dict:
-            raise InputError(f"certificate parameters must be an object: {_quoted(raw_params)}")
-        return exact["rule"], status, subject, level, tuple(sorted(raw_params.items()))
+        params = own.get("parameters", {})
+        if (
+            type(raw_status) is str
+            and type(level) is int
+            and type(raw_subject) is list
+            and type(own.get("rule")) in _SCALAR_TYPES
+            and type(params) is dict
+            and own.keys() <= _OWN_KEYS
+            and _STR.issuperset(map(type, own))
+        ):
+            # every other field is an exact scalar, or an exact list that
+            # DiagonalForm.from_json found to hold exact ints: parameters are
+            # the one raw value a node keeps, and the one copied, each value
+            # from depth 1 as in the full copy below
+            params = _json_copy(params, 0)
+        else:
+            # the full copy refuses what is not exactly JSON, and reports the
+            # first such value in key order; the node's dict sits at depth -1
+            own = _json_copy(own, -1)
+            unknown = own.keys() - _OWN_KEYS
+            if unknown:
+                raise InputError(f"unknown certificate field: {_quoted(min(unknown))}")
+            params = own.get("parameters", {})
+            if type(params) is not dict:
+                raise InputError(f"certificate parameters must be an object: {_quoted(params)}")
+        return own["rule"], status, subject, level, tuple(sorted(params.items()))
     except (KeyError, ValueError, TypeError, SearchExhausted) as exc:
         raise InputError(f"malformed certificate: {exc}") from exc
 
@@ -399,14 +428,17 @@ def _json_copy(value: object, depth: int = 1) -> list | dict:
 
     Nesting past MAX_PARAM_NESTING is an InputError, so a copy of untrusted
     JSON recurses a bounded number of frames. Scalars are tested in line, not
-    called on: a call per scalar would make parsing a report measurably slower.
+    called on: a call per scalar would make parsing a report measurably slower,
+    and a list that holds only scalars is tested and copied in one step each.
     """
     if depth > MAX_PARAM_NESTING:
         raise InputError(f"certificate value nests deeper than {MAX_PARAM_NESTING} levels")
     kind = type(value)
     if kind is list:
+        if _SCALAR_TYPES.issuperset(map(type, value)):
+            return value.copy()
         return [x if type(x) in _SCALAR_TYPES else _json_copy(x, depth + 1) for x in value]
-    if kind is dict and all(type(k) is str for k in value):
+    if kind is dict and _STR.issuperset(map(type, value)):
         return {
             k: x if type(x) in _SCALAR_TYPES else _json_copy(x, depth + 1)
             for k, x in value.items()
@@ -602,7 +634,8 @@ def context_from_report(report: object) -> ReplayContext:
 def certificates_in_report(report: object):
     """Yield every top-level certificate JSON object embedded in a report, in
     document order. Walked with an explicit stack, so nesting does not recurse;
-    only dicts and lists are pushed, never the scalars beside them."""
+    only dicts and lists are pushed, never the scalars beside them, and a list
+    of JSON scalars (a form, a class list) is passed over in one test."""
     stack = [report]
     push = stack.append
     containers = (dict, list)
@@ -613,8 +646,8 @@ def certificates_in_report(report: object):
                 yield node
                 continue
             node = node.values()
-        elif not isinstance(node, list):
-            continue  # a scalar report; no scalar is ever pushed
+        elif not isinstance(node, list) or _SCALAR_TYPES.issuperset(map(type, node)):
+            continue  # a scalar report, or a list that holds no container
         for value in reversed(node):
             if isinstance(value, containers):
                 push(value)
@@ -623,10 +656,13 @@ def certificates_in_report(report: object):
 def replay(cert: Certificate, context: ReplayContext) -> bool:
     """Re-derive every fact the certificate tree consumed; False on any mismatch.
 
-    A node whose whole subtree already passed under the context is skipped.
-    Nodes are recorded only when the whole call passes.
+    A node whose whole subtree already passed under the context is skipped,
+    and a call on such a root returns True at once. Nodes are recorded only
+    when the whole call passes.
     """
     passed = context._passed
+    if id(cert) in passed:
+        return True
     visited = []
     stack = [cert]
     while stack:

@@ -119,6 +119,7 @@ def cmd_form(args: argparse.Namespace) -> int:
 def cmd_quat(args: argparse.Namespace) -> int:
     from .arith import parse_rational
     from .quaternion import (
+        _check_limit,
         common_subfield_witness,
         contains_subfield,
         distinguishing_witness,
@@ -128,6 +129,8 @@ def cmd_quat(args: argparse.Namespace) -> int:
         ramification,
     )
 
+    # refused before any action runs: isomorphic algebras search no witness
+    _check_limit(args.limit)
     if args.action == "embeds":
         algebra = _parse_algebra(args.first)
         verdict = contains_subfield(algebra, parse_rational(args.second))

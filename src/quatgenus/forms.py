@@ -93,6 +93,15 @@ class DiagonalForm:
             signature=(pos, n - pos),
         )
 
+    @_memo
+    def _pfister_exponent(self) -> int | None:
+        """pfister_exponent's answer, computed once per form object."""
+        if self.dim == 2:
+            return 1 if represents(self, 1) else None
+        if self.dim == 4 and self.det() == 1 and represents(self, 1):
+            return 2
+        return None
+
     def det(self) -> int:
         return self._invariants.determinant
 
@@ -535,10 +544,4 @@ def pfister(generators: Sequence[int | Rational]) -> DiagonalForm:
 
 def pfister_exponent(q: DiagonalForm) -> int | None:
     """n when q is isometric to an n-fold Pfister form (n = 1, 2), else None."""
-    if q.dim == 2:
-        return 1 if represents(q, 1) else None
-    if q.dim == 4:
-        if q.det() == 1 and represents(q, 1):
-            return 2
-        return None
-    return None
+    return q._pfister_exponent

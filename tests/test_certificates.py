@@ -691,6 +691,14 @@ class _Str(str):
     pass
 
 
+class _List(list):
+    pass
+
+
+class _Int(int):
+    pass
+
+
 @pytest.mark.parametrize(
     "bad",
     [
@@ -706,10 +714,19 @@ class _Str(str):
         {**_PREMISE, "note": None},
         {_Str(k) if k == "rule" else k: v for k, v in _PREMISE.items()},
         type("Node", (dict,), {})(_PREMISE),
+        {**_PREMISE, "subject": _List([1, -1])},
+        {**_PREMISE, "subject": [1, _Int(-1)]},
+        {**_PREMISE, "level": False},
+        {**_PREMISE, "level": _Int(0)},
+        {**_PREMISE, "level": 0.0},
+        {**_PREMISE, "subject": {"symbolic": [{"sign": 1, "symbols": [_Str("a")]},
+                                              {"sign": -1, "symbols": ["b"]}]}},
+        {**_PREMISE, "parameters": [["verdict", "isotropic"]]},
     ],
     ids=["tuple", "bytes", "bytearray", "str-subclass", "key-subclass", "status-subclass",
          "tuple-subject", "tuple-rule", "tuple-premises", "unknown-key", "rule-key-subclass",
-         "dict-subclass"],
+         "dict-subclass", "list-subclass-subject", "int-subclass-entry", "bool-level",
+         "int-subclass-level", "float-level", "str-subclass-symbol", "list-parameters"],
 )
 def test_node_json_that_is_not_exactly_json_is_an_input_error(bad):
     assert replay(Certificate.from_json(_PREMISE), ReplayContext())

@@ -170,6 +170,15 @@ def test_quat_limit_below_one_is_input_error(capsys, action, limit):
     assert err == f"error: witness limit must be positive; got {limit}\n"
 
 
+@pytest.mark.parametrize("action", ["compare", "witness", "genus", "embeds"])
+def test_quat_limit_below_one_is_refused_whatever_the_answer(capsys, action):
+    # isomorphic algebras need no distinguishing witness, and embeds no witness at all
+    second = "2" if action == "embeds" else "-2,-1"
+    assert run_cli(capsys, "quat", action, "-1,-1", second, "--limit", "1")[0] == 0
+    code, out, err = run_cli(capsys, "quat", action, "-1,-1", second, "--limit", "0")
+    assert (code, out, err) == (2, "", "error: witness limit must be positive; got 0\n")
+
+
 def test_quat_genus_json(capsys):
     code, out, _ = run_cli(
         capsys, "quat", "genus", "-1,-1", "-1,-3", "-1,-7", "--json"

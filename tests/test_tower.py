@@ -1228,6 +1228,40 @@ def test_in_run_replay_checks_each_certificate_object_once(monkeypatch, script, 
     assert report["replay"] == {"checked": visits, "passed": visits} and code == 0
 
 
+def test_replay_on_a_root_that_passed_checks_nothing(monkeypatch):
+    report, _ = run_script_data(DEEP_SCRIPT, RunConfig())
+    roots = [Certificate.from_json(c) for c in certificates_in_report(json.loads(render_report(report)))]
+    context = context_from_report(report)
+    assert all(replay(root, context) for root in roots)
+    calls = []
+    monkeypatch.setattr(certificates, "check_node", lambda cert, ctx: calls.append(cert))
+    assert all(replay(node, context) for root in roots for node in iter_certificates(root))
+    assert calls == []
+
+
+def _replay_walking_every_root(cert: Certificate, context: ReplayContext) -> bool:
+    """replay() without its early return: a passed root is stacked, popped and skipped."""
+    passed, visited, stack = context._passed, [], [cert]
+    while stack:
+        node = stack.pop()
+        if id(node) in passed:
+            continue
+        if not certificates.check_node(node, context):
+            return False
+        visited.append(node)
+        stack.extend(reversed(node.premises))
+    passed.update((id(node), node) for node in visited)
+    return True
+
+
+def test_the_early_return_leaves_the_in_run_replay_counts_of_tower_deep(monkeypatch):
+    report, code = run_script_data(DEEP_SCRIPT, RunConfig())
+    monkeypatch.setattr(runner, "replay", _replay_walking_every_root)
+    walked, walked_code = run_script_data(DEEP_SCRIPT, RunConfig())
+    assert report["replay"] == walked["replay"] == {"checked": 1175, "passed": 1175}
+    assert code == walked_code == 0
+
+
 def test_the_width_8_report_keeps_its_bytes():
     report, _ = run_script_data(WIDTH_8_SCRIPT, RunConfig())
     digest = hashlib.sha256(render_report(report).encode()).hexdigest()
