@@ -361,20 +361,28 @@ def _synthesize(target: FormInvariants, q: DiagonalForm) -> DiagonalForm | None:
     order over squarefree_classes(limit), listed lazily as far as the budget reaches.
     Only targets of one or two entries can run the pool (78 classes or more) out first:
     a binary kernel <a, a det> is then searched over a alone, past the pool, and a
-    one-entry kernel is refused (ROADMAP item 4)."""
+    one-entry kernel <det> past the pool is refused (ROADMAP item 4)."""
     if target.dimension == 0:
         return None
     limit = max(64, max(abs(x) for x in q.coefficients) * 4)
     # one class past the budget: a longer pool must end in SearchExhausted, not run out
     pool = list(islice(chain((1,), iter_witnesses(limit)), _SYNTH_BUDGET + 1))
+    if target.dimension == 1:
+        # <c> has key (1, c, its signature, no Hasse place): only <det> can match, and
+        # the walk below would reach it at its place in the pool
+        d = target.determinant
+        if d in pool[:_SYNTH_BUDGET] and invariants(DiagonalForm((d,))).key == target.key:
+            return DiagonalForm((d,))
+        if len(pool) > _SYNTH_BUDGET:
+            tried = _SYNTH_BUDGET
+            raise SearchExhausted(f"no anisotropic part of {q} among {tried} candidate forms")
+        return None
     for tried, combo in enumerate(product(pool, repeat=target.dimension)):
         if tried == _SYNTH_BUDGET:
             raise SearchExhausted(f"no anisotropic part of {q} among {tried} candidate forms")
         cand = DiagonalForm(combo)
         if invariants(cand).key == target.key:
             return cand
-    if target.dimension == 1:
-        return None
     firsts = chain((1,), iter_witnesses(1 << 62))  # the table grows only as far as read
     for a in islice(firsts, _SYNTH_BUDGET):
         cand = DiagonalForm((a, squarefree_product((a, target.determinant))))

@@ -10,11 +10,23 @@ The residue search is bit-parallel: the sums a prefix of coordinates can
 reach mod p (mod 8 at p = 2) are the set bits of an integer, and adding a
 coordinate value s rotates that mask by s. It stops as soon as the sum 0 is
 reached with a Hensel-ready coordinate.
+
+Each finite place's verdict is folded once per key of square-class counts
+and then read from a table. The key is exact. At an odd p the values a*x^2
+for a unit x form the coset a*Q of the nonzero squares Q mod p (Serre,
+Ch. II, 3.3), so they depend only on whether a mod p lies in Q. The first
+block order folds only the units, since the p-divisible block is 0 mod p;
+the swapped order folds only the cofactors c // p, which are units because c
+is square-free. So the verdict is a function of p and four counts: units in
+Q, units outside Q, cofactors in Q and cofactors outside Q. At p = 2 the fold
+reads only the residues mod 8 of the odd coefficients and of c // 2 for the
+even ones. A key seen for the first time is folded on class
+representatives: 1 and the least non-square mod p, or the residues mod 8.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Set
 
 from .arith import squarefree_part
 from .errors import InputError
@@ -51,7 +63,7 @@ def _zero_reached_ready(
 
 
 def _solvable_with_unit_level(
-    unit_coeffs: list[int], next_coeffs: list[int], p: int, squares: set[int]
+    unit_coeffs: list[int], next_coeffs: list[int], p: int, squares: Set[int]
 ) -> bool:
     """Is f0 + p*f1 = 0 solvable with a unit coordinate in the f0 block?
 
@@ -73,10 +85,61 @@ def _solvable_with_unit_level(
     return _zero_reached_ready((([a * s % p for s in squares], ()) for a in unit_coeffs), p)
 
 
-def local_isotropic_search(coefficients: tuple[int, ...], place: Place) -> bool:
-    """Local isotropy by residue search; coefficients must be square-free."""
+# p -> (the nonzero squares mod p, the least non-square mod p), for odd p
+_SQUARE_CLASSES: dict[int, tuple[frozenset[int], int]] = {}
+# _class_key(coefficients, p) -> the verdict at p
+_VERDICTS: dict[tuple, bool] = {}
+
+
+def _square_classes(p: int) -> tuple[frozenset[int], int]:
+    table = _SQUARE_CLASSES.get(p)
+    if table is None:
+        squares = frozenset(x * x % p for x in range(1, p // 2 + 1))
+        table = _SQUARE_CLASSES[p] = (squares, next(r for r in range(2, p) if r not in squares))
+    return table
+
+
+def _class_key(coefficients: tuple[int, ...], p: int) -> tuple:
+    """What the fold at p reads of the coefficients: (2, odd residues, cofactor residues)
+    mod 8 at 2; at an odd p, (p, units in Q, units outside Q, cofactors c // p in Q,
+    cofactors outside Q), with Q the nonzero squares mod p."""
+    if p == 2:
+        return (
+            2,
+            tuple(sorted(c % 8 for c in coefficients if c % 2)),
+            tuple(sorted(c // 2 % 8 for c in coefficients if not c % 2)),
+        )
+    squares = _square_classes(p)[0]
+    counts = [0, 0, 0, 0]
     for c in coefficients:
-        if c == 0 or squarefree_part(c) != c:
+        r = c % p
+        if r:
+            counts[r not in squares] += 1
+        else:
+            counts[2 + (c // p % p not in squares)] += 1
+    return (p, *counts)
+
+
+def _folded(key: tuple) -> bool:
+    """The verdict for a class key, folded on class representatives in both block orders."""
+    p = key[0]
+    if p == 2:
+        squares: Set[int] = frozenset()
+        units, nexts = list(key[1]), list(key[2])
+    else:
+        squares, nonsquare = _square_classes(p)
+        units = [1] * key[1] + [nonsquare] * key[2]
+        nexts = [1] * key[3] + [nonsquare] * key[4]
+    return _solvable_with_unit_level(units, nexts, p, squares) or _solvable_with_unit_level(
+        nexts, units, p, squares
+    )
+
+
+def local_isotropic_search(coefficients: tuple[int, ...], place: Place) -> bool:
+    """Local isotropy by residue search; coefficients must be square-free exact ints."""
+    for c in coefficients:
+        # squarefree_part first: it names a non-number in its own words
+        if c == 0 or squarefree_part(c) != c or type(c) is not int:
             raise InputError(f"coefficient {c} is not a nonzero square-free integer")
     if len(coefficients) < 2:
         return False
@@ -84,12 +147,11 @@ def local_isotropic_search(coefficients: tuple[int, ...], place: Place) -> bool:
         return any(c > 0 for c in coefficients) and any(c < 0 for c in coefficients)
     p = place.prime
     assert p is not None
-    units = [c for c in coefficients if c % p != 0]
-    nexts = [c // p for c in coefficients if c % p == 0]
-    squares = {x * x % p for x in range(1, p // 2 + 1)}
-    return _solvable_with_unit_level(units, nexts, p, squares) or _solvable_with_unit_level(
-        nexts, units, p, squares
-    )
+    key = _class_key(coefficients, p)
+    verdict = _VERDICTS.get(key)
+    if verdict is None:
+        verdict = _VERDICTS[key] = _folded(key)
+    return verdict
 
 
 def hilbert_symbol_search(a: int, b: int, place: Place) -> int:

@@ -3,13 +3,14 @@
 import copy
 import pickle
 from fractions import Fraction
+from itertools import chain, islice
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from quatgenus import forms, symbols
-from quatgenus.arith import squarefree_part
-from quatgenus.errors import InputError
+from quatgenus.arith import iter_witnesses, squarefree_part
+from quatgenus.errors import InputError, SearchExhausted
 from quatgenus.forms import (
     HYPERBOLIC_PLANE,
     DiagonalForm,
@@ -246,6 +247,50 @@ def test_residue_search_refuses_a_coefficient_that_is_not_square_free(coefficien
     # <1,-5,-3> is anisotropic at 5; an unchecked 25 read as a unit said isotropic
     with pytest.raises(InputError):
         local_isotropic_search(coefficients, finite_place(5))
+
+
+def _one_entry_by_walk(target, q):
+    """The walk over the candidate pool that _synthesize made for a one-entry target."""
+    limit = max(64, max(abs(x) for x in q.coefficients) * 4)
+    pool = islice(chain((1,), iter_witnesses(limit)), forms._SYNTH_BUDGET + 1)
+    for tried, c in enumerate(pool):
+        if tried == forms._SYNTH_BUDGET:
+            raise SearchExhausted(f"no anisotropic part of {q} among {tried} candidate forms")
+        if invariants(DiagonalForm((c,))).key == target.key:
+            return DiagonalForm((c,))
+    return None
+
+
+@pytest.mark.parametrize("d", [1, -1, 2, -15, 255, -255])
+def test_a_one_entry_kernel_in_the_pool_is_its_determinant(d):
+    q = DiagonalForm((1, -1, d))  # a pool up to |c| = max(64, 4|d|)
+    target = invariants(DiagonalForm((d,)))
+    assert forms._synthesize(target, q) == DiagonalForm((d,)) == _one_entry_by_walk(target, q)
+
+
+def test_a_one_entry_kernel_past_the_pool_is_refused_as_before():
+    q = DiagonalForm((61, -22, -73, 86, -1))
+    _index, target = forms._peel(q)
+    assert (target.dimension, target.determinant) == (1, -2106269)
+    # a pool of 418 classes, short of the budget: no answer, and witt_decompose refuses
+    assert forms._synthesize(target, q) is None
+    assert _one_entry_by_walk(target, q) is None
+    with pytest.raises(InputError, match="could not realize the anisotropic part of <61,"):
+        witt_decompose(q)
+
+
+def test_a_one_entry_kernel_past_the_budget_ends_the_search():
+    q = DiagonalForm((1, 14001))  # max(64, 4 * 14001): a pool longer than the budget
+    budget = forms._SYNTH_BUDGET
+    pool = list(islice(chain((1,), iter_witnesses(4 * 14001)), budget + 1))
+    assert len(pool) == budget + 1
+    last, past = pool[budget - 1], pool[budget]
+    assert forms._synthesize(invariants(DiagonalForm((last,))), q) == DiagonalForm((last,))
+    message = f"no anisotropic part of {q} among {budget} candidate forms"
+    for d in (past, 1000033):
+        with pytest.raises(SearchExhausted) as refused:
+            forms._synthesize(invariants(DiagonalForm((d,))), q)
+        assert str(refused.value) == message
 
 
 def test_witt_decompose_worked_value():

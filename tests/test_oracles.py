@@ -1,11 +1,25 @@
-"""The residue-search oracle: bit-parallel fold against the dict fold it replaced."""
+"""The residue-search oracle against the dict fold it replaced.
+
+The oracle folds reachable sums as bitmasks, once per key of square-class
+counts, and reads every later verdict with that key from its table. The tests
+check the fold against the reference, the key's exactness (forms with the same
+key get the reference's verdict), that call order does not change a verdict,
+and that coefficients are checked before the table is read.
+"""
+
+from fractions import Fraction
+from functools import lru_cache
+from itertools import combinations_with_replacement
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from quatgenus import oracles
 from quatgenus.arith import is_prime
-from quatgenus.forms import DiagonalForm, is_isotropic_local
+from quatgenus.errors import InputError
+from quatgenus.forms import DiagonalForm, is_isotropic_local, relevant_places
 from quatgenus.oracles import _zero_reached_ready, hilbert_symbol_search, local_isotropic_search
+from quatgenus.selftest import _POOL
 from quatgenus.symbols import finite_place, hilbert_symbol
 
 PRIMES = [p for p in range(2, 200) if is_prime(p)]
@@ -138,3 +152,79 @@ def test_local_verdicts_match_residue_search_past_one_word(p, entries):
     q = DiagonalForm(tuple(m * (p if divisible else 1) for m, divisible in entries))
     place = finite_place(p)
     assert is_isotropic_local(q, place) == local_isotropic_search(q.coefficients, place)
+
+
+@lru_cache(maxsize=None)
+def _squares_mod(p):
+    return frozenset(x * x % p for x in range(1, p))
+
+
+def _key_class(c, p):
+    """What the verdict key reads of c: the residue mod 8 of c or c // 2 at 2, else
+    whether c, or its cofactor c // p, is a square mod p; computed here from x^2 mod p."""
+    if p == 2:
+        return c % 2, (c if c % 2 else c // 2) % 8
+    divisible = c % p == 0
+    return divisible, (c // p if divisible else c) % p in _squares_mod(p)
+
+
+@lru_cache(maxsize=None)
+def _entries_with_key(p, key):
+    """Square-free entries c and c * p, c prime to p, whose key class is key."""
+    return [
+        e
+        for m in SQUAREFREE
+        if m % p
+        for s in (1, -1)
+        for e in (s * m, s * m * p)
+        if _key_class(e, p) == key
+    ]
+
+
+@st.composite
+def form_and_same_key_form(draw):
+    """A form at a prime and a second form whose entries have the same key classes."""
+    coefficients, p = draw(form_at_prime())
+    same = tuple(draw(st.sampled_from(_entries_with_key(p, _key_class(c, p)))) for c in coefficients)
+    return coefficients, same, p
+
+
+@given(form_and_same_key_form())
+@example(((1, 2), (17, 34), 2))  # at 2: the residue 1 and the cofactor 1 mod 8
+@example(((1, 1, 7, 7), (2, 11, 14, 77), 7))  # two units and two cofactors in Q
+@example(((-1, -7 * 97), (-6, -5 * 97), 97))  # -1 and -6 are squares mod 97, -7 and -5 are not
+@settings(max_examples=200, deadline=None)
+def test_forms_with_one_key_get_the_reference_verdict(case):
+    coefficients, same, p = case
+    place = finite_place(p)
+    oracles._VERDICTS.clear()
+    # the first form folds and stores its verdict; the second reads the stored one
+    verdict = local_isotropic_search(coefficients, place)
+    assert verdict == _residue_search_reference(coefficients, place)
+    assert local_isotropic_search(same, place) == verdict
+    assert _residue_search_reference(same, place) == verdict
+
+
+def test_verdicts_do_not_depend_on_call_order():
+    cases = [
+        (coefficients, place)
+        for dim in range(1, 5)
+        for coefficients in combinations_with_replacement(_POOL, dim)
+        for place in relevant_places(DiagonalForm(coefficients))
+    ]
+    oracles._VERDICTS.clear()
+    forward = [local_isotropic_search(c, v) for c, v in cases]
+    oracles._VERDICTS.clear()
+    backward = [local_isotropic_search(c, v) for c, v in reversed(cases)]
+    assert forward == backward[::-1]
+    assert forward == [is_isotropic_local(DiagonalForm(c), v) for c, v in cases]
+
+
+def test_coefficients_are_checked_before_the_verdict_table():
+    place = finite_place(3)
+    # (1, 2) stores the key of one square and one non-square unit at 3
+    assert local_isotropic_search((1, 2), place)
+    # 18 = 2 * 3^2 is not square-free: read as a cofactor 6 it would find a key
+    for coefficients in ((1, 18), (0, 1), (1, Fraction(2))):
+        with pytest.raises(InputError, match="is not a nonzero square-free integer"):
+            local_isotropic_search(coefficients, place)
